@@ -24,7 +24,6 @@ import numpy as np
 from .distributions import (
     CategoricalDistribution,
     Sequence,
-    TypeVector,
     draw_symbols,
     from_log_weights,
     log_class_sizes,
@@ -37,7 +36,7 @@ from .errors import (
     LengthMismatch,
     SizeOverflow,
 )
-from .logspace import cumulative_log_probs, log_power_diff, logsumexp
+from .logspace import cumulative_log_probs, log_power_diff
 from .rng import as_generator
 
 REWARD_TIE_TOL = 1e-12
@@ -48,23 +47,11 @@ MAX_LOG_N = 690.0
 
 
 @dataclass(frozen=True)
-class RewardLevel:
-    """One tie-group of outcomes sharing a reward value."""
-
-    value: float
-    member_outcomes: tuple[int, ...]
-    level_log_prob: float
-    cum_log_prob_le: float
-    cum_log_prob_lt: float
-
-
-@dataclass(frozen=True)
 class BonConfig:
     """Best-of-N sample count, given directly or as log N for huge regimes."""
 
     N: int | None = None
     log_N: float | None = None
-    tie_policy: str = "uniform"
 
     def __post_init__(self):
         if (self.N is None) == (self.log_N is None):
@@ -76,8 +63,6 @@ class BonConfig:
             if not (0.0 <= log_n <= MAX_LOG_N):
                 raise InvalidN(f"log_N must be in [0, {MAX_LOG_N}], got {self.log_N!r}")
             object.__setattr__(self, "log_N", log_n)
-        if self.tie_policy != "uniform":
-            raise InvalidN("only uniform tie-breaking is supported")
 
     @property
     def n_effective(self) -> float:
@@ -90,102 +75,84 @@ class BonConfig:
 
 
 @dataclass(frozen=True)
-class TypeLawEntry:
-    """Per-type-class log probability data of a sequence-level policy."""
-
-    type_vector: TypeVector
-    per_sequence_log_prob: float
-    log_class_size: float
-
-
-@dataclass(frozen=True)
 class TypeLaw:
     """An exact sequence-level PMF represented on type classes.
 
-    ``per_sequence_log_prob`` is constant within a class: under memoryless
-    references and additive rewards both the reward and the reference
-    probability of a sequence depend on it only through its type.
+    Row i of ``counts`` is one type class; ``per_seq_log_probs[i]`` is the log
+    probability of each sequence in it and ``class_log_sizes[i]`` the log of
+    its multinomial size.  The per-sequence value is constant within a class:
+    under memoryless references and additive rewards both the reward and the
+    reference probability of a sequence depend on it only through its type.
+    The arrays are made read-only, so the accessors can return them directly.
     """
 
     m: int
     policy_tag: str
-    entries: tuple[TypeLawEntry, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    per_seq_log_probs: np.ndarray = field(repr=False)
+    class_log_sizes: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for arr in (self.counts, self.per_seq_log_probs, self.class_log_sizes):
+            arr.setflags(write=False)
 
     @property
     def K(self) -> int:
-        return self.entries[0].type_vector.K
+        return int(self.counts.shape[1])
 
     def counts_matrix(self) -> np.ndarray:
-        return np.array([e.type_vector.counts for e in self.entries], dtype=np.int64)
+        return self.counts
 
     def seq_log_probs(self) -> np.ndarray:
-        return np.array([e.per_sequence_log_prob for e in self.entries])
+        return self.per_seq_log_probs
 
     def log_sizes(self) -> np.ndarray:
-        return np.array([e.log_class_size for e in self.entries])
+        return self.class_log_sizes
 
     def class_masses(self) -> np.ndarray:
         """Total probability of each type class."""
-        return np.exp(self.log_sizes() + self.seq_log_probs())
+        return np.exp(self.class_log_sizes + self.per_seq_log_probs)
 
 
 def group_reward_levels(
     log_probs: np.ndarray, rewards: np.ndarray, tie_tol: float = REWARD_TIE_TOL
-) -> list[RewardLevel]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group outcomes into strictly increasing reward levels.
 
-    Adjacent rewards within ``tie_tol`` after sorting join the same level;
-    grouping is deterministic.  The top level's cumulative is pinned to
-    exactly log 1.
+    Adjacent rewards within ``tie_tol`` after one stable sort join the same
+    level, so grouping is deterministic.  Returns ``(order, sizes, level_lps,
+    cums)``: the sort order of the outcomes, the member count of each level,
+    each level's log mass, and the n_levels + 1 cumulative log masses, where
+    ``cums[i]`` is log S_lt and ``cums[i + 1]`` is log S_le of level i.
+    ``cums[0]`` is -inf and the top ``cums[-1]`` is pinned to exactly log 1.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     rw = np.asarray(rewards, dtype=np.float64)
     if lp.shape != rw.shape:
         raise LengthMismatch(f"{lp.size} probabilities vs {rw.size} rewards")
     order = np.argsort(rw, kind="stable")
-    breaks = np.nonzero(np.diff(rw[order]) > tie_tol)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks + 1, [lp.size]])
-    level_lps = np.array([logsumexp(lp[order[a:b]]) for a, b in zip(starts, ends)])
-    cums_le = cumulative_log_probs(level_lps)
-    levels = []
-    for i, (a, b) in enumerate(zip(starts, ends)):
-        members = tuple(int(j) for j in order[a:b])
-        levels.append(
-            RewardLevel(
-                value=float(rw[order[a]]),
-                member_outcomes=members,
-                level_log_prob=float(level_lps[i]),
-                cum_log_prob_le=float(cums_le[i]),
-                cum_log_prob_lt=float(cums_le[i - 1]) if i > 0 else -math.inf,
-            )
-        )
-    return levels
-
-
-def _level_pick_log_masses(levels: list[RewardLevel], n_eff: float) -> np.ndarray:
-    """log(S_le^N - S_lt^N) per level: probability that the winner's level is this one.
-
-    Uses the levels' stored cumulatives (pinned to exactly log 1 at the top),
-    not a re-accumulated running sum: N amplifies any error in log S near the
-    top by a factor of N.
-    """
-    out = np.empty(len(levels))
-    for i, lvl in enumerate(levels):
-        out[i] = log_power_diff(n_eff, lvl.cum_log_prob_lt, lvl.level_log_prob)
-    return out
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(rw[order]) > tie_tol) + 1))
+    sizes = np.diff(starts, append=lp.size)
+    sorted_lp = lp[order]
+    hi = np.maximum.reduceat(sorted_lp, starts)
+    level_lps = hi + np.log(np.add.reduceat(np.exp(sorted_lp - np.repeat(hi, sizes)), starts))
+    cums = np.concatenate(([-math.inf], cumulative_log_probs(level_lps)))
+    return order, sizes, level_lps, cums
 
 
 def _winner_log_probs(
     log_probs: np.ndarray, rewards: np.ndarray, n_eff: float
 ) -> np.ndarray:
-    """Per-outcome log probability under best-of-N with uniform tie-breaking."""
-    levels = group_reward_levels(log_probs, rewards)
-    picks = _level_pick_log_masses(levels, n_eff)
-    out = np.empty(len(log_probs))
-    for i, lvl in enumerate(levels):
-        for j in lvl.member_outcomes:
-            out[j] = log_probs[j] - lvl.level_log_prob + picks[i]
+    """Per-outcome log probability under best-of-N with uniform tie-breaking.
+
+    Each level's pick mass log(S_le^N - S_lt^N) uses the stored cumulatives
+    (pinned to exactly log 1 at the top), not a re-accumulated running sum:
+    N amplifies any error in log S near the top by a factor of N.
+    """
+    order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
+    picks = log_power_diff(n_eff, cums[:-1], cums[1:], level_lps)
+    out = np.empty(order.size)
+    out[order] = log_probs[order] - np.repeat(level_lps, sizes) + np.repeat(picks, sizes)
     return out
 
 
@@ -232,11 +199,7 @@ def bon_type_law(
         # _winner_log_probs reshapes whole-class masses; per-sequence values
         # divide the class mass back out
         seq_lp = seq_lp - sizes
-    entries = tuple(
-        TypeLawEntry(TypeVector(c), float(lp_i), float(sz))
-        for c, lp_i, sz in zip(counts, seq_lp, sizes)
-    )
-    return TypeLaw(m=m, policy_tag="best_of_n", entries=entries)
+    return TypeLaw(m, "best_of_n", counts, seq_lp, sizes)
 
 
 def product_type_law(
@@ -245,13 +208,7 @@ def product_type_law(
 ) -> TypeLaw:
     """Type-class law of the m-fold product of ``dist``."""
     counts = type_counts_matrix(m, dist.K, cap=type_cap)
-    sizes = log_class_sizes(counts)
-    seq_lp = counts @ dist.log_probs
-    entries = tuple(
-        TypeLawEntry(TypeVector(c), float(lp_i), float(sz))
-        for c, lp_i, sz in zip(counts, seq_lp, sizes)
-    )
-    return TypeLaw(m=m, policy_tag=policy_tag, entries=entries)
+    return TypeLaw(m, policy_tag, counts, counts @ dist.log_probs, log_class_sizes(counts))
 
 
 def sequence_space_log_probs(
@@ -341,7 +298,8 @@ def bon_expected_type(law: TypeLaw) -> np.ndarray:
 
 
 def bon_kl_to_reference(law: TypeLaw, p: CategoricalDistribution) -> float:
-    """Exact D(law || p^m) by type-class summation."""
+    """Exact D(law || p^m) by type-class summation, for any product target p^m
+    (the reference, or a tilt such as phi_delta)."""
     if law.K != p.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {law.K} vs {p.K}")
     ref_lp = law.counts_matrix() @ p.log_probs
@@ -359,8 +317,7 @@ def bon_kl_rate_to_optimal(
 
     phi = solve_alpha_for_kl(q, p, delta).phi
     law = bon_type_law(p, q, m, BonConfig(log_N=m * delta))
-    phi_lp = law.counts_matrix() @ phi.log_probs
-    return float(np.sum(law.class_masses() * (law.seq_log_probs() - phi_lp))) / m
+    return bon_kl_to_reference(law, phi) / m
 
 
 def expected_reward_rate(law: TypeLaw, q: CategoricalDistribution) -> float:

@@ -18,7 +18,6 @@ from .errors import (
     SizeOverflow,
     SymbolOutOfRange,
 )
-from .logspace import logsumexp
 from .rng import as_generator
 
 DEFAULT_TYPE_CAP = 10_000_000
@@ -137,13 +136,19 @@ def make_distribution(weights) -> CategoricalDistribution:
 
 
 def from_log_weights(log_weights) -> CategoricalDistribution:
-    """Normalize finite log weights (any scale) into a distribution."""
+    """Normalize finite log weights (any scale) into a distribution.
+
+    The maximum is subtracted first, so the normalizer is rounded at the
+    scale of the probabilities rather than of the weights: at weights of
+    magnitude ~1e4 the latter leaves the total off 1 by ~1e-12.
+    """
     arr = np.asarray(log_weights, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise AlphabetTooSmall("need a nonempty 1-D array of log weights")
     if not np.all(np.isfinite(arr)):
         raise NonPositiveWeight("log weights must be finite")
-    return CategoricalDistribution(arr - logsumexp(arr))
+    shifted = arr - np.max(arr)
+    return CategoricalDistribution(shifted - math.log(float(np.sum(np.exp(shifted)))))
 
 
 def log_sequence_prob(dist: CategoricalDistribution, seq: Sequence) -> float:
@@ -163,16 +168,6 @@ def type_of(seq: Sequence, K: int) -> TypeVector:
     return TypeVector(counts)
 
 
-def _compositions(m: int, K: int):
-    """Yield all K-part compositions of m in ascending lexicographic order."""
-    if K == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, K - 1):
-            yield (first,) + rest
-
-
 def count_types(m: int, K: int) -> int:
     """Number of K-part compositions of m: C(m+K-1, K-1)."""
     return math.comb(m + K - 1, K - 1)
@@ -180,22 +175,30 @@ def count_types(m: int, K: int) -> int:
 
 def enumerate_types(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> list[TypeVector]:
     """All types of length-m sequences over K symbols, lexicographic on counts."""
-    if m < 1 or K < 2:
-        raise AlphabetTooSmall(f"need m >= 1 and K >= 2, got m={m}, K={K}")
-    n = count_types(m, K)
-    if n > cap:
-        raise SizeOverflow(f"{n} types exceeds cap {cap}")
-    return [TypeVector(np.array(c, dtype=np.int64)) for c in _compositions(m, K)]
+    return [TypeVector(c) for c in type_counts_matrix(m, K, cap)]
 
 
 def type_counts_matrix(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> np.ndarray:
-    """All compositions of m into K parts as an (n_types, K) int array."""
+    """All compositions of m into K parts as an (n_types, K) int array.
+
+    Rows are in ascending lexicographic order: each pass splits every partial
+    row into one child per value of its next part, in ascending order, and
+    the last part takes what is left.
+    """
     if m < 1 or K < 2:
         raise AlphabetTooSmall(f"need m >= 1 and K >= 2, got m={m}, K={K}")
     n = count_types(m, K)
     if n > cap:
         raise SizeOverflow(f"{n} types exceeds cap {cap}")
-    return np.array(list(_compositions(m, K)), dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m], dtype=np.int64)
+    for _ in range(K - 1):
+        reps = left + 1
+        first = np.cumsum(reps) - reps  # each partial row's first child
+        part = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(first, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), part])
+        left = np.repeat(left, reps) - part
+    return np.column_stack([rows, left])
 
 
 def log_type_class_size(tau: TypeVector) -> float:
@@ -207,14 +210,11 @@ def _log_multinomial(counts: np.ndarray, m: int) -> float:
     return math.lgamma(m + 1) - float(sum(math.lgamma(int(c) + 1) for c in counts))
 
 
-_LGAMMA_UFUNC = np.frompyfunc(math.lgamma, 1, 1)
-
-
 def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
     """Row-wise log multinomial coefficients of a counts matrix."""
     m = int(counts_matrix[0].sum())
-    per_symbol = _LGAMMA_UFUNC((counts_matrix + 1).astype(np.float64)).astype(np.float64)
-    return math.lgamma(m + 1.0) - per_symbol.sum(axis=1)
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
+    return math.lgamma(m + 1.0) - log_factorials[counts_matrix].sum(axis=1)
 
 
 def draw_symbols(dist: CategoricalDistribution, shape, rng: np.random.Generator) -> np.ndarray:

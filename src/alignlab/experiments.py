@@ -392,7 +392,6 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     m_grid = config.m_grid if config.m_grid is not None else (5, 10, 20, 40, 80, 160)
 
     sol = solve_alpha_for_kl(q, p, delta)
-    phi_lp = sol.phi.log_probs
     phi_probs = sol.phi.probs()
 
     rows = []
@@ -400,10 +399,7 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     bound_ok = True
     for m in m_grid:
         law = bon_type_law(p, q, int(m), BonConfig(log_N=m * delta))
-        masses = law.class_masses()
-        counts = law.counts_matrix()
-        seq_lp = law.seq_log_probs()
-        kl_rate = float(np.sum(masses * (seq_lp - counts @ phi_lp))) / m
+        kl_rate = bon_kl_to_reference(law, sol.phi) / m
         kl_ref_seq = bon_kl_to_reference(law, p)
         reward_gap = abs(expected_reward_rate(law, q) - sol.expected_reward)
         type_l1 = float(np.abs(bon_expected_type(law) - phi_probs).sum())

@@ -25,33 +25,50 @@ def logsumexp(values: np.ndarray) -> float:
     return hi + math.log(float(np.sum(np.exp(arr - hi))))
 
 
-def log1mexp(u: float) -> float:
-    """log(1 - exp(-u)) for u > 0, accurate at both ends."""
-    if u <= 0.0:
+def log1mexp(u: np.ndarray) -> np.ndarray:
+    """Elementwise log(1 - exp(-u)) for u > 0, accurate at both ends."""
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0.0):
         raise ValueError("log1mexp requires u > 0")
-    if u < _LN2:
-        return math.log(-math.expm1(-u))
-    return math.log1p(-math.exp(-u))
+    out = np.empty_like(u)
+    small = u < _LN2
+    out[small] = np.log(-np.expm1(-u[small]))
+    out[~small] = np.log1p(-np.exp(-u[~small]))
+    return out
 
 
-def log_power_diff(n_eff: float, cum_lt: float, level_log_prob: float) -> float:
-    """log(S_le**N - S_lt**N) for one reward level.
+def log_power_diff(
+    n_eff: float, cum_lt: np.ndarray, cum_le: np.ndarray, level_log_prob: np.ndarray
+) -> np.ndarray:
+    """log(S_le**N - S_lt**N) per reward level, elementwise.
 
-    ``cum_lt`` is log S_lt (cumulative mass strictly below the level, -inf at
-    the bottom) and ``level_log_prob`` is the level's own log mass.  The gap
-    d = log S_le - log S_lt is derived from the level mass rather than from a
-    subtraction of accumulated cumulatives, which keeps deep-tail levels
-    (d below float resolution of the cumulative) exact to first order.
+    The difference is taken as N log S_le + log(1 - exp(-N d)), with
+    d = log S_le - log S_lt.  ``cum_le`` is the stored log S_le: pinned to 0 at
+    the top and formed from the small tail above it near the top, so N log S_le
+    has no cancellation even where N d is huge.  The gap d is derived from the
+    level's own log mass rather than from ``cum_le - cum_lt``, which keeps
+    deep-tail levels (d below the float resolution of the cumulative) exact to
+    first order.  ``cum_lt`` is -inf at the bottom level, where d is infinite.
     """
-    if cum_lt == -math.inf:
-        return n_eff * level_log_prob
-    r = level_log_prob - cum_lt
-    d = float(np.logaddexp(0.0, r))
-    u = n_eff * d
-    if u == 0.0:
+    cum_lt, cum_le, lvl = np.broadcast_arrays(
+        np.asarray(cum_lt, dtype=np.float64),
+        np.asarray(cum_le, dtype=np.float64),
+        np.asarray(level_log_prob, dtype=np.float64),
+    )
+    inner = cum_lt != -math.inf
+    r = lvl[inner] - cum_lt[inner]
+    # a log mass below -DBL_MAX is a mass of exactly 0, so -inf is the right value
+    with np.errstate(over="ignore"):
+        out = n_eff * cum_le
+        u = n_eff * np.logaddexp(0.0, r)
+        tiny = u == 0.0
         # level mass below float resolution: S_le^N - S_lt^N ~ N * S_lt^(N-1) * mass
-        return n_eff * cum_lt + math.log(n_eff) + r
-    return n_eff * cum_lt + u + log1mexp(u)
+        deep = n_eff * cum_lt[inner][tiny] + math.log(n_eff) + r[tiny]
+    res = out[inner]
+    res[~tiny] += log1mexp(u[~tiny])
+    res[tiny] = deep
+    out[inner] = res
+    return out
 
 
 def cumulative_log_probs(level_log_probs: np.ndarray) -> np.ndarray:
@@ -59,22 +76,15 @@ def cumulative_log_probs(level_log_probs: np.ndarray) -> np.ndarray:
 
     Uses the backward tail form log1p(-exp(tail)) where the tail is small
     (near the top, where N amplifies any cumulative error) and the forward
-    running sum where the tail saturates toward 1.
+    running sum where the tail saturates toward 1.  The top level's tail is
+    empty (-inf), so the backward form gives it exactly 0.
     """
     lps = np.asarray(level_log_probs, dtype=np.float64)
-    n = lps.size
-    tails = np.empty(n)
-    t = -math.inf
-    for i in range(n - 1, -1, -1):
-        tails[i] = t
-        t = np.logaddexp(t, lps[i])
-    fwd = np.logaddexp.accumulate(lps)
-    c_le = np.empty(n)
-    for i in range(n):
-        if tails[i] == -math.inf:
-            c_le[i] = 0.0
-        elif tails[i] < -_LN2:
-            c_le[i] = math.log1p(-math.exp(tails[i]))
-        else:
-            c_le[i] = fwd[i]
+    # tails[i] = log of the mass strictly above level i, summed from the top down
+    tails = np.empty_like(lps)
+    tails[:-1] = np.logaddexp.accumulate(lps[:0:-1])[::-1]
+    tails[-1:] = -math.inf
+    c_le = np.logaddexp.accumulate(lps)
+    near_top = tails < -_LN2
+    c_le[near_top] = np.log1p(-np.exp(tails[near_top]))
     return c_le

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from alignlab import make_distribution
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# does not depend on the run; no example database is written.
+settings.register_profile("alignlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("alignlab")
 
 TERNARY_P = (0.2, 0.3, 0.5)
 TERNARY_Q = (2.0 / 3.0, 1.0 / 9.0, 2.0 / 9.0)

@@ -101,10 +101,8 @@ def test_criterion_03_oracle_equivalence():
         ).probs()
         worst = max(worst, float(np.max(np.abs(flat - oracle))))
         law = bon_type_law(p, q, m, BonConfig(N=n))
-        by_class = {
-            tuple(e.type_vector.counts): math.exp(e.per_sequence_log_prob)
-            for e in law.entries
-        }
+        classes = zip(law.counts_matrix(), law.seq_log_probs())
+        by_class = {tuple(c): math.exp(lp) for c, lp in classes}
         for idx in range(K**m):
             digits = [(idx // K ** (m - 1 - pos)) % K for pos in range(m)]
             counts = tuple(np.bincount(digits, minlength=K))

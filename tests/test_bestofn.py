@@ -3,8 +3,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignlab import (
     AlphabetMismatch,
@@ -27,6 +30,9 @@ from alignlab import (
     solve_alpha_for_kl,
     from_log_weights,
 )
+
+from alignlab.bestofn import REWARD_TIE_TOL, _winner_log_probs
+from alignlab.logspace import log_power_diff, logsumexp
 
 from .conftest import random_pair
 
@@ -72,8 +78,6 @@ class TestBonConfig:
             BonConfig(N=2.5)
         with pytest.raises(InvalidN):
             BonConfig(log_N=-0.1)
-        with pytest.raises(InvalidN):
-            BonConfig(N=2, tie_policy="first")
 
     def test_effective_n(self):
         assert BonConfig(N=7).n_effective == 7.0
@@ -84,21 +88,21 @@ class TestBonConfig:
 class TestRewardLevels:
     def test_grouping_and_cumulatives(self, demo_p, demo_q):
         probs, rewards = _pair_space(demo_p, demo_q)
-        levels = group_reward_levels(probs.log_probs, rewards)
+        order, sizes, level_lps, cums = group_reward_levels(probs.log_probs, rewards)
         # pair rewards log{1,2,4,6,12,36} -> six levels, two of them tied pairs
-        assert [len(l.member_outcomes) for l in levels] == [1, 2, 1, 2, 2, 1]
-        assert levels[-1].cum_log_prob_le == 0.0
-        assert levels[0].cum_log_prob_lt == -math.inf
-        values = [l.value for l in levels]
+        assert sizes.tolist() == [1, 2, 1, 2, 2, 1]
+        assert cums[-1] == 0.0
+        assert cums[0] == -math.inf
+        values = rewards[order][np.cumsum(sizes) - sizes]
         assert all(b > a for a, b in zip(values, values[1:]))
-        masses = [math.exp(l.level_log_prob) for l in levels]
+        masses = [math.exp(lp) for lp in level_lps]
         assert sum(masses) == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_tolerance(self):
         dist = make_distribution((1, 1, 1, 1))
         rewards = np.array([0.0, 5e-13, 1.0, 1.0 + 5e-13])
-        levels = group_reward_levels(dist.log_probs, rewards)
-        assert [len(l.member_outcomes) for l in levels] == [2, 2]
+        _, sizes, _, _ = group_reward_levels(dist.log_probs, rewards)
+        assert sizes.tolist() == [2, 2]
 
 
 class TestBonExactPmf:
@@ -159,7 +163,7 @@ class TestBonTypeLaw:
         q2 = make_distribution((0.8, 0.2))
         law = bon_type_law(p2, q2, 3, BonConfig(N=3))
         oracle = bon_enumeration_oracle(p2, q2, 3, 3)
-        by_class = {tuple(e.type_vector.counts): e.per_sequence_log_prob for e in law.entries}
+        by_class = dict(zip(map(tuple, law.counts_matrix()), law.seq_log_probs()))
         for idx in range(8):
             seq = [(idx >> (2 - pos)) & 1 for pos in range(3)]
             counts = (seq.count(0), seq.count(1))
@@ -192,10 +196,8 @@ class TestBonTypeLaw:
         assert abs(2 * q.log_probs[0] - (q.log_probs[1] + q.log_probs[2])) < 1e-12
         law = bon_type_law(demo_p, q, 2, BonConfig(N=3))
         oracle = bon_enumeration_oracle(demo_p, q, 2, 3)
-        by_class = {
-            tuple(e.type_vector.counts): math.exp(e.per_sequence_log_prob)
-            for e in law.entries
-        }
+        classes = zip(law.counts_matrix(), law.seq_log_probs())
+        by_class = {tuple(c): math.exp(lp) for c, lp in classes}
         for idx in range(9):
             digits = [idx // 3, idx % 3]
             counts = tuple(np.bincount(digits, minlength=3))
@@ -205,6 +207,217 @@ class TestBonTypeLaw:
         by_int = bon_type_law(demo_p, demo_q, 6, BonConfig(N=5))
         by_log = bon_type_law(demo_p, demo_q, 6, BonConfig(log_N=math.log(5.0)))
         assert np.max(np.abs(by_int.seq_log_probs() - by_log.seq_log_probs())) <= 1e-9
+
+
+_LN2 = math.log(2.0)
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _loop_levels(rewards):
+    """(start, end) bounds of the reward levels within the stable sort order."""
+    order = np.argsort(rewards, kind="stable")
+    breaks = np.nonzero(np.diff(rewards[order]) > REWARD_TIE_TOL)[0]
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks + 1, [rewards.size]])
+    return order, list(zip(starts, ends))
+
+
+def _loop_log_power_diff(n_eff, cum_lt, level_log_prob):
+    """Scalar log(S_le**N - S_lt**N) as the loop kernel formed it."""
+    if cum_lt == -math.inf:
+        return n_eff * level_log_prob
+    r = level_log_prob - cum_lt
+    u = n_eff * float(np.logaddexp(0.0, r))
+    if u == 0.0:
+        return n_eff * cum_lt + math.log(n_eff) + r
+    if u < _LN2:
+        return n_eff * cum_lt + u + math.log(-math.expm1(-u))
+    return n_eff * cum_lt + u + math.log1p(-math.exp(-u))
+
+
+def _loop_winner_log_probs(log_probs, rewards, n_eff):
+    """The per-level loop kernel the array kernel replaced, kept as a slow reference.
+
+    Returns the per-outcome log probabilities, and per outcome the scale
+    N * (1 + |log S_lt|) of the loop's own rounding: it adds N log S_lt to
+    N d, which cancel near the top, and it forms log masses near 0 as
+    hi + log(sum), whose O(1) terms N multiplies (|level log mass| stands in
+    for |log S_lt| at the bottom level).
+    """
+    order, bounds = _loop_levels(rewards)
+    level_lps = [logsumexp(log_probs[order[a:b]]) for a, b in bounds]
+    n = len(level_lps)
+    tails = [0.0] * n
+    t = -math.inf
+    for i in range(n - 1, -1, -1):
+        tails[i] = t
+        t = float(np.logaddexp(t, level_lps[i]))
+    fwd = np.logaddexp.accumulate(level_lps)
+    cum_le = []
+    for i in range(n):
+        if tails[i] == -math.inf:
+            cum_le.append(0.0)
+        elif tails[i] < -_LN2:
+            cum_le.append(math.log1p(-math.exp(tails[i])))
+        else:
+            cum_le.append(float(fwd[i]))
+    out = np.empty(log_probs.size)
+    scale = np.empty(log_probs.size)
+    for i, (a, b) in enumerate(bounds):
+        cum_lt = cum_le[i - 1] if i else -math.inf
+        pick = _loop_log_power_diff(n_eff, cum_lt, level_lps[i])
+        for j in order[a:b]:
+            out[j] = log_probs[j] - level_lps[i] + pick
+            scale[j] = n_eff * (1.0 + abs(cum_lt if i else level_lps[i]))
+    return out, scale
+
+
+def _mp_winner_log_probs(log_probs, rewards, n_eff):
+    """Best-of-N log probabilities in 50-digit arithmetic.
+
+    The float log probabilities are taken as exact (and normalized exactly),
+    and levels are grouped by the same tie rule, so only the kernel's own
+    arithmetic is measured.
+    """
+    with mpmath.workdps(50):
+        probs = [mpmath.exp(mpmath.mpf(float(x))) for x in log_probs]
+        total = mpmath.fsum(probs)
+        probs = [x / total for x in probs]
+        n = mpmath.mpf(float(n_eff))
+        order, bounds = _loop_levels(rewards)
+        out = np.empty(len(probs))
+        below = mpmath.mpf(0)
+        for a, b in bounds:
+            level = mpmath.fsum(probs[j] for j in order[a:b])
+            if below == 0:
+                pick = n * mpmath.log(level)
+            else:
+                # S_le^N - S_lt^N = S_lt^N * expm1(N log1p(level / S_lt))
+                pick = n * mpmath.log(below) + mpmath.log(
+                    mpmath.expm1(n * mpmath.log1p(level / below))
+                )
+            for j in order[a:b]:
+                out[j] = float(mpmath.log(probs[j] / level) + pick)
+            below += level
+    return out
+
+
+@st.composite
+def _flat_instances(draw):
+    """Log probabilities with random or tie-heavy (small integer) rewards.
+
+    The log weights are normalized in 50 digits and then rounded, so the
+    probabilities sum to 1 within ~1e-16: N multiplies a normalization error
+    of the input, which is not the kernel's to correct.
+    """
+    K = draw(st.integers(2, 24))
+    log_w = draw(st.lists(st.floats(-30.0, 0.0), min_size=K, max_size=K))
+    with mpmath.workdps(50):
+        log_total = mpmath.log(mpmath.fsum(mpmath.exp(w) for w in log_w))
+        log_probs = np.array([float(w - log_total) for w in log_w])
+    if draw(st.booleans()):
+        rewards = draw(st.lists(st.integers(0, 3), min_size=K, max_size=K))
+    else:
+        rewards = draw(st.lists(st.floats(-5.0, 5.0), min_size=K, max_size=K))
+    return log_probs, np.array(rewards, dtype=np.float64)
+
+
+# N given directly, or as exp(log_N)
+_N_EFF = st.one_of(
+    st.sampled_from([2.0, 3.0, 17.0, 1e3, 1e6, 1e9]),
+    st.integers(2, 10**9).map(float),
+    st.floats(0.0, 40.0).map(math.exp),
+)
+
+
+def _cross_tie_pair(a: float, b: float, p_weights):
+    """A pair whose q has q0^2 = q1 * q2, so types (2,0,0) and (0,1,1) tie."""
+    q = make_distribution((math.sqrt(a * b), a, b))
+    return make_distribution(p_weights), q
+
+
+class TestArrayKernel:
+    @settings(max_examples=300)
+    @given(_flat_instances(), _N_EFF)
+    def test_matches_loop_reference(self, instance, n_eff):
+        log_probs, rewards = instance
+        ref, scale = _loop_winner_log_probs(log_probs, rewards, n_eff)
+        got = _winner_log_probs(log_probs, rewards, n_eff)
+        live = ref > -700.0
+        tol = 1e-12 + 32 * _EPS * scale[live]
+        assert np.all(np.abs(got[live] - ref[live]) <= tol)
+
+    @settings(max_examples=150)
+    @given(_flat_instances(), _N_EFF)
+    def test_matches_50_digit_kernel(self, instance, n_eff):
+        log_probs, rewards = instance
+        exact = _mp_winner_log_probs(log_probs, rewards, n_eff)
+        got = _winner_log_probs(log_probs, rewards, n_eff)
+        live = exact > -700.0
+        assert np.max(np.abs(got[live] - exact[live]), initial=0.0) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(
+        st.floats(0.05, 1.0),
+        st.floats(0.05, 1.0),
+        st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+        st.integers(1, 25),
+        st.one_of(
+            st.integers(2, 10**9).map(lambda n: BonConfig(N=n)),
+            st.floats(0.0, 40.0).map(lambda log_n: BonConfig(log_N=log_n)),
+        ),
+    )
+    def test_type_law_with_cross_type_ties(self, a, b, p_weights, m, config):
+        p, q = _cross_tie_pair(a, b, p_weights)
+        law = bon_type_law(p, q, m, config)
+        assert abs(float(law.class_masses().sum()) - 1.0) <= 1e-12
+        if config.is_single_draw:
+            return
+        counts = law.counts_matrix()
+        class_lp = law.log_sizes() + counts @ p.log_probs
+        ref, scale = _loop_winner_log_probs(class_lp, counts @ q.log_probs, config.n_effective)
+        got = law.seq_log_probs() + law.log_sizes()
+        live = ref > -700.0
+        tol = 1e-12 + 32 * _EPS * scale[live]
+        assert np.all(np.abs(got[live] - ref[live]) <= tol)
+
+    def test_log_power_diff_50_digits(self):
+        # (log S_lt, level log mass): the top level, upper levels, a deep
+        # tail, and a level mass below the float resolution of S_lt
+        cases = [
+            (math.log(0.3), math.log(0.7)),
+            (math.log1p(-1e-6), math.log(1e-6)),
+            (math.log(0.5), math.log(1e-3)),
+            (math.log(1e-5), math.log(1e-8)),
+            (math.log(0.9), -69.0),
+            (math.log(0.5), -800.0),
+        ]
+        cum_lt = np.array([c for c, _ in cases])
+        level = np.array([x for _, x in cases])
+        with mpmath.workdps(50):
+            s_lt = [mpmath.exp(mpmath.mpf(c)) for c in cum_lt]
+            mass = [mpmath.exp(mpmath.mpf(x)) for x in level]
+            cum_le = np.array([float(mpmath.log(a + b)) for a, b in zip(s_lt, mass)])
+            for n_eff in (2.0, 7.0, 1e3, 1e9, math.exp(40.0)):
+                got = log_power_diff(n_eff, cum_lt, cum_le, level)
+                n = mpmath.mpf(n_eff)
+                for g, a, b in zip(got, s_lt, mass):
+                    exact = float(n * mpmath.log(a) + mpmath.log(mpmath.expm1(n * mpmath.log1p(b / a))))
+                    assert abs(g - exact) <= 1e-12 * max(1.0, abs(exact))
+                bottom = log_power_diff(n_eff, [-math.inf], [math.log(0.25)], [math.log(0.25)])
+                assert bottom[0] == pytest.approx(float(n * mpmath.log(0.25)), rel=1e-15)
+
+    def test_type_law_50_digits(self, demo_p):
+        # the cross-type tie pair at m=4, where 50 digits resolve every class
+        p, q = demo_p, make_distribution((2 / 7, 4 / 7, 1 / 7))
+        for config in (BonConfig(N=17), BonConfig(log_N=9.5)):
+            law = bon_type_law(p, q, 4, config)
+            counts = law.counts_matrix()
+            class_lp = law.log_sizes() + counts @ p.log_probs
+            exact = _mp_winner_log_probs(class_lp, counts @ q.log_probs, config.n_effective)
+            got = law.seq_log_probs() + law.log_sizes()
+            live = exact > -700.0
+            assert np.max(np.abs(got[live] - exact[live])) <= 1e-12
 
 
 class TestEnumerationOracle:
@@ -239,10 +452,8 @@ class TestEnumerationOracle:
             flat = bon_exact_pmf(probs, rewards, N).probs()
             assert np.max(np.abs(flat - oracle)) <= 1e-12
             law = bon_type_law(p, q, m, BonConfig(N=N))
-            by_class = {
-                tuple(e.type_vector.counts): math.exp(e.per_sequence_log_prob)
-                for e in law.entries
-            }
+            classes = zip(law.counts_matrix(), law.seq_log_probs())
+            by_class = {tuple(c): math.exp(lp) for c, lp in classes}
             for idx in range(K**m):
                 digits = [(idx // K ** (m - 1 - pos)) % K for pos in range(m)]
                 counts = tuple(np.bincount(digits, minlength=K))

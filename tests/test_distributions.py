@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignlab import (
     AlphabetTooSmall,
@@ -27,6 +30,28 @@ from .conftest import random_pair
 
 
 class TestMakeDistribution:
+    def test_large_magnitude_log_weights(self):
+        # log weights met by the tilt solvers' bracket doubling; subtracting
+        # logsumexp at this scale left the probabilities summing to 1 + 1.1e-12
+        log_w = np.array([-21715.247177587204, -16418.68527834665, -16418.08014502627])
+        dist = from_log_weights(log_w)
+        assert abs(float(dist.probs().sum()) - 1.0) <= 1e-12
+        near = from_log_weights(log_w - log_w[2])
+        assert np.max(np.abs(dist.probs() - near.probs())) <= 1e-15
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(-(2**16), 2**16), min_size=1, max_size=20),
+        st.integers(-(10**6), 10**6),
+    )
+    def test_shift_invariance(self, grid, shift):
+        # weights on a 1/64 grid and an integer shift keep every sum exact, so
+        # the shifted weights are exactly the unshifted ones moved by the shift
+        log_w = np.array(grid, dtype=np.float64) / 64.0
+        dist = from_log_weights(log_w)
+        shifted = from_log_weights(log_w + shift)
+        assert np.max(np.abs(dist.probs() - shifted.probs())) <= 1e-15
+
     def test_uniform_normalization(self):
         dist = make_distribution((1, 1, 1))
         assert np.allclose(dist.probs(), [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
@@ -143,7 +168,39 @@ class TestEnumerateTypes:
             assert np.allclose(probs * 5, np.round(probs * 5), atol=1e-12)
 
 
+def _lexicographic_compositions(m: int, K: int) -> np.ndarray:
+    """Compositions of m into K parts, in itertools.product (lexicographic) order."""
+    rows = [
+        head + (m - sum(head),)
+        for head in itertools.product(range(m + 1), repeat=K - 1)
+        if sum(head) <= m
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+class TestTypeCountsMatrix:
+    def test_matches_itertools_reference(self):
+        for K in range(2, 7):
+            for m in range(1, 13):
+                assert np.array_equal(type_counts_matrix(m, K), _lexicographic_compositions(m, K))
+
+    def test_large_m(self):
+        counts = type_counts_matrix(400, 3)
+        assert counts.shape == (count_types(400, 3), 3)
+        assert np.array_equal(counts, _lexicographic_compositions(400, 3))
+
+    def test_enumerate_types_rows(self):
+        types = enumerate_types(6, 4)
+        assert np.array_equal(np.array([t.counts for t in types]), type_counts_matrix(6, 4))
+
+
 class TestTypeClassSize:
+    def test_class_sizes_match_per_row_lgamma_sum(self):
+        for K, m in [*itertools.product(range(2, 7), range(1, 13)), (3, 400)]:
+            counts = type_counts_matrix(m, K)
+            per_row = [log_type_class_size(TypeVector(row)) for row in counts]
+            assert np.array_equal(log_class_sizes(counts), per_row)
+
     def test_single_class(self):
         assert log_type_class_size(TypeVector(np.array([2, 0, 0]))) == pytest.approx(0.0, abs=1e-12)
 
