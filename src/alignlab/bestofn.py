@@ -24,9 +24,9 @@ import numpy as np
 from .distributions import (
     CategoricalDistribution,
     Sequence,
-    draw_symbols,
     from_log_weights,
     log_class_sizes,
+    symbols_from_uniforms,
     type_counts_matrix,
 )
 from .errors import (
@@ -265,6 +265,45 @@ def bon_enumeration_oracle(
     return out
 
 
+def _check_sampling(
+    p: CategoricalDistribution, q: CategoricalDistribution, m: int, N: int, budget: int
+) -> None:
+    if p.K != q.K:
+        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
+        raise InvalidN(f"N must be a positive integer, got {N!r}")
+    if N * m > budget:
+        raise BudgetExceeded(f"N*m = {N * m} exceeds sampling budget {budget}")
+
+
+def bon_winners(
+    p: CategoricalDistribution,
+    q: CategoricalDistribution,
+    m: int,
+    N: int,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Best-of-N winners of a batch of trials, one row of uniforms per trial.
+
+    Row i of ``u`` (shape (T, N*m + 1)) is trial i's stream: N*m uniforms for
+    the N length-m candidates drawn from p, one candidate after another, then
+    one tie-break variate.  Candidates whose q log likelihood is within
+    ``REWARD_TIE_TOL`` of the row's best tie, and the variate picks one of
+    them uniformly.  Returns the (T, m) winning symbols.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != N * m + 1:
+        raise LengthMismatch(f"uniforms of shape {u.shape}, expected (T, {N * m + 1})")
+    T = u.shape[0]
+    symbols = symbols_from_uniforms(p, u[:, :-1]).reshape(T, N, m)
+    rewards = q.log_probs[symbols].sum(axis=2)
+    winners = rewards >= rewards.max(axis=1, keepdims=True) - REWARD_TIE_TOL
+    n_win = winners.sum(axis=1)
+    rank = np.minimum((u[:, -1] * n_win).astype(np.int64), n_win - 1)
+    pick = np.argmax(np.cumsum(winners, axis=1) > rank[:, None], axis=1)
+    return symbols[np.arange(T), pick]
+
+
 def bon_sample(
     p: CategoricalDistribution,
     q: CategoricalDistribution,
@@ -274,20 +313,14 @@ def bon_sample(
     budget: int = SAMPLE_BUDGET,
 ) -> Sequence:
     """Draw N length-m sequences from p and return one maximizing the q log
-    likelihood; ties are broken uniformly with one extra seeded variate."""
-    if p.K != q.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise InvalidN(f"N must be a positive integer, got {N!r}")
-    if N * m > budget:
-        raise BudgetExceeded(f"N*m = {N * m} exceeds sampling budget {budget}")
-    rng = as_generator(seed)
-    symbols = draw_symbols(p, (N, m), rng)
-    rewards = q.log_probs[symbols].sum(axis=1)
-    winners = np.nonzero(rewards >= rewards.max() - REWARD_TIE_TOL)[0]
-    u = rng.random()
-    pick = winners[min(int(u * winners.size), winners.size - 1)]
-    return Sequence(symbols[pick])
+    likelihood; ties are broken uniformly with one extra seeded variate.
+
+    Consumes N*m + 1 uniforms of the stream: the single-trial case of
+    :func:`bon_winners`.
+    """
+    _check_sampling(p, q, m, N, budget)
+    u = as_generator(seed).random((1, N * m + 1))
+    return Sequence(bon_winners(p, q, m, N, u)[0])
 
 
 def bon_expected_type(law: TypeLaw) -> np.ndarray:

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bestofn import SAMPLE_BUDGET, _check_sampling, bon_winners
 from .distributions import (
     CategoricalDistribution,
     log_class_sizes,
-    log_sequence_prob,
-    sample_sequence,
+    symbols_from_uniforms,
     type_counts_matrix,
 )
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import cross_entropy, kl_divergence, renyi_cross_entropy
-from .rng import spawn_generator
+from .rng import fill_trial_uniforms
 from .tilting import (
     mismatched_tilt,
     reward_target_range,
@@ -36,6 +36,9 @@ from .tilting import (
 RHO_ZERO_WINDOW = 1e-6
 LEGENDRE_BRACKET_TOL = 1e-9
 LEGENDRE_GRID = 41
+# Uniforms drawn per array pass of a Monte Carlo hit count: bounds its
+# buffers to a few hundred kB whatever the trial count.
+CHUNK_UNIFORMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,24 @@ def finite_m_cumulant_check(
     return lhs, rhs
 
 
+def _window_hits(q, t, eps, m, trials, seed, width, symbols_of) -> int:
+    """Trials whose per-symbol -log q^m(Y) / m lands within eps of t.
+
+    Trial i's length-m sequence is ``symbols_of`` applied to the first
+    ``width`` uniforms of ``spawn_generator(seed, i)``.  Trials are processed
+    in chunks of at most ``CHUNK_UNIFORMS`` uniforms (and at least one trial),
+    so the count does not depend on the chunking and memory stays bounded.
+    """
+    per_chunk = max(1, min(trials, CHUNK_UNIFORMS // width))
+    buffer = np.empty((per_chunk, width))
+    hits = 0
+    for first in range(0, trials, per_chunk):
+        u = fill_trial_uniforms(seed, first, buffer[: min(per_chunk, trials - first)])
+        values = -q.log_probs[symbols_of(u)].sum(axis=1) / m
+        hits += int(np.count_nonzero(np.abs(values - t) < eps))
+    return hits
+
+
 def deviation_hit_count(
     p: CategoricalDistribution,
     q: CategoricalDistribution,
@@ -122,20 +143,36 @@ def deviation_hit_count(
 ) -> int:
     """Number of tilted-source samples whose per-symbol value lands in the window.
 
-    Each trial uses a child stream of (seed, trial index), so the count does
-    not depend on how trials are split across workers.
+    Trial i draws its m symbols from the m uniforms of the child stream
+    ``spawn_generator(seed, i)``.
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
     phi = solve_alpha_for_kl(q, p, delta).phi
-    hits = 0
-    for trial in range(trials):
-        rng = spawn_generator(seed, trial)
-        seq = sample_sequence(phi, m, rng)
-        value = -log_sequence_prob(q, seq) / m
-        if abs(value - t) < eps:
-            hits += 1
-    return hits
+    return _window_hits(q, t, eps, m, trials, seed, m, lambda u: symbols_from_uniforms(phi, u))
+
+
+def bon_hit_count(
+    p: CategoricalDistribution,
+    q: CategoricalDistribution,
+    N: int,
+    t: float,
+    eps: float,
+    m: int,
+    trials: int,
+    seed: int,
+) -> int:
+    """Number of best-of-N samples whose per-symbol value lands in the window.
+
+    Trial i is :func:`bon_sample` on the child stream ``spawn_generator(seed,
+    i)``: its N*m + 1 uniforms draw the candidates and break ties.
+    """
+    if trials < 1 or m < 1:
+        raise ValueError("trials and m must be >= 1")
+    _check_sampling(p, q, m, N, SAMPLE_BUDGET)
+    return _window_hits(
+        q, t, eps, m, trials, seed, N * m + 1, lambda u: bon_winners(p, q, m, N, u)
+    )
 
 
 def empirical_deviation_rate(

@@ -21,6 +21,8 @@ from .errors import (
 from .rng import as_generator
 
 DEFAULT_TYPE_CAP = 10_000_000
+# Largest alphabet whose inverse-CDF draws count CDF steps instead of bisecting.
+STEP_COUNT_MAX_K = 32
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -217,12 +219,27 @@ def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
     return math.lgamma(m + 1.0) - log_factorials[counts_matrix].sum(axis=1)
 
 
-def draw_symbols(dist: CategoricalDistribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. symbol draws of the given shape via inverse-CDF lookup."""
+def symbols_from_uniforms(dist: CategoricalDistribution, u: np.ndarray) -> np.ndarray:
+    """Symbols of ``dist`` for uniforms in [0, 1) of any shape, by inverse CDF.
+
+    The symbol of u is the number of CDF steps at or below it, which is
+    ``np.searchsorted(cdf, u, side="right")``.  Up to ``STEP_COUNT_MAX_K``
+    symbols, counting the steps with one comparison pass each gives the same
+    value several times faster than the binary search.
+    """
     cdf = np.cumsum(np.exp(dist.log_probs))
     cdf[-1] = 1.0  # guard the last bin against rounding
-    u = rng.random(shape)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    if dist.K > STEP_COUNT_MAX_K:
+        return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    symbols = np.zeros(np.shape(u), dtype=np.int64)
+    for step in cdf[:-1]:
+        symbols += u >= step
+    return symbols
+
+
+def draw_symbols(dist: CategoricalDistribution, shape, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. symbol draws of the given shape via inverse-CDF lookup."""
+    return symbols_from_uniforms(dist, rng.random(shape))
 
 
 def sample_sequence(dist: CategoricalDistribution, m: int, seed) -> Sequence:

@@ -22,7 +22,6 @@ from .bestofn import (
     bon_exact_pmf,
     bon_expected_type,
     bon_kl_to_reference,
-    bon_sample,
     bon_type_law,
     expected_reward_rate,
     sequence_space_log_probs,
@@ -30,10 +29,9 @@ from .bestofn import (
 from .distributions import (
     CategoricalDistribution,
     from_log_weights,
-    log_sequence_prob,
     make_distribution,
 )
-from .deviations import deviation_hit_count, legendre_oracle, rate_function
+from .deviations import bon_hit_count, deviation_hit_count, legendre_oracle, rate_function
 from .errors import AlignlabError
 from .metrics import cross_entropy, kl_divergence
 from .rng import spawn_generator
@@ -80,6 +78,14 @@ class ExperimentConfig:
     conjecture: bool = False
     seed: int = 0
     output_dir: str | None = None
+
+    def __post_init__(self):
+        for name in ("m", "n", "trials"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
 
     def echo(self) -> dict:
         """Config as a plain dict with unset fields dropped."""
@@ -592,17 +598,6 @@ def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
     return tuple(mean_t + k * eps for k in (-3.0, -2.0, 0.0, 2.0, 3.0))
 
 
-def _bon_hit_count(p, q, m, n, t, eps, trials, seed) -> int:
-    hits = 0
-    for trial in range(trials):
-        rng = spawn_generator(seed, trial)
-        seq = bon_sample(p, q, m, n, rng)
-        value = -log_sequence_prob(q, seq) / m
-        if abs(value - t) < eps:
-            hits += 1
-    return hits
-
-
 def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     """Exact rate function vs its cumulant-transform oracle vs Monte Carlo.
 
@@ -644,8 +639,8 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
             max_band_dev = max(max_band_dev, abs(mc - point.rate))
         row = [float(t), point.beta, point.rate, oracle, mc, hits, trials]
         if conjecture_n is not None:
-            bon_hits = _bon_hit_count(
-                p, q, m, conjecture_n, float(t), eps, trials, _point_seed(config.seed, 10_000 + i)
+            bon_hits = bon_hit_count(
+                p, q, conjecture_n, float(t), eps, m, trials, _point_seed(config.seed, 10_000 + i)
             )
             bon_mc = None if bon_hits == 0 else -math.log(bon_hits / trials) / m
             row.extend([bon_mc, bon_hits])

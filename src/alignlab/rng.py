@@ -2,8 +2,9 @@
 
 Every sampling entry point takes a ``SeedLike``: an integer, a numpy
 ``SeedSequence``, or an already-constructed ``Generator``.  Monte Carlo
-consumers derive one child stream per trial from ``(master seed, index)`` so
-results do not depend on how trials are batched across workers.
+consumers give trial ``i`` of a probe point the child stream
+``spawn_generator(point_seed, i)`` and draw a fixed number of uniforms from
+it, so results do not depend on how trials are grouped into array passes.
 """
 
 from __future__ import annotations
@@ -24,3 +25,11 @@ def spawn_generator(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trial child stream of a master integer seed."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def fill_trial_uniforms(master_seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill row i of the (trials, width) float array ``out`` with the first
+    ``width`` uniforms of trial ``first + i``'s child stream; returns ``out``."""
+    for i, row in enumerate(out):
+        spawn_generator(master_seed, first + i).random(out=row)
+    return out

@@ -23,6 +23,7 @@ from alignlab import (
     bon_kl_to_reference,
     bon_sample,
     bon_type_law,
+    bon_winners,
     group_reward_levels,
     make_distribution,
     product_type_law,
@@ -34,7 +35,7 @@ from alignlab import (
 from alignlab.bestofn import REWARD_TIE_TOL, _winner_log_probs
 from alignlab.logspace import log_power_diff, logsumexp
 
-from .conftest import random_pair
+from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, random_pair
 
 # Exact best-of-2 joint over symbol pairs for the ternary demo pair.
 PAIR_JOINT = {
@@ -513,19 +514,96 @@ class TestBonSample:
         assert chi2 <= CHI2_DF2_999
 
     def test_pair_joint_three_sigma_bands(self, demo_p, demo_q):
-        # 1e6 draws against the exact joint, per-cell 3 sigma multinomial bands
-        rng = np.random.default_rng(777)
+        # 1e6 draws against the exact joint, per-cell 3 sigma multinomial
+        # bands; each draw takes 5 uniforms of one stream, as bon_sample does
         trials = 1_000_000
-        counts = np.zeros((3, 3))
-        for _ in range(trials):
-            seq = bon_sample(demo_p, demo_q, 2, 2, rng)
-            counts[seq.symbols[0], seq.symbols[1]] += 1
+        counts = _pair_counts(demo_p, demo_q, np.random.default_rng(777), trials)
         emp = counts / trials
         expected = np.array(
             [[float(PAIR_JOINT[(y1, y2)]) for y2 in range(3)] for y1 in range(3)]
         )
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert np.max(np.abs(emp - expected) / sigma) <= 3.0
+
+    def test_chunked_pair_counts_match_bon_sample(self, demo_p, demo_q):
+        trials = 10_000
+        chunked = _pair_counts(demo_p, demo_q, np.random.default_rng(777), trials, chunk=999)
+        rng = np.random.default_rng(777)
+        counts = np.zeros((3, 3))
+        for _ in range(trials):
+            seq = bon_sample(demo_p, demo_q, 2, 2, rng)
+            counts[seq.symbols[0], seq.symbols[1]] += 1
+        assert np.array_equal(chunked, counts)
+
+    def test_matches_recorded_draws(self, demo_p, demo_q):
+        targets = {"demo": demo_q, "uniform": make_distribution((1, 1, 1))}
+        for (target, m, n), draws in RECORDED_BON_DRAWS.items():
+            got = " ".join(
+                "".join(map(str, bon_sample(demo_p, targets[target], m, n, seed).symbols))
+                for seed in range(4)
+            )
+            assert got == draws, (target, m, n)
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 12),
+        n=st.integers(1, 40),
+        trials=st.integers(1, 20),
+        tied=st.booleans(),
+    )
+    def test_winners_match_per_trial_loop(self, seed, m, n, trials, tied):
+        # a uniform target ties every candidate, so the last uniform decides
+        demo_p = make_distribution(TERNARY_P)
+        q = make_distribution((1, 1, 1) if tied else TERNARY_Q)
+        rng = np.random.default_rng(seed)
+        expected = np.array([loop_bon_sample(demo_p, q, m, n, rng) for _ in range(trials)])
+        u = np.random.default_rng(seed).random((trials, n * m + 1))
+        assert np.array_equal(bon_winners(demo_p, q, m, n, u), expected)
+
+    def test_winners_shape_checked(self, demo_p, demo_q):
+        with pytest.raises(LengthMismatch):
+            bon_winners(demo_p, demo_q, 3, 2, np.zeros((4, 6)))
+
+
+# bon_sample(TERNARY_P, target, m, N, seed) for seeds 0-3, recorded from the
+# per-trial sampler that bon_winners replaced.
+RECORDED_BON_DRAWS = {
+    ("demo", 1, 1): "2 2 1 0",
+    ("demo", 1, 2): "2 2 1 0",
+    ("demo", 1, 7): "0 0 0 0",
+    ("demo", 1, 40): "0 0 0 0",
+    ("demo", 4, 1): "2100 2202 1120 0122",
+    ("demo", 4, 2): "2100 2202 2200 0110",
+    ("demo", 4, 7): "0022 2202 2200 0110",
+    ("demo", 4, 40): "0022 0200 0020 2002",
+    ("demo", 9, 1): "210022222 220211212 112022001 012201102",
+    ("demo", 9, 2): "220202022 022121101 112022001 012201102",
+    ("demo", 9, 7): "220202022 222022202 122210002 012201102",
+    ("demo", 9, 40): "202202202 002202020 220002202 220100120",
+    ("uniform", 1, 1): "2 2 1 0",
+    ("uniform", 1, 2): "2 2 1 1",
+    ("uniform", 1, 7): "2 0 1 1",
+    ("uniform", 1, 40): "2 2 1 2",
+    ("uniform", 4, 1): "2100 2202 1120 0122",
+    ("uniform", 4, 2): "2222 1121 1120 0110",
+    ("uniform", 4, 7): "2211 1121 1120 0122",
+    ("uniform", 4, 40): "1002 1022 0022 2012",
+    ("uniform", 9, 1): "210022222 220211212 112022001 012201102",
+    ("uniform", 9, 2): "210022222 220211212 112022001 012122212",
+    ("uniform", 9, 7): "122121211 222022202 112022001 202102212",
+    ("uniform", 9, 40): "201011120 200122112 122112221 110122112",
+}
+
+
+def _pair_counts(p, q, rng, trials, chunk=2**14):
+    """Counts of best-of-2 pairs over ``trials`` draws from one stream."""
+    counts = np.zeros(9, dtype=np.int64)
+    for first in range(0, trials, chunk):
+        u = rng.random((min(chunk, trials - first), 5))
+        pairs = bon_winners(p, q, 2, 2, u)
+        counts += np.bincount(3 * pairs[:, 0] + pairs[:, 1], minlength=9)
+    return counts.reshape(3, 3).astype(float)
 
 
 class TestExpectedTypeAndKl:

@@ -92,3 +92,24 @@ class TestDispatch:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestLdpProbeValidation:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "trials must be >= 1"),
+            ("--m", "0", "m must be >= 1"),
+            ("--eps", "0", "eps must be positive and finite"),
+            ("--eps", "nan", "eps must be positive and finite"),
+            ("--n", "0", "n must be >= 1"),
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        # a later flag overrides the earlier --trials
+        code = cli_dispatch(["ldp-probe", "--trials", "10", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+        assert not out.exists()

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignlab import (
     TargetOutOfRange,
+    bon_hit_count,
     cross_entropy,
     deviation_hit_count,
     empirical_deviation_rate,
@@ -20,7 +23,25 @@ from alignlab import (
     solve_alpha_for_kl,
 )
 
-from .conftest import random_pair
+from alignlab.deviations import CHUNK_UNIFORMS
+from alignlab.rng import spawn_generator
+
+from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, loop_symbols, random_pair
+
+TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
+
+
+def _loop_values(draw, q, m, trials, seed) -> np.ndarray:
+    """Per-symbol -log q^m(Y) / m trial by trial, each on its own child stream."""
+    return np.array(
+        [-float(np.sum(q.log_probs[draw(spawn_generator(seed, i))])) / m for i in range(trials)]
+    )
+
+
+def _trial_count(width, where):
+    """1, or one below, at, or above the trials of one chunk of this width."""
+    chunk = CHUNK_UNIFORMS // width
+    return {"one": 1, "below": chunk - 1, "at": chunk, "above": chunk + 1}[where]
 
 
 class TestRateFunction:
@@ -161,6 +182,61 @@ class TestEmpiricalDeviationRate:
             if abs(-log_sequence_prob(demo_q, seq) / m - t) < eps:
                 split += 1
         assert split == deviation_hit_count(demo_p, demo_q, 0.11, t, eps, m, 400, seed)
+
+
+class TestBatchedHitCounts:
+    """The chunked hit counters reproduce the per-trial loops exactly."""
+
+    # the window is centred on a quantile of the loop's own values, so most
+    # examples split their trials into hits and misses
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        m=st.integers(30, 400),
+        target=st.sampled_from(["demo", "pair_tie"]),  # a uniform target has no tilt
+        quantile=st.floats(0.0, 1.0),
+        eps=st.floats(0.005, 0.2),
+        where=st.sampled_from(["one", "below", "at", "above"]),
+    )
+    def test_deviation_count_matches_loop(self, seed, m, target, quantile, eps, where):
+        p, q = make_distribution(TERNARY_P), make_distribution(TARGETS[target])
+        trials = _trial_count(m, where)
+        phi = solve_alpha_for_kl(q, p, 0.11).phi
+        values = _loop_values(lambda rng: loop_symbols(phi, m, rng), q, m, trials, seed)
+        t = float(np.quantile(values, quantile))
+        expected = int(np.count_nonzero(np.abs(values - t) < eps))
+        assert deviation_hit_count(p, q, 0.11, t, eps, m, trials, seed) == expected
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        m=st.integers(4, 12),
+        n=st.integers(4, 40),
+        target=st.sampled_from(sorted(TARGETS)),
+        quantile=st.floats(0.0, 1.0),
+        eps=st.floats(0.005, 0.2),
+        where=st.sampled_from(["one", "below", "at", "above"]),
+    )
+    def test_bon_count_matches_loop(self, seed, m, n, target, quantile, eps, where):
+        p, q = make_distribution(TERNARY_P), make_distribution(TARGETS[target])
+        trials = _trial_count(n * m + 1, where)
+        values = _loop_values(lambda rng: loop_bon_sample(p, q, m, n, rng), q, m, trials, seed)
+        t = float(np.quantile(values, quantile))
+        expected = int(np.count_nonzero(np.abs(values - t) < eps))
+        assert bon_hit_count(p, q, n, t, eps, m, trials, seed) == expected
+
+    def test_counts_are_nontrivial(self, demo_p, demo_q):
+        # a window near the bulk splits the trials into hits and misses
+        hits = bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 500, 3)
+        assert 0 < hits < 500
+        hits = deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 60, 500, 3)
+        assert 0 < hits < 500
+
+    def test_invalid_sizes(self, demo_p, demo_q):
+        with pytest.raises(ValueError):
+            bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 0, 3)
+        with pytest.raises(ValueError):
+            deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 0, 10, 3)
 
 
 class TestLegendreOracle:

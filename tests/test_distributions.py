@@ -24,7 +24,12 @@ from alignlab import (
     sample_sequence,
     type_of,
 )
-from alignlab.distributions import log_class_sizes, type_counts_matrix
+from alignlab.distributions import (
+    STEP_COUNT_MAX_K,
+    log_class_sizes,
+    symbols_from_uniforms,
+    type_counts_matrix,
+)
 
 from .conftest import random_pair
 
@@ -259,3 +264,30 @@ class TestSampleSequence:
     def test_symbols_in_range(self, demo_p):
         seq = sample_sequence(demo_p, 1000, 11)
         assert seq.symbols.min() >= 0 and seq.symbols.max() < 3
+
+
+class TestSymbolsFromUniforms:
+    @settings(max_examples=40)
+    @given(
+        K=st.integers(2, 2 * STEP_COUNT_MAX_K),
+        seed=st.integers(0, 2**32 - 1),
+        tiny=st.booleans(),
+    )
+    def test_matches_binary_search(self, K, seed, tiny):
+        # both branches (step count and bisection) against searchsorted,
+        # with uniforms placed exactly on every CDF step and just below it
+        rng = np.random.default_rng(seed)
+        weights = rng.random(K) + 1e-3
+        if tiny:
+            weights[rng.integers(K)] = 1e-300
+        dist = make_distribution(weights)
+        cdf = np.cumsum(np.exp(dist.log_probs))
+        cdf[-1] = 1.0
+        steps = cdf[:-1]
+        u = np.concatenate([rng.random(500), steps, np.nextafter(steps, 0.0), [0.0]])
+        u = u[u < 1.0].reshape(1, -1)
+        expected = np.searchsorted(cdf, u, side="right")
+        got = symbols_from_uniforms(dist, u)
+        assert got.dtype == np.int64 and got.shape == u.shape
+        assert np.array_equal(got, expected)
+
