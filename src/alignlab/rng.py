@@ -2,9 +2,9 @@
 
 Every sampling entry point takes a ``SeedLike``: an integer, a numpy
 ``SeedSequence``, or an already-constructed ``Generator``.  Monte Carlo
-consumers give trial ``i`` of a probe point the child stream
-``spawn_generator(point_seed, i)`` and draw a fixed number of uniforms from
-it, so results do not depend on how trials are grouped into array passes.
+consumers derive one child stream per trial, ``spawn_generator(master seed,
+trial index)``, so results do not depend on how trials are grouped; the hit
+counts read a fixed number of uniforms from each (:func:`fill_trial_uniforms`).
 """
 
 from __future__ import annotations
