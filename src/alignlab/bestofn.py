@@ -156,6 +156,11 @@ def _winner_log_probs(
     return out
 
 
+def _check_n(N) -> None:
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
+        raise InvalidN(f"N must be a positive integer, got {N!r}")
+
+
 def bon_exact_pmf(
     outcome_probs: CategoricalDistribution, rewards, N: int
 ) -> CategoricalDistribution:
@@ -163,8 +168,7 @@ def bon_exact_pmf(
     rw = np.asarray(rewards, dtype=np.float64)
     if rw.shape != (outcome_probs.K,):
         raise LengthMismatch(f"{outcome_probs.K} outcomes vs {rw.size} rewards")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise InvalidN(f"N must be a positive integer, got {N!r}")
+    _check_n(N)
     if N == 1:
         return outcome_probs
     log_pi = _winner_log_probs(outcome_probs.log_probs, rw, float(N))
@@ -241,8 +245,7 @@ def bon_enumeration_oracle(
     """
     if p.K != q.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise InvalidN(f"N must be a positive integer, got {N!r}")
+    _check_n(N)
     M = p.K**m
     n_tuples = M**N
     if n_tuples > tuple_cap:
@@ -265,13 +268,10 @@ def bon_enumeration_oracle(
     return out
 
 
-def _check_sampling(
-    p: CategoricalDistribution, q: CategoricalDistribution, m: int, N: int, budget: int
-) -> None:
-    if p.K != q.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise InvalidN(f"N must be a positive integer, got {N!r}")
+def check_sample_budget(m: int, N: int, budget: int = SAMPLE_BUDGET) -> None:
+    """Raise unless N is a positive integer and best-of-N sampling of length-m
+    sequences draws at most ``budget`` candidate symbols per trial."""
+    _check_n(N)
     if N * m > budget:
         raise BudgetExceeded(f"N*m = {N * m} exceeds sampling budget {budget}")
 
@@ -291,6 +291,9 @@ def bon_winners(
     ``REWARD_TIE_TOL`` of the row's best tie, and the variate picks one of
     them uniformly.  Returns the (T, m) winning symbols.
     """
+    if p.K != q.K:
+        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
+    _check_n(N)
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != N * m + 1:
         raise LengthMismatch(f"uniforms of shape {u.shape}, expected (T, {N * m + 1})")
@@ -318,7 +321,7 @@ def bon_sample(
     Consumes N*m + 1 uniforms of the stream: the single-trial case of
     :func:`bon_winners`.
     """
-    _check_sampling(p, q, m, N, budget)
+    check_sample_budget(m, N, budget)
     u = as_generator(seed).random((1, N * m + 1))
     return Sequence(bon_winners(p, q, m, N, u)[0])
 

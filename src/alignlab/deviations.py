@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestofn import SAMPLE_BUDGET, _check_sampling, bon_winners
+from .bestofn import bon_winners, check_sample_budget
 from .distributions import (
     CategoricalDistribution,
     log_class_sizes,
@@ -169,7 +169,7 @@ def bon_hit_count(
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
-    _check_sampling(p, q, m, N, SAMPLE_BUDGET)
+    check_sample_budget(m, N)
     return _window_hits(
         q, t, eps, m, trials, seed, N * m + 1, lambda u: bon_winners(p, q, m, N, u)
     )

@@ -21,8 +21,6 @@ from .errors import (
 from .rng import as_generator
 
 DEFAULT_TYPE_CAP = 10_000_000
-# Largest alphabet whose inverse-CDF draws count CDF steps instead of bisecting.
-STEP_COUNT_MAX_K = 32
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -222,19 +220,11 @@ def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
 def symbols_from_uniforms(dist: CategoricalDistribution, u: np.ndarray) -> np.ndarray:
     """Symbols of ``dist`` for uniforms in [0, 1) of any shape, by inverse CDF.
 
-    The symbol of u is the number of CDF steps at or below it, which is
-    ``np.searchsorted(cdf, u, side="right")``.  Up to ``STEP_COUNT_MAX_K``
-    symbols, counting the steps with one comparison pass each gives the same
-    value several times faster than the binary search.
+    The symbol of u is the number of CDF steps at or below it.
     """
     cdf = np.cumsum(np.exp(dist.log_probs))
     cdf[-1] = 1.0  # guard the last bin against rounding
-    if dist.K > STEP_COUNT_MAX_K:
-        return np.searchsorted(cdf, u, side="right").astype(np.int64)
-    symbols = np.zeros(np.shape(u), dtype=np.int64)
-    for step in cdf[:-1]:
-        symbols += u >= step
-    return symbols
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 def draw_symbols(dist: CategoricalDistribution, shape, rng: np.random.Generator) -> np.ndarray:

@@ -561,9 +561,16 @@ class TestBonSample:
         u = np.random.default_rng(seed).random((trials, n * m + 1))
         assert np.array_equal(bon_winners(demo_p, q, m, n, u), expected)
 
-    def test_winners_shape_checked(self, demo_p, demo_q):
+    def test_winners_inputs_checked(self, demo_p, demo_q):
         with pytest.raises(LengthMismatch):
             bon_winners(demo_p, demo_q, 3, 2, np.zeros((4, 6)))
+        # a larger q would still gather rewards for p's symbols
+        with pytest.raises(AlphabetMismatch):
+            bon_winners(demo_p, make_distribution((1, 2, 3, 4)), 3, 2, np.zeros((4, 7)))
+        with pytest.raises(InvalidN):
+            bon_winners(demo_p, demo_q, 3, 0, np.zeros((4, 1)))
+        with pytest.raises(InvalidN):
+            bon_sample(demo_p, demo_q, 3, -2, 0)
 
 
 # bon_sample(TERNARY_P, target, m, N, seed) for seeds 0-3, recorded from the

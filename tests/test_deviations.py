@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignlab import (
+    AlphabetMismatch,
+    InvalidN,
     TargetOutOfRange,
     bon_hit_count,
     cross_entropy,
@@ -237,6 +239,10 @@ class TestBatchedHitCounts:
             bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 0, 3)
         with pytest.raises(ValueError):
             deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 0, 10, 3)
+        with pytest.raises(AlphabetMismatch):
+            bon_hit_count(demo_p, make_distribution((1, 2, 3, 4)), 8, 0.9, 0.2, 10, 5, 3)
+        with pytest.raises(InvalidN):
+            bon_hit_count(demo_p, demo_q, 0, 0.9, 0.2, 10, 5, 3)
 
 
 class TestLegendreOracle:

@@ -25,7 +25,6 @@ from alignlab import (
     type_of,
 )
 from alignlab.distributions import (
-    STEP_COUNT_MAX_K,
     log_class_sizes,
     symbols_from_uniforms,
     type_counts_matrix,
@@ -269,24 +268,23 @@ class TestSampleSequence:
 class TestSymbolsFromUniforms:
     @settings(max_examples=40)
     @given(
-        K=st.integers(2, 2 * STEP_COUNT_MAX_K),
+        K=st.integers(2, 64),
         seed=st.integers(0, 2**32 - 1),
         tiny=st.booleans(),
     )
-    def test_matches_binary_search(self, K, seed, tiny):
-        # both branches (step count and bisection) against searchsorted,
-        # with uniforms placed exactly on every CDF step and just below it
+    def test_counts_cdf_steps_at_or_below(self, K, seed, tiny):
+        # the symbol of u is the number of CDF steps <= u, checked with
+        # uniforms placed exactly on every step and just below it
         rng = np.random.default_rng(seed)
         weights = rng.random(K) + 1e-3
         if tiny:
             weights[rng.integers(K)] = 1e-300
         dist = make_distribution(weights)
         cdf = np.cumsum(np.exp(dist.log_probs))
-        cdf[-1] = 1.0
         steps = cdf[:-1]
         u = np.concatenate([rng.random(500), steps, np.nextafter(steps, 0.0), [0.0]])
         u = u[u < 1.0].reshape(1, -1)
-        expected = np.searchsorted(cdf, u, side="right")
+        expected = (u[..., None] >= steps).sum(axis=-1)
         got = symbols_from_uniforms(dist, u)
         assert got.dtype == np.int64 and got.shape == u.shape
         assert np.array_equal(got, expected)
