@@ -147,8 +147,13 @@ def from_log_weights(log_weights) -> CategoricalDistribution:
         raise AlphabetTooSmall("need a nonempty 1-D array of log weights")
     if not np.all(np.isfinite(arr)):
         raise NonPositiveWeight("log weights must be finite")
+    return CategoricalDistribution(normalized_log_weights(arr))
+
+
+def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
+    """The log probabilities ``from_log_weights`` stores, without validation."""
     shifted = arr - np.max(arr)
-    return CategoricalDistribution(shifted - math.log(float(np.sum(np.exp(shifted)))))
+    return shifted - math.log(float(np.sum(np.exp(shifted))))
 
 
 def log_sequence_prob(dist: CategoricalDistribution, seq: Sequence) -> float:

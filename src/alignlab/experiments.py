@@ -80,12 +80,22 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("m", "n", "trials"):
+        for name in ("m", "n", "trials", "seeds"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.K is not None and self.K < 2:
+            raise ValueError(f"K must be >= 2, got {self.K!r}")
+        for name in ("m_grid", "n_grid"):
+            grid = getattr(self, name)
+            if grid is not None and (not grid or min(grid) < 1):
+                raise ValueError(f"{name} must list values >= 1, got {grid!r}")
+        if self.t_grid is not None and not self.t_grid:
+            raise ValueError(f"t_grid must list at least one value, got {self.t_grid!r}")
         if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
 
     def echo(self) -> dict:
         """Config as a plain dict with unset fields dropped."""
@@ -117,7 +127,19 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """Standard JSON: a non-finite float (an unreached bound, say) is null."""
+        report = _finite_or_null(self.to_dict())
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _check(checks: list[dict], name: str, value, limit, passed: bool) -> None:
@@ -238,33 +260,39 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     return _finish(report, started, config.output_dir, csvs)
 
 
-def _kl_linear(v: np.ndarray, ref_probs: np.ndarray) -> float:
+def _kl_linear(v: np.ndarray, ref_probs: np.ndarray) -> np.ndarray:
+    """D(v || ref) for each row of v, with 0 log 0 = 0."""
     mask = v > 0.0
-    return float(np.sum(v[mask] * (np.log(v[mask]) - np.log(ref_probs[mask]))))
+    safe = np.where(mask, v, 1.0)
+    return np.sum(np.where(mask, v * (np.log(safe) - np.log(ref_probs)), 0.0), axis=-1)
 
 
-def _radial_contour_point(
+def _radial_contour_points(
     p_probs: np.ndarray, d: np.ndarray, delta: float, tol: float
-) -> tuple[np.ndarray, bool]:
-    """The point v = p + r*d with D(v||p) = delta, clamped inside the simplex.
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of d, the point v = p + r*d with D(v||p) = delta, clamped
+    inside the simplex.
 
     KL increases along rays out of p, so there is at most one crossing; the
     second return value flags rays whose in-simplex segment never reaches
-    delta.
+    delta.  All rays are bisected together, and a ray is frozen once its
+    bracket is no wider than tol, so each ray sees the midpoints it would see
+    alone.
     """
-    negative = d < 0.0
-    r_max = float(np.min(p_probs[negative] / -d[negative]))
+    with np.errstate(divide="ignore"):
+        r_max = np.min(np.where(d < 0.0, p_probs / -d, math.inf), axis=1)
+    lo = np.zeros_like(r_max)
     hi = r_max * (1.0 - 1e-12)
-    if _kl_linear(p_probs + hi * d, p_probs) < delta:
-        return p_probs + hi * d, True
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _kl_linear(p_probs + mid * d, p_probs) < delta:
-            lo = mid
-        else:
-            hi = mid
-    return p_probs + 0.5 * (lo + hi) * d, False
+    clamped = _kl_linear(p_probs + hi[:, None] * d, p_probs) < delta
+    active = ~clamped & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo[active] + hi[active])
+        below = _kl_linear(p_probs + mid[:, None] * d[active], p_probs) < delta
+        lo[active] = np.where(below, mid, lo[active])
+        hi[active] = np.where(below, hi[active], mid)
+        active &= hi - lo > tol
+    r = np.where(clamped, hi, 0.5 * (lo + hi))
+    return p_probs + r[:, None] * d, clamped
 
 
 def _trace_kl_contour(
@@ -273,15 +301,10 @@ def _trace_kl_contour(
     """Closed polyline of {v : D(v||p) = delta} by radial root-finding."""
     e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
-    points = np.empty((directions + 1, 3))
-    clamped = 0
-    for i in range(directions):
-        theta = 2.0 * math.pi * i / directions
-        d = math.cos(theta) * e1 + math.sin(theta) * e2
-        points[i], hit_boundary = _radial_contour_point(p_probs, d, delta, tol)
-        clamped += int(hit_boundary)
-    points[directions] = points[0]
-    return points, clamped
+    thetas = [2.0 * math.pi * i / directions for i in range(directions)]
+    d = np.array([math.cos(theta) * e1 + math.sin(theta) * e2 for theta in thetas])
+    points, clamped = _radial_contour_points(p_probs, d, delta, tol)
+    return np.vstack([points, points[:1]]), int(clamped.sum())
 
 
 def _reward_contour_segment(q: CategoricalDistribution, level: float, samples: int = 50) -> np.ndarray:
@@ -340,8 +363,8 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
         # consistency: the radial tracer crosses the contour at phi itself
         direction = phi_probs - p_probs
         d = direction / float(np.linalg.norm(direction))
-        traced, hit_boundary = _radial_contour_point(p_probs, d, delta, tol=1e-13)
-        tracer_dev = math.inf if hit_boundary else float(np.max(np.abs(traced - phi_probs)))
+        traced, hit_boundary = _radial_contour_points(p_probs, d[None, :], delta, tol=1e-13)
+        tracer_dev = math.inf if hit_boundary[0] else float(np.max(np.abs(traced[0] - phi_probs)))
         results["phi_on_kl_contour_linf"] = tracer_dev
         _check(checks, "phi_on_kl_contour", tracer_dev, 1e-8, tracer_dev <= 1e-8)
 

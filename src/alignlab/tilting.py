@@ -3,9 +3,15 @@ scalar inversions that pick a tilt by KL budget or by expected reward.
 
 The one-parameter family T(q, p, alpha) ~ p_k * q_k^alpha interpolates from
 the reference p (alpha = 0) toward the argmax of q (alpha -> inf).  Both
-inversions are monotone scalar root-finding problems solved by bracket
-doubling plus bisection; derivative-free robustness is preferred over speed
-here.
+inversions are monotone scalar root-finding problems over one array kernel,
+``_tilt_moments``: the tilted log-probs and the mean and variance of log q
+under the tilt.  The variance gives the derivatives, dD/dalpha =
+alpha * Var_alpha(log q) for the KL budget and dH/dbeta = -Var_beta(log q)
+for the reward.  Each solver doubles a bracket, then takes Newton steps
+inside it on a warped value that is close to linear in the parameter; a step
+that would leave the bracket, or that follows a Newton step which did not
+halve the residual, is a bisection.  Only the returned tilt is built as a
+validated distribution.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, from_log_weights
+from .distributions import CategoricalDistribution, from_log_weights, normalized_log_weights
 from .errors import (
     AlphabetMismatch,
     DegenerateFamily,
@@ -26,7 +32,7 @@ from .logspace import logsumexp
 from .metrics import _check_same_alphabet, cross_entropy, kl_divergence
 
 BISECTION_RESIDUAL = 1e-12
-MAX_BISECTIONS = 200
+MAX_STEPS = 200
 MAX_DOUBLINGS = 200
 FEASIBILITY_MARGIN = 1e-9
 _UNIFORM_LOGPROB_SPREAD = 1e-12
@@ -34,12 +40,19 @@ _UNIFORM_LOGPROB_SPREAD = 1e-12
 
 @dataclass(frozen=True)
 class TiltSolution:
-    """A solved KL-budget tilt: parameter, distribution, and achieved metrics."""
+    """A solved KL-budget tilt: parameter, distribution, and achieved metrics.
+
+    ``iterations`` counts the Newton or bisection steps taken after the
+    bracket was found (doubling the bracket adds one evaluation per step),
+    and ``residual`` is the final D(phi || p) - delta the stopping test saw.
+    """
 
     alpha: float
     phi: CategoricalDistribution
     achieved_kl: float
     expected_reward: float
+    iterations: int = 0
+    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,19 @@ def mismatched_tilt(
     return from_log_weights(p.log_probs + alpha * q.log_probs)
 
 
+def _tilt_moments(lp: np.ndarray, lq: np.ndarray, alpha: float):
+    """Log-probs and probabilities of T(q, p, alpha), and the mean and
+    variance of log q under it.
+
+    The log-probs are those of ``mismatched_tilt(q, p, alpha)``, bit for bit,
+    so sums over them give the same numbers as the metrics on that tilt.
+    """
+    log_phi = lp if alpha == 0.0 else normalized_log_weights(lp + alpha * lq)
+    w = np.exp(log_phi)
+    mean = float(np.sum(w * lq))
+    return log_phi, w, mean, float(np.sum(w * np.square(lq - mean)))
+
+
 def _is_uniform(q: CategoricalDistribution) -> bool:
     return float(np.ptp(q.log_probs)) <= _UNIFORM_LOGPROB_SPREAD
 
@@ -75,18 +101,48 @@ def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) ->
     return -logsumexp(p.log_probs[maximizers])
 
 
-def _bisect_monotone(f, lo: float, hi: float, increasing: bool) -> float:
-    """Root of a monotone f with f(lo), f(hi) bracketing zero."""
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        r = f(mid)
+def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing):
+    """Safeguarded Newton for a monotone value bracketed by [lo, hi].
+
+    ``evaluate(x)`` returns ``(x, value, slope, log_phi)``, and ``start`` is
+    one such point at an end of the bracket.  The step is Newton's on
+    ``warp(value)``, a monotone map that returns the warped value and its
+    derivative (or None outside its domain) and makes the value nearly linear
+    in x.  A step that would leave the bracket, or that follows a Newton step
+    which did not halve the residual, is a bisection instead.  Stops at
+    ``|value - target| <= BISECTION_RESIDUAL``, or when no float is left
+    strictly inside the bracket (rounding in the value can keep the stop out
+    of reach).  Returns the point with the smallest residual, that residual,
+    and the number of steps taken.
+    """
+    goal = warp(target)[0]
+    point = best = start
+    stalled = False
+    for steps in range(MAX_STEPS):
+        x, value, slope, _ = point
+        r = value - target
         if abs(r) <= BISECTION_RESIDUAL:
-            return mid
-        if (r < 0.0) == increasing:
-            lo = mid
+            return point, r, steps
+        nxt = math.nan
+        warped = None if stalled else warp(value)
+        if warped is not None and warped[1] * slope != 0.0:
+            nxt = x - (warped[0] - goal) / (warped[1] * slope)
+        newton = lo < nxt < hi
+        if not newton:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        point = evaluate(nxt)
+        stalled = newton and abs(point[1] - target) > 0.5 * abs(r)
+        if abs(point[1] - target) < abs(best[1] - target):
+            best = point
+        if (point[1] < target) == increasing:
+            lo = nxt
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = nxt
+    else:
+        steps = MAX_STEPS
+    return best, best[1] - target, steps
 
 
 def solve_alpha_for_kl(
@@ -95,12 +151,13 @@ def solve_alpha_for_kl(
     """Find alpha >= 0 with D(T(q,p,alpha) || p) = delta.
 
     KL is strictly increasing in alpha for non-uniform q, so the root is
-    unique.  Budgets within ``FEASIBILITY_MARGIN`` of the supremum are
-    rejected (alpha diverges at the boundary).
+    unique.  Budgets within ``FEASIBILITY_MARGIN`` of the supremum, and
+    budgets that are negative or not finite, are rejected (alpha diverges at
+    the boundary).
     """
     _check_same_alphabet(p, q)
-    if delta < 0.0:
-        raise InfeasibleBudget(f"KL budget must be nonnegative, got {delta!r}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise InfeasibleBudget(f"KL budget must be nonnegative and finite, got {delta!r}")
     if delta == 0.0:
         return TiltSolution(0.0, p, 0.0, -cross_entropy(p, q))
     if _is_uniform(q):
@@ -108,25 +165,79 @@ def solve_alpha_for_kl(
     max_kl = max_achievable_kl(q, p)
     if delta >= max_kl - FEASIBILITY_MARGIN:
         raise InfeasibleBudget(f"delta={delta!r} >= achievable supremum {max_kl!r}")
+    lp, lq = p.log_probs, q.log_probs
 
-    def residual(alpha: float) -> float:
-        return kl_divergence(mismatched_tilt(q, p, alpha), p) - delta
+    def evaluate(alpha: float):
+        # the same sum kl_divergence(mismatched_tilt(q, p, alpha), p) takes
+        log_phi, w, _, var = _tilt_moments(lp, lq, alpha)
+        return alpha, float(np.sum(w * (log_phi - lp))), alpha * var, log_phi
 
-    lo, hi = 0.0, 1.0
+    def warp(kl: float):
+        # -log(1 - sqrt(D / D_max)) grows like alpha both where D ~ alpha^2
+        # (small alpha) and where D_max - D decays exponentially (large alpha)
+        if not 0.0 < kl < max_kl:
+            return None
+        s = math.sqrt(kl / max_kl)
+        return -math.log1p(-s), 0.5 / ((1.0 - s) * math.sqrt(kl * max_kl))
+
+    # double from the small-budget root of D ~ alpha^2 Var_p(log q) / 2
+    lo, hi = 0.0, math.sqrt(2.0 * delta / _tilt_moments(lp, lq, 0.0)[3])
     for _ in range(MAX_DOUBLINGS):
-        if residual(hi) >= 0.0:
+        point = evaluate(hi)
+        if point[1] >= delta - BISECTION_RESIDUAL:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise InfeasibleBudget(f"could not bracket delta={delta!r}")
-    alpha = _bisect_monotone(residual, lo, hi, increasing=True)
-    phi = mismatched_tilt(q, p, alpha)
-    return TiltSolution(alpha, phi, kl_divergence(phi, p), -cross_entropy(phi, q))
+    (alpha, _, _, log_phi), residual, steps = _newton_in_bracket(
+        evaluate, lo, hi, point, delta, warp, True
+    )
+    phi = CategoricalDistribution(log_phi)
+    return TiltSolution(
+        alpha, phi, kl_divergence(phi, p), -cross_entropy(phi, q), steps, residual
+    )
 
 
 def reward_target_range(q: CategoricalDistribution) -> tuple[float, float]:
     """Open interval of reachable per-symbol cross entropies H(T(q,p,b) || q)."""
     return (-float(np.max(q.log_probs)), -float(np.min(q.log_probs)))
+
+
+def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float):
+    """``solve_beta_for_reward`` with its diagnostics: (beta, steps, residual)."""
+    _check_same_alphabet(p, q)
+    lo_t, hi_t = reward_target_range(q)
+    if not (math.isfinite(t) and lo_t < t < hi_t):
+        raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
+    lp, lq = p.log_probs, q.log_probs
+
+    def evaluate(beta: float):
+        # H(T(q, p, beta) || q) is minus the mean of log q under the tilt
+        log_phi, _, mean, var = _tilt_moments(lp, lq, beta)
+        return beta, -mean, -var, log_phi
+
+    def warp(h: float):
+        # the logit of H on its range grows like beta at both ends
+        if not lo_t < h < hi_t:
+            return None
+        return math.log(h - lo_t) - math.log(hi_t - h), 1.0 / (h - lo_t) + 1.0 / (hi_t - h)
+
+    lo, hi = -1.0, 1.0
+    for _ in range(MAX_DOUBLINGS):
+        if evaluate(hi)[1] <= t:
+            break
+        lo, hi = hi, 2.0 * abs(hi)
+    else:
+        raise TargetOutOfRange(f"t={t!r} unreachable (upper bracket)")
+    for _ in range(MAX_DOUBLINGS):
+        point = evaluate(lo)
+        if point[1] >= t:
+            break
+        hi, lo = lo, -2.0 * abs(lo)
+    else:
+        raise TargetOutOfRange(f"t={t!r} unreachable (lower bracket)")
+    (beta, _, _, _), residual, steps = _newton_in_bracket(evaluate, lo, hi, point, t, warp, False)
+    return beta, steps, residual
 
 
 def solve_beta_for_reward(
@@ -137,28 +248,7 @@ def solve_beta_for_reward(
     H is strictly decreasing in beta for non-uniform q; t must lie strictly
     inside ``reward_target_range(q)``.
     """
-    _check_same_alphabet(p, q)
-    lo_t, hi_t = reward_target_range(q)
-    if not (lo_t < t < hi_t):
-        raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
-
-    def residual(beta: float) -> float:
-        return cross_entropy(mismatched_tilt(q, p, beta), q) - t
-
-    lo, hi = -1.0, 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if residual(hi) <= 0.0:
-            break
-        lo, hi = hi, 2.0 * abs(hi)
-    else:
-        raise TargetOutOfRange(f"t={t!r} unreachable (upper bracket)")
-    for _ in range(MAX_DOUBLINGS):
-        if residual(lo) >= 0.0:
-            break
-        hi, lo = lo, -2.0 * abs(lo)
-    else:
-        raise TargetOutOfRange(f"t={t!r} unreachable (lower bracket)")
-    return _bisect_monotone(residual, lo, hi, increasing=False)
+    return _solve_beta(q, p, t)[0]
 
 
 def tradeoff_curve(

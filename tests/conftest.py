@@ -55,3 +55,70 @@ def loop_bon_sample(p, q, m: int, n: int, rng: np.random.Generator) -> np.ndarra
     u = rng.random()
     return symbols[winners[min(int(u * winners.size), winners.size - 1)]]
 
+
+
+def bisect_monotone(f, lo: float, hi: float, increasing: bool) -> float:
+    """Root of a monotone f bracketed by [lo, hi], the way the tilt solvers
+    bisected before they took Newton steps: stop at |f| <= 1e-12, or after
+    200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = f(mid)
+        if abs(r) <= 1e-12:
+            return mid
+        if (r < 0.0) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisection_alpha_for_kl(q, p, delta: float) -> float:
+    """alpha with D(T(q,p,alpha) || p) = delta by bracket doubling and bisection."""
+    from alignlab import kl_divergence, mismatched_tilt
+
+    def residual(alpha: float) -> float:
+        return kl_divergence(mismatched_tilt(q, p, alpha), p) - delta
+
+    lo, hi = 0.0, 1.0
+    while residual(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    return bisect_monotone(residual, lo, hi, increasing=True)
+
+
+def bisection_beta_for_reward(q, p, t: float) -> float:
+    """beta with H(T(q,p,beta) || q) = t by bracket doubling and bisection."""
+    from alignlab import cross_entropy, mismatched_tilt
+
+    def residual(beta: float) -> float:
+        return cross_entropy(mismatched_tilt(q, p, beta), q) - t
+
+    lo, hi = -1.0, 1.0
+    while residual(hi) > 0.0:
+        lo, hi = hi, 2.0 * abs(hi)
+    while residual(lo) < 0.0:
+        hi, lo = lo, -2.0 * abs(lo)
+    return bisect_monotone(residual, lo, hi, increasing=False)
+
+
+def _kl_linear_one(v: np.ndarray, ref_probs: np.ndarray) -> float:
+    mask = v > 0.0
+    return float(np.sum(v[mask] * (np.log(v[mask]) - np.log(ref_probs[mask]))))
+
+
+def loop_radial_contour_point(p_probs: np.ndarray, d: np.ndarray, delta: float, tol: float):
+    """One ray's KL contour crossing, bisected alone the way the ternary
+    figure traced its rays one at a time."""
+    negative = d < 0.0
+    r_max = float(np.min(p_probs[negative] / -d[negative]))
+    hi = r_max * (1.0 - 1e-12)
+    if _kl_linear_one(p_probs + hi * d, p_probs) < delta:
+        return p_probs + hi * d, True
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _kl_linear_one(p_probs + mid * d, p_probs) < delta:
+            lo = mid
+        else:
+            hi = mid
+    return p_probs + 0.5 * (lo + hi) * d, False

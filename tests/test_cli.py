@@ -113,3 +113,26 @@ class TestLdpProbeValidation:
         assert code == 2
         assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("random-alphabet", "--seeds", "0", "seeds must be >= 1"),
+            ("random-alphabet", "--K", "1", "K must be >= 2"),
+            ("equivalence-scan", "--m-grid", "5,0", "m_grid must list values >= 1"),
+            ("random-alphabet", "--n-grid", "0", "n_grid must list values >= 1"),
+            ("ternary-figure", "--delta", "nan", "delta must be nonnegative and finite"),
+            ("ternary-figure", "--delta", "inf", "delta must be nonnegative and finite"),
+            ("equivalence-scan", "--delta", "-0.1", "delta must be nonnegative and finite"),
+            ("ldp-probe", "--t-grid", ",", "t_grid must list at least one value"),
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "x"
+        code = cli_dispatch([command, flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+        assert not out.exists()

@@ -18,6 +18,7 @@ from alignlab import (
     finite_m_cumulant_check,
     legendre_oracle,
     make_distribution,
+    max_achievable_kl,
     rate_function,
     renyi_cross_entropy,
     reward_target_range,
@@ -264,6 +265,16 @@ class TestLegendreOracle:
                 t = lo + float(frac) * (hi - lo)
                 exact = rate_function(p, q, delta, t).rate
                 assert abs(exact - legendre_oracle(p, q, delta, t)) <= 1e-5
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 0.9), st.floats(0.05, 0.95))
+    @settings(max_examples=40)
+    def test_matches_rate_function_property(self, seed, K, budget, frac):
+        # the Newton solvers behind rate_function against the grid oracle
+        p, q = random_pair(np.random.default_rng(seed), K)
+        delta = budget * max_achievable_kl(q, p)
+        lo, hi = reward_target_range(q)
+        t = lo + frac * (hi - lo)
+        assert abs(rate_function(p, q, delta, t).rate - legendre_oracle(p, q, delta, t)) <= 1e-5
 
     def test_symmetric_points_nonnegative(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi

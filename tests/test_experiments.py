@@ -8,6 +8,9 @@ import pytest
 
 from alignlab import ExperimentConfig, run_experiment
 from alignlab.experiments import (
+    ExperimentReport,
+    _radial_contour_points,
+    _trace_kl_contour,
     default_n_grid,
     default_probe_grid,
     run_closeness_bound,
@@ -17,6 +20,8 @@ from alignlab.experiments import (
     run_random_alphabet,
     run_ternary_figure,
 )
+
+from .conftest import loop_radial_contour_point
 
 
 def _report_minus_duration(report) -> dict:
@@ -90,6 +95,30 @@ class TestTernaryFigure:
         report = run_ternary_figure(ExperimentConfig("ternary_figure", delta=0.0, n=1))
         assert report.results["alpha"] == 0.0
         assert np.allclose(report.results["phi"], [0.2, 0.3, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-4, 0.11, 0.7, 3.0])
+    def test_array_contour_matches_per_ray_bisection(self, delta):
+        # every ray is bisected to the same midpoints as it was alone, so the
+        # points agree bit for bit, clamped rays (delta = 3) included
+        rng = np.random.default_rng(60)
+        for p_probs in (np.array([0.2, 0.3, 0.5]), *rng.dirichlet(np.ones(3), size=2)):
+            contour, clamped = _trace_kl_contour(p_probs, delta)
+            e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+            e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+            flags = []
+            for i in range(360):
+                theta = 2.0 * math.pi * i / 360
+                d = math.cos(theta) * e1 + math.sin(theta) * e2
+                point, hit = loop_radial_contour_point(p_probs, d, delta, 1e-10)
+                assert point.tobytes() == contour[i].tobytes()
+                flags.append(hit)
+            assert contour[360].tobytes() == contour[0].tobytes()
+            assert clamped == sum(flags)
+            d = rng.standard_normal(3)
+            d -= d.mean()
+            one, hit = _radial_contour_points(p_probs, d[None, :], delta, 1e-13)
+            ref, ref_hit = loop_radial_contour_point(p_probs, d, delta, 1e-13)
+            assert one[0].tobytes() == ref.tobytes() and bool(hit[0]) == ref_hit
 
     def test_csv_byte_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -210,3 +239,18 @@ class TestDispatchAndReport:
         assert loaded["experiment"] == "example1"
         assert "files" in loaded["results"]
         assert math.isfinite(loaded["duration_seconds"])
+
+    def test_non_finite_floats_are_null(self):
+        report = ExperimentReport(
+            "ternary_figure",
+            0,
+            {"delta": 0.11},
+            {"phi_on_kl_contour_linf": math.inf, "rates": [1.5, -math.inf, math.nan]},
+            [{"name": "phi_on_kl_contour", "value": math.inf, "limit": 1e-8, "passed": False}],
+        )
+        text = report.to_json()
+        assert "Infinity" not in text and "NaN" not in text
+        loaded = json.loads(text)
+        assert loaded["results"] == {"phi_on_kl_contour_linf": None, "rates": [1.5, None, None]}
+        assert loaded["checks"][0]["value"] is None and loaded["checks"][0]["limit"] == 1e-8
+        assert loaded["config"] == {"delta": 0.11}

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignlab import (
     DegenerateFamily,
@@ -21,8 +24,16 @@ from alignlab import (
     tradeoff_curve,
 )
 from alignlab.distributions import from_log_weights
+from alignlab.tilting import MAX_STEPS, _solve_beta, _tilt_moments
 
-from .conftest import TERNARY_P, TERNARY_Q, random_pair
+from .conftest import (
+    TERNARY_P,
+    TERNARY_Q,
+    bisection_alpha_for_kl,
+    bisection_beta_for_reward,
+    interior_dirichlet,
+    random_pair,
+)
 
 # Independent bisection oracle at 1e-14 residual froze this tilt parameter
 # for the ternary demo pair at KL budget 0.11.
@@ -231,3 +242,165 @@ class TestTiltComposition:
             p, q = random_pair(rng, K)
             alpha, beta = rng.uniform(-3.0, 3.0, size=2)
             assert tilt_compose_check(q, p, float(alpha), float(beta)) <= 1e-12
+
+
+# log q = NEAR_UNIFORM_SPREAD * z for standard normal z.  Much flatter targets
+# need alpha ~ 1e5 or more near the boundary, where rounding in p + alpha *
+# log q alone moves D by more than 1e-12 (see test_resolution_floor).
+NEAR_UNIFORM_SPREAD = 0.3
+# Newton or bisection steps after bracketing, on every instance below.
+MAX_NEWTON_STEPS = 10
+
+
+@st.composite
+def tilt_pairs(draw, max_k: int = 64):
+    """(p, q) with q random, near-uniform, or with a two-way tie at its argmax."""
+    kind = draw(st.sampled_from(["random", "near_uniform", "tied_argmax"]))
+    K = draw(st.integers(3 if kind == "tied_argmax" else 2, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = make_distribution(interior_dirichlet(rng, K))
+    if kind == "near_uniform":
+        w = np.exp(NEAR_UNIFORM_SPREAD * rng.standard_normal(K))
+    else:
+        w = interior_dirichlet(rng, K)
+        if kind == "tied_argmax":
+            w[:2] = 1.5 * w.max()
+    return p, make_distribution(w)
+
+
+# a fraction of the feasible range; 1.0 is the closest budget the experiments use
+_FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-9, 1e-4, 0.999999, 1.0]))
+
+
+def _budget(p, q, frac: float) -> float:
+    return frac * (max_achievable_kl(q, p) - 2e-9)
+
+
+def _reward_target(q, frac: float) -> float:
+    lo, hi = reward_target_range(q)
+    return lo + min(max(frac, 1e-6), 1.0 - 1e-6) * (hi - lo)
+
+
+def _log_q_variance(phi, q) -> float:
+    w = phi.probs()
+    mean = float(np.sum(w * q.log_probs))
+    return float(np.sum(w * (q.log_probs - mean) ** 2))
+
+
+def _mp_tilt(p, q, x: float):
+    """The tilt T(q, p, x) in 50 digits, from the float log-probs."""
+    lp = [mpmath.mpf(float(v)) for v in p.log_probs]
+    lq = [mpmath.mpf(float(v)) for v in q.log_probs]
+    weights = [a + mpmath.mpf(x) * b for a, b in zip(lp, lq)]
+    log_z = mpmath.log(mpmath.fsum(mpmath.exp(w) for w in weights))
+    return [w - log_z for w in weights], lp, lq
+
+
+def _rounding_allowance(x: float, q) -> float:
+    """How far the float D or H at x may sit from its exact value: the
+    rounding of x * log q, carried into the sum."""
+    return 8.0 * np.finfo(float).eps * (1.0 + abs(x) * float(np.max(np.abs(q.log_probs))))
+
+
+class TestNewtonSolvers:
+    @given(tilt_pairs(), _FRACTIONS)
+    @settings(max_examples=150)
+    def test_alpha_meets_budget_in_few_steps(self, pair, frac):
+        p, q = pair
+        delta = _budget(p, q, frac)
+        sol = solve_alpha_for_kl(q, p, delta)
+        residual = kl_divergence(sol.phi, p) - delta
+        assert abs(residual) <= 1e-12
+        assert sol.residual == residual == sol.achieved_kl - delta
+        assert sol.iterations <= MAX_NEWTON_STEPS
+        assert np.array_equal(sol.phi.log_probs, mismatched_tilt(q, p, sol.alpha).log_probs)
+        # the bisection solver meets the same stop; between the two roots
+        # D moves by at least the smaller endpoint slope alpha * Var(log q)
+        ref = bisection_alpha_for_kl(q, p, delta)
+        ref_phi = mismatched_tilt(q, p, ref)
+        ref_residual = kl_divergence(ref_phi, p) - delta
+        assert abs(ref_residual) <= 1e-12
+        slope = min(sol.alpha * _log_q_variance(sol.phi, q), ref * _log_q_variance(ref_phi, q))
+        assert abs(sol.alpha - ref) * slope <= abs(residual - ref_residual) + 1e-13
+
+    @given(tilt_pairs(), st.floats(0.0, 1.0))
+    @settings(max_examples=150)
+    def test_beta_meets_reward_in_few_steps(self, pair, frac):
+        p, q = pair
+        t = _reward_target(q, frac)
+        beta, steps, residual = _solve_beta(q, p, t)
+        tilt = mismatched_tilt(q, p, beta)
+        assert residual == cross_entropy(tilt, q) - t
+        assert abs(residual) <= 1e-12
+        assert steps <= MAX_NEWTON_STEPS
+        assert solve_beta_for_reward(q, p, t) == beta
+        ref = bisection_beta_for_reward(q, p, t)
+        ref_tilt = mismatched_tilt(q, p, ref)
+        ref_residual = cross_entropy(ref_tilt, q) - t
+        assert abs(ref_residual) <= 1e-12
+        slope = min(_log_q_variance(tilt, q), _log_q_variance(ref_tilt, q))
+        assert abs(beta - ref) * slope <= abs(residual - ref_residual) + 1e-13
+
+    @given(tilt_pairs(max_k=8), _FRACTIONS)
+    @settings(max_examples=60)
+    def test_alpha_budget_in_50_digits(self, pair, frac):
+        p, q = pair
+        delta = _budget(p, q, frac)
+        sol = solve_alpha_for_kl(q, p, delta)
+        with mpmath.workdps(50):
+            log_phi, lp, _ = _mp_tilt(p, q, sol.alpha)
+            kl = mpmath.fsum(mpmath.exp(a) * (a - b) for a, b in zip(log_phi, lp))
+            gap = abs(float(kl - mpmath.mpf(delta)))
+        assert gap <= 1e-12 + _rounding_allowance(sol.alpha, q)
+
+    @given(tilt_pairs(max_k=8), st.floats(0.0, 1.0))
+    @settings(max_examples=60)
+    def test_beta_reward_in_50_digits(self, pair, frac):
+        p, q = pair
+        t = _reward_target(q, frac)
+        beta = solve_beta_for_reward(q, p, t)
+        with mpmath.workdps(50):
+            log_phi, _, lq = _mp_tilt(p, q, beta)
+            h = -mpmath.fsum(mpmath.exp(a) * b for a, b in zip(log_phi, lq))
+            gap = abs(float(h - mpmath.mpf(t)))
+        assert gap <= 1e-12 + _rounding_allowance(beta, q)
+
+    def test_kernel_moments(self, demo_p, demo_q):
+        log_phi, w, mean, var = _tilt_moments(demo_p.log_probs, demo_q.log_probs, 0.7)
+        tilt = mismatched_tilt(demo_q, demo_p, 0.7)
+        assert np.array_equal(log_phi, tilt.log_probs)
+        assert mean == -cross_entropy(tilt, demo_q)
+        direct = np.array(_direct_tilt(TERNARY_P, TERNARY_Q, 0.7))
+        lq = np.log(TERNARY_Q)
+        assert var == pytest.approx(float(direct @ lq**2 - (direct @ lq) ** 2), abs=1e-14)
+        assert _tilt_moments(demo_p.log_probs, demo_q.log_probs, 0.0)[0] is demo_p.log_probs
+
+    def test_zero_budget_takes_no_steps(self, demo_p, demo_q):
+        sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
+        assert (sol.iterations, sol.residual) == (0, 0.0)
+
+    def test_resolution_floor(self):
+        # a target within 1e-4 of uniform needs alpha ~ 6e4 at half the
+        # feasible budget, where rounding in p + alpha * log q moves D by more
+        # than 1e-12 between neighbouring floats (bisection misses the stop
+        # here too); the solver ends on an exhausted bracket and reports the
+        # best residual it saw
+        rng = np.random.default_rng(1)
+        p = make_distribution(interior_dirichlet(rng, 64))
+        q = make_distribution(np.exp(1e-4 * rng.standard_normal(64)))
+        delta = 0.5 * max_achievable_kl(q, p)
+        sol = solve_alpha_for_kl(q, p, delta)
+        assert sol.alpha > 1e4
+        assert sol.iterations < MAX_STEPS
+        assert sol.residual == sol.achieved_kl - delta
+        assert 1e-12 < abs(sol.residual) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget(self, demo_p, demo_q, delta):
+        with pytest.raises(InfeasibleBudget):
+            solve_alpha_for_kl(demo_q, demo_p, delta)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward(self, demo_p, demo_q, t):
+        with pytest.raises(TargetOutOfRange):
+            solve_beta_for_reward(demo_q, demo_p, t)
