@@ -101,7 +101,7 @@ def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) ->
     return -logsumexp(p.log_probs[maximizers])
 
 
-def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing):
+def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing, error):
     """Safeguarded Newton for a monotone value bracketed by [lo, hi].
 
     ``evaluate(x)`` returns ``(x, value, slope, log_phi)``, and ``start`` is
@@ -113,7 +113,8 @@ def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing):
     ``|value - target| <= BISECTION_RESIDUAL``, or when no float is left
     strictly inside the bracket (rounding in the value can keep the stop out
     of reach).  Returns the point with the smallest residual, that residual,
-    and the number of steps taken.
+    and the number of steps taken.  Raises ``error`` if ``MAX_STEPS`` run out
+    with neither stop reached.
     """
     goal = warp(target)[0]
     point = best = start
@@ -142,6 +143,11 @@ def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing):
             hi = nxt
     else:
         steps = MAX_STEPS
+        if abs(best[1] - target) > BISECTION_RESIDUAL and lo < 0.5 * (lo + hi) < hi:
+            raise error(
+                f"no root for target {target!r} after {MAX_STEPS} steps: "
+                f"bracket [{lo!r}, {hi!r}], best residual {best[1] - target!r}"
+            )
     return best, best[1] - target, steps
 
 
@@ -180,17 +186,25 @@ def solve_alpha_for_kl(
         s = math.sqrt(kl / max_kl)
         return -math.log1p(-s), 0.5 / ((1.0 - s) * math.sqrt(kl * max_kl))
 
-    # double from the small-budget root of D ~ alpha^2 Var_p(log q) / 2
-    lo, hi = 0.0, math.sqrt(2.0 * delta / _tilt_moments(lp, lq, 0.0)[3])
+    # double from the small-budget root of D ~ alpha^2 Var_p(log q) / 2, but
+    # from no further out than 1: the estimate overshoots by orders of
+    # magnitude when p puts little mass on the argmax of q, and Var_p(log q)
+    # can round to 0
+    var = _tilt_moments(lp, lq, 0.0)[3]
+    lo, hi = 0.0, math.sqrt(2.0 * delta / var) if 2.0 * delta < var else 1.0
+    below = None
     for _ in range(MAX_DOUBLINGS):
         point = evaluate(hi)
         if point[1] >= delta - BISECTION_RESIDUAL:
             break
-        lo, hi = hi, 2.0 * hi
+        below, lo, hi = point, hi, 2.0 * hi
     else:
         raise InfeasibleBudget(f"could not bracket delta={delta!r}")
+    # start Newton from the bracket end nearer the budget
+    if below is not None and delta - below[1] < point[1] - delta:
+        point = below
     (alpha, _, _, log_phi), residual, steps = _newton_in_bracket(
-        evaluate, lo, hi, point, delta, warp, True
+        evaluate, lo, hi, point, delta, warp, True, InfeasibleBudget
     )
     phi = CategoricalDistribution(log_phi)
     return TiltSolution(
@@ -236,7 +250,9 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float
         hi, lo = lo, -2.0 * abs(lo)
     else:
         raise TargetOutOfRange(f"t={t!r} unreachable (lower bracket)")
-    (beta, _, _, _), residual, steps = _newton_in_bracket(evaluate, lo, hi, point, t, warp, False)
+    (beta, _, _, _), residual, steps = _newton_in_bracket(
+        evaluate, lo, hi, point, t, warp, False, TargetOutOfRange
+    )
     return beta, steps, residual
 
 

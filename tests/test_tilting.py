@@ -23,6 +23,7 @@ from alignlab import (
     tilt_compose_check,
     tradeoff_curve,
 )
+from alignlab import tilting
 from alignlab.distributions import from_log_weights
 from alignlab.tilting import MAX_STEPS, _solve_beta, _tilt_moments
 
@@ -384,7 +385,7 @@ class TestNewtonSolvers:
         # feasible budget, where rounding in p + alpha * log q moves D by more
         # than 1e-12 between neighbouring floats (bisection misses the stop
         # here too); the solver ends on an exhausted bracket and reports the
-        # best residual it saw
+        # best residual it saw (4.4e-12 at the time of writing)
         rng = np.random.default_rng(1)
         p = make_distribution(interior_dirichlet(rng, 64))
         q = make_distribution(np.exp(1e-4 * rng.standard_normal(64)))
@@ -393,7 +394,32 @@ class TestNewtonSolvers:
         assert sol.alpha > 1e4
         assert sol.iterations < MAX_STEPS
         assert sol.residual == sol.achieved_kl - delta
-        assert 1e-12 < abs(sol.residual) <= 1e-10
+        assert abs(sol.residual) <= 1e-10
+
+    @pytest.mark.parametrize("p_top", [1e-30, 1e-200, 5e-324])
+    def test_little_mass_on_target_argmax(self, p_top):
+        # Var_p(log q) is ~p_top here: the small-budget estimate
+        # sqrt(2 delta / Var) would start the bracket near 1e101 for
+        # p_top = 1e-200, where D rounds to its supremum, and divide by zero
+        # for p_top = 5e-324
+        q = make_distribution((0.4, 0.6))
+        p = make_distribution((1.0, p_top))
+        delta = 30.0 if p_top > 1e-100 else 100.0
+        sol = solve_alpha_for_kl(q, p, delta)
+        assert sol.alpha == pytest.approx(bisection_alpha_for_kl(q, p, delta), rel=1e-12)
+        assert sol.iterations < MAX_STEPS
+        # alpha ~ 1e3 puts the rounding floor above 1e-12
+        assert abs(sol.residual) <= 1e-11
+
+    def test_unconverged_alpha_raises(self, demo_p, demo_q, monkeypatch):
+        monkeypatch.setattr(tilting, "MAX_STEPS", 1)
+        with pytest.raises(InfeasibleBudget, match="after 1 steps"):
+            solve_alpha_for_kl(demo_q, demo_p, 0.11)
+
+    def test_unconverged_beta_raises(self, demo_p, demo_q, monkeypatch):
+        monkeypatch.setattr(tilting, "MAX_STEPS", 1)
+        with pytest.raises(TargetOutOfRange, match="after 1 steps"):
+            solve_beta_for_reward(demo_q, demo_p, _reward_target(demo_q, 0.3))
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_budget(self, demo_p, demo_q, delta):
