@@ -23,7 +23,6 @@ import numpy as np
 
 from .distributions import (
     CategoricalDistribution,
-    Sequence,
     from_log_weights,
     log_class_sizes,
     symbols_from_uniforms,
@@ -314,16 +313,17 @@ def bon_sample(
     N: int,
     seed,
     budget: int = SAMPLE_BUDGET,
-) -> Sequence:
-    """Draw N length-m sequences from p and return one maximizing the q log
-    likelihood; ties are broken uniformly with one extra seeded variate.
+) -> np.ndarray:
+    """Draw N length-m sequences from p and return the symbols of one
+    maximizing the q log likelihood; ties are broken uniformly with one extra
+    seeded variate.
 
     Consumes N*m + 1 uniforms of the stream: the single-trial case of
     :func:`bon_winners`.
     """
     check_sample_budget(m, N, budget)
     u = as_generator(seed).random((1, N * m + 1))
-    return Sequence(bon_winners(p, q, m, N, u)[0])
+    return bon_winners(p, q, m, N, u)[0]
 
 
 def bon_expected_type(law: TypeLaw) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line entry points for the experiment suite.
 
-Subcommands mirror the experiment names; ``--config`` loads a flat
-``key = value`` file whose keys match :class:`ExperimentConfig` fields, and
-individual flags override it.  Exit code 0 means every declared tolerance
-passed, 1 means some check failed, 2 means a usage error.
+Each subcommand runs one experiment and takes a flag for each field that
+experiment reads (``experiments.FIELDS``), plus ``--config``, ``--seed`` and
+``--out``.  ``--config`` loads a flat ``key = value`` file whose keys match
+:class:`ExperimentConfig` fields, and flags override it.  Every value is
+parsed by its field's type annotation.  Exit code 0 means every declared
+tolerance passed, 1 means some check failed, 2 means a usage error.
 """
 
 from __future__ import annotations
@@ -11,57 +13,56 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .errors import AlignlabError
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import FIELDS, ExperimentConfig, run_experiment
 
-_SUBCOMMANDS = {
-    "example1": "example1",
-    "ternary-figure": "ternary_figure",
-    "equivalence-scan": "equivalence_scan",
-    "random-alphabet": "random_alphabet",
-    "closeness-bound": "closeness_bound",
-    "ldp-probe": "ldp_probe",
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_HELP = {
+    "p": "comma-separated reference weights",
+    "q": "comma-separated alignment-target weights",
+    "K": "alphabet size",
+    "m": "sequence length",
+    "n": "best-of-N sample count",
+    "delta": "per-symbol KL budget",
+    "m_grid": "comma-separated sequence lengths",
+    "n_grid": "comma-separated sample counts",
+    "t_grid": "comma-separated probe points",
+    "eps": "Monte Carlo window half-width",
+    "trials": "Monte Carlo trial count",
+    "seeds": "number of random pairs",
+    "conjecture": "also report the best-of-N empirical deviation curve",
 }
 
-_LIST_FIELDS = {"p", "q", "deltas", "m_grid", "n_grid", "t_grid"}
-_INT_FIELDS = {"K", "m", "n", "trials", "seeds", "seed"}
-_FLOAT_FIELDS = {"log_n", "delta", "eps"}
-_BOOL_FIELDS = {"conjecture"}
-_STR_FIELDS = {"experiment", "output_dir"}
-_INT_LIST_FIELDS = {"m_grid", "n_grid"}
 
-
-def _parse_scalar(field: str, text: str):
-    if field in _BOOL_FIELDS:
-        lowered = text.strip().lower()
-        if lowered in {"true", "1", "yes"}:
-            return True
-        if lowered in {"false", "0", "no"}:
-            return False
-        raise ValueError(f"expected a boolean for {field}, got {text!r}")
-    if field in _INT_FIELDS:
-        return int(text)
-    if field in _FLOAT_FIELDS:
-        return float(text)
-    return text
+def _kind(field: str):
+    """The type a field holds when set: ``X`` for an annotation ``X | None``."""
+    hint = _HINTS[field]
+    args = typing.get_args(hint)
+    return args[0] if type(None) in args else hint
 
 
 def parse_value(field: str, text: str):
-    """Parse one config value from its textual form."""
-    if field in _LIST_FIELDS:
-        items = [part.strip() for part in text.split(",") if part.strip()]
-        if field in _INT_LIST_FIELDS:
-            return tuple(int(item) for item in items)
-        return tuple(float(item) for item in items)
-    return _parse_scalar(field, text)
+    """Parse one config value from its textual form, by the field's type."""
+    kind = _kind(field)
+    try:
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(part) for part in text.split(",") if part.strip())
+        if kind is bool:
+            return _BOOLS[text.strip().lower()]
+        return kind(text)
+    except (KeyError, ValueError):
+        name = kind if typing.get_origin(kind) else kind.__name__
+        raise ValueError(f"{field} expects {name}, got {text!r}") from None
 
 
 def load_config_file(path: str) -> dict:
     """Read a flat key = value config file (``#`` starts a comment)."""
     values: dict = {}
-    known = set(ExperimentConfig.__dataclass_fields__)
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,10 +70,16 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _HINTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = parse_value(key, text)
     return values
+
+
+def _format_default(value) -> str:
+    if value is None:
+        return "derived from the other fields"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,60 +88,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tilted-policy and best-of-N experiments on finite alphabets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _SUBCOMMANDS:
-        cp = sub.add_parser(command, help=f"run the {command} experiment")
+    for experiment, defaults in FIELDS.items():
+        command = experiment.replace("_", "-")
+        cp = sub.add_parser(command, help=f"run the {command} experiment", allow_abbrev=False)
         cp.add_argument("--config", help="flat key = value config file")
-        cp.add_argument("--seed", type=int, help="master seed (64-bit integer)")
-        cp.add_argument("--out", help="output directory for CSV/JSON files")
-        cp.add_argument("--p", help="comma-separated reference weights")
-        cp.add_argument("--q", help="comma-separated alignment-target weights")
-        cp.add_argument("--K", type=int, help="alphabet size")
-        cp.add_argument("--m", type=int, help="sequence length")
-        cp.add_argument("--n", type=int, help="best-of-N sample count")
-        cp.add_argument("--delta", type=float, help="per-symbol KL budget")
-        cp.add_argument("--eps", type=float, help="Monte Carlo window half-width")
-        cp.add_argument("--trials", type=int, help="Monte Carlo trial count")
-        cp.add_argument("--seeds", type=int, help="number of random pairs")
-        cp.add_argument("--m-grid", dest="m_grid", help="comma-separated sequence lengths")
-        cp.add_argument("--n-grid", dest="n_grid", help="comma-separated sample counts")
-        cp.add_argument("--t-grid", dest="t_grid", help="comma-separated probe points")
+        cp.add_argument("--seed", help="master seed (64-bit integer; default: 0)")
         cp.add_argument(
-            "--conjecture",
-            action="store_true",
-            default=None,
-            help="also report the best-of-N empirical deviation curve",
+            "--out", dest="output_dir", metavar="DIR", help="output directory for CSV/JSON files"
         )
+        for name, default in defaults.items():
+            flag = "--" + name.replace("_", "-")
+            if _kind(name) is bool:
+                cp.add_argument(flag, action="store_const", const="true", help=_HELP[name])
+            else:
+                cp.add_argument(flag, help=f"{_HELP[name]} (default: {_format_default(default)})")
     return parser
 
 
-def _merge_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    overrides = {
-        "seed": args.seed,
-        "output_dir": args.out,
-        "K": args.K,
-        "m": args.m,
-        "n": args.n,
-        "delta": args.delta,
-        "eps": args.eps,
-        "trials": args.trials,
-        "seeds": args.seeds,
-        "conjecture": args.conjecture,
-    }
-    for field, value in overrides.items():
-        if value is not None:
-            values[field] = value
-    for field in ("p", "q", "m_grid", "n_grid", "t_grid"):
-        text = getattr(args, field)
-        if text is not None:
-            values[field] = parse_value(field, text)
-    values["experiment"] = _SUBCOMMANDS[command]
+def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
+    experiment = args.command.replace("-", "_")
+    values = load_config_file(args.config) if args.config else {}
+    if values.setdefault("experiment", experiment) != experiment:
+        raise ValueError(f"config file is for {values['experiment']!r}, not {experiment!r}")
+    for name, text in vars(args).items():
+        if name in _HINTS and text is not None:
+            values[name] = parse_value(name, text)
     if not values.get("output_dir"):
         values["output_dir"] = os.environ.get("ALIGN_OUT_DIR") or "alignlab_out"
-    if "seed" not in values:
-        values["seed"] = 0
     return ExperimentConfig(**values)
 
 
@@ -146,7 +126,7 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = _merge_config(args.command, args)
+        config = _merge_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,25 +175,13 @@ def bon_hit_count(
     )
 
 
-def empirical_deviation_rate(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    delta: float,
-    t: float,
-    eps: float,
-    m: int,
-    trials: int,
-    seed: int,
-) -> float | None:
-    """Monte Carlo estimate -(1/m) log P(|per-symbol -log q^m(Y) - t| < eps).
+def rate_from_hits(hits: int, trials: int, m: int) -> float | None:
+    """Monte Carlo rate estimate -(1/m) log(hits / trials) of a window hit count.
 
-    Samples from the delta-tilted base; returns None when no trial hits the
-    window (an honest zero-hit outcome, never substituted by infinity).
+    None when no trial hit the window (an honest zero-hit outcome, never
+    substituted by infinity).
     """
-    hits = deviation_hit_count(p, q, delta, t, eps, m, trials, seed)
-    if hits == 0:
-        return None
-    return -math.log(hits / trials) / m
+    return None if hits == 0 else -math.log(hits / trials) / m
 
 
 def legendre_oracle(

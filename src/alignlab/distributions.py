@@ -65,62 +65,6 @@ class CategoricalDistribution:
         return hash((self.K, self.log_probs.tobytes()))
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """A length-m sequence of symbols drawn from ``{0, ..., K-1}``."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.symbols, np.int64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise SymbolOutOfRange("a sequence must hold at least one symbol")
-        if arr.min() < 0:
-            raise SymbolOutOfRange("symbols must be nonnegative")
-        object.__setattr__(self, "symbols", arr)
-
-    @property
-    def m(self) -> int:
-        return int(self.symbols.size)
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Symbol counts of a length-m sequence; an m-grained simplex point."""
-
-    counts: np.ndarray
-    m: int = 0
-
-    def __post_init__(self):
-        arr = _frozen_array(self.counts, np.int64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise SymbolOutOfRange("counts must be a nonempty 1-D array")
-        if arr.min() < 0:
-            raise SymbolOutOfRange("counts must be nonnegative")
-        total = int(arr.sum())
-        declared = self.m if self.m else total
-        if declared != total or total < 1:
-            raise SymbolOutOfRange(f"counts sum to {total}, expected m={declared} >= 1")
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "m", total)
-
-    @property
-    def K(self) -> int:
-        return int(self.counts.size)
-
-    def as_probs(self) -> np.ndarray:
-        """The type as a point on the simplex (multiples of 1/m)."""
-        return self.counts / self.m
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TypeVector):
-            return NotImplemented
-        return bool(np.array_equal(self.counts, other.counts))
-
-    def __hash__(self):
-        return hash(self.counts.tobytes())
-
-
 def make_distribution(weights) -> CategoricalDistribution:
     """Normalize positive weights into a CategoricalDistribution.
 
@@ -156,31 +100,18 @@ def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
     return shifted - math.log(float(np.sum(np.exp(shifted))))
 
 
-def log_sequence_prob(dist: CategoricalDistribution, seq: Sequence) -> float:
-    """log of the product probability of ``seq`` under i.i.d. draws from ``dist``."""
-    if int(seq.symbols.max()) >= dist.K:
-        raise SymbolOutOfRange(
-            f"symbol {int(seq.symbols.max())} outside alphabet of size {dist.K}"
-        )
-    return float(np.sum(dist.log_probs[seq.symbols]))
-
-
-def type_of(seq: Sequence, K: int) -> TypeVector:
-    """Empirical symbol counts of ``seq`` over an alphabet of size ``K``."""
-    if int(seq.symbols.max()) >= K:
-        raise SymbolOutOfRange(f"symbol {int(seq.symbols.max())} outside alphabet of size {K}")
-    counts = np.bincount(seq.symbols, minlength=K)
-    return TypeVector(counts)
+def log_sequence_prob(dist: CategoricalDistribution, seq: np.ndarray) -> float:
+    """log of the product probability of the symbols ``seq`` under i.i.d.
+    draws from ``dist``."""
+    symbols = np.asarray(seq, dtype=np.int64)
+    if symbols.size < 1 or symbols.min() < 0 or symbols.max() >= dist.K:
+        raise SymbolOutOfRange(f"a sequence needs symbols in 0..{dist.K - 1}")
+    return float(np.sum(dist.log_probs[symbols]))
 
 
 def count_types(m: int, K: int) -> int:
     """Number of K-part compositions of m: C(m+K-1, K-1)."""
     return math.comb(m + K - 1, K - 1)
-
-
-def enumerate_types(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> list[TypeVector]:
-    """All types of length-m sequences over K symbols, lexicographic on counts."""
-    return [TypeVector(c) for c in type_counts_matrix(m, K, cap)]
 
 
 def type_counts_matrix(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> np.ndarray:
@@ -206,15 +137,6 @@ def type_counts_matrix(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> np.ndarra
     return np.column_stack([rows, left])
 
 
-def log_type_class_size(tau: TypeVector) -> float:
-    """log of the multinomial coefficient m! / prod_k counts_k!."""
-    return _log_multinomial(tau.counts, tau.m)
-
-
-def _log_multinomial(counts: np.ndarray, m: int) -> float:
-    return math.lgamma(m + 1) - float(sum(math.lgamma(int(c) + 1) for c in counts))
-
-
 def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
     """Row-wise log multinomial coefficients of a counts matrix."""
     m = int(counts_matrix[0].sum())
@@ -237,9 +159,9 @@ def draw_symbols(dist: CategoricalDistribution, shape, rng: np.random.Generator)
     return symbols_from_uniforms(dist, rng.random(shape))
 
 
-def sample_sequence(dist: CategoricalDistribution, m: int, seed) -> Sequence:
-    """Draw a length-m i.i.d. sequence from ``dist``; deterministic given seed."""
+def sample_sequence(dist: CategoricalDistribution, m: int, seed) -> np.ndarray:
+    """Draw a length-m i.i.d. sequence of symbols from ``dist``; deterministic
+    given seed."""
     if m < 1:
         raise SymbolOutOfRange("m must be >= 1")
-    rng = as_generator(seed)
-    return Sequence(draw_symbols(dist, m, rng))
+    return draw_symbols(dist, m, as_generator(seed))

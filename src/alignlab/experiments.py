@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,15 @@ from .distributions import (
     from_log_weights,
     make_distribution,
 )
-from .deviations import bon_hit_count, deviation_hit_count, legendre_oracle, rate_function
+from .deviations import (
+    bon_hit_count,
+    deviation_hit_count,
+    legendre_oracle,
+    rate_from_hits,
+    rate_function,
+)
 from .errors import AlignlabError
-from .metrics import cross_entropy, kl_divergence
+from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
 from .rng import spawn_generator
 from .tilting import max_achievable_kl, mismatched_tilt, solve_alpha_for_kl
 
@@ -56,9 +62,20 @@ PAIR_DEMO_JOINT = {
 PAIR_DEMO_MARGINAL0 = (209, 625)
 
 
+# Fields every experiment reads, next to the ones it declares in FIELDS.
+COMMON_FIELDS = ("experiment", "seed", "output_dir")
+
+
 @dataclass
 class ExperimentConfig:
-    """Inputs of one experiment run; unset fields fall back to defaults."""
+    """Inputs of one experiment run.
+
+    ``FIELDS[experiment]`` declares the fields the experiment reads, with
+    their defaults; :meth:`get` gives a field left ``None`` its default.
+    Construction is the one check of the inputs: it raises ValueError for a
+    set field the experiment does not read and for any value its runner
+    could not use (AlignlabError for an unknown experiment).
+    """
 
     experiment: str
     p: tuple[float, ...] | None = None
@@ -66,24 +83,30 @@ class ExperimentConfig:
     K: int | None = None
     m: int | None = None
     n: int | None = None
-    log_n: float | None = None
     delta: float | None = None
-    deltas: tuple[float, ...] | None = None
     m_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
     t_grid: tuple[float, ...] | None = None
     eps: float | None = None
     trials: int | None = None
     seeds: int | None = None
-    conjecture: bool = False
+    conjecture: bool | None = None
     seed: int = 0
     output_dir: str | None = None
 
     def __post_init__(self):
+        if self.experiment not in FIELDS:
+            raise AlignlabError(f"unknown experiment {self.experiment!r}")
+        reads = {*FIELDS[self.experiment], *COMMON_FIELDS}
+        unread = [k for k, v in vars(self).items() if v is not None and k not in reads]
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
         for name in ("m", "n", "trials", "seeds"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.K is not None and self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K!r}")
         for name in ("m_grid", "n_grid"):
@@ -96,11 +119,30 @@ class ExperimentConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
+        if self.experiment == "ldp_probe" and self.n is not None and not self.conjecture:
+            raise ValueError(f"n is read only with conjecture, got n={self.n!r}")
+        for name in ("p", "q"):
+            weights = getattr(self, name)
+            if weights is not None and not (
+                len(weights) >= 2 and all(math.isfinite(w) and w > 0.0 for w in weights)
+            ):
+                raise ValueError(f"{name} must list >= 2 positive finite weights, got {weights!r}")
+        if "p" in reads:
+            K, K_q = len(self.get("p")), len(self.get("q"))
+            if K != K_q:
+                raise ValueError(f"p and q must have the same length, got {K} and {K_q}")
+            if self.experiment == "ternary_figure" and K != 3:
+                raise ValueError(f"ternary_figure needs 3 weights in p and q, got {K}")
+
+    def get(self, name: str):
+        """The field's value, or its experiment's default when it is unset."""
+        default = FIELDS[self.experiment][name]
+        value = getattr(self, name)
+        return default if value is None else value
 
     def echo(self) -> dict:
         """Config as a plain dict with unset fields dropped."""
-        raw = asdict(self)
-        return {k: v for k, v in raw.items() if v is not None and v is not False}
+        return {k: v for k, v in vars(self).items() if v is not None and v is not False}
 
 
 @dataclass
@@ -183,9 +225,7 @@ def _write_outputs(report: ExperimentReport, outdir: str | None, csvs: dict) -> 
 
 
 def _demo_pair(config: ExperimentConfig) -> tuple[CategoricalDistribution, CategoricalDistribution]:
-    p = make_distribution(config.p if config.p is not None else TERNARY_REFERENCE)
-    q = make_distribution(config.q if config.q is not None else TERNARY_TARGET)
-    return p, q
+    return make_distribution(config.get("p")), make_distribution(config.get("q"))
 
 
 def _finish(report: ExperimentReport, started: float, outdir, csvs) -> ExperimentReport:
@@ -199,8 +239,7 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     """Exact best-of-2 joint over symbol pairs, marginals, and the non-product witness."""
     started = time.perf_counter()
     p, q = _demo_pair(config)
-    m = config.m if config.m is not None else 2
-    n = config.n if config.n is not None else 2
+    m, n = config.get("m"), config.get("n")
     seq_lp = sequence_space_log_probs(p, m)
     seq_rw = sequence_space_log_probs(q, m)
     outcome_dist = from_log_weights(seq_lp)
@@ -216,7 +255,10 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     }
 
     is_default = (
-        config.p is None and config.q is None and m == 2 and n == 2 and K == 3
+        config.get("p") == TERNARY_REFERENCE
+        and config.get("q") == TERNARY_TARGET
+        and m == 2
+        and n == 2
     )
     if is_default:
         table_dev = max(
@@ -260,13 +302,6 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     return _finish(report, started, config.output_dir, csvs)
 
 
-def _kl_linear(v: np.ndarray, ref_probs: np.ndarray) -> np.ndarray:
-    """D(v || ref) for each row of v, with 0 log 0 = 0."""
-    mask = v > 0.0
-    safe = np.where(mask, v, 1.0)
-    return np.sum(np.where(mask, v * (np.log(safe) - np.log(ref_probs)), 0.0), axis=-1)
-
-
 def _radial_contour_points(
     p_probs: np.ndarray, d: np.ndarray, delta: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +318,11 @@ def _radial_contour_points(
         r_max = np.min(np.where(d < 0.0, p_probs / -d, math.inf), axis=1)
     lo = np.zeros_like(r_max)
     hi = r_max * (1.0 - 1e-12)
-    clamped = _kl_linear(p_probs + hi[:, None] * d, p_probs) < delta
+    clamped = kl_divergence_rows(p_probs + hi[:, None] * d, p_probs) < delta
     active = ~clamped & (hi - lo > tol)
     while active.any():
         mid = 0.5 * (lo[active] + hi[active])
-        below = _kl_linear(p_probs + mid[:, None] * d[active], p_probs) < delta
+        below = kl_divergence_rows(p_probs + mid[:, None] * d[active], p_probs) < delta
         lo[active] = np.where(below, mid, lo[active])
         hi[active] = np.where(below, hi[active], mid)
         active &= hi - lo > tol
@@ -333,11 +368,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     """KL contour, reward chord, tilted-family curve, and best-of-N expected type."""
     started = time.perf_counter()
     p, q = _demo_pair(config)
-    if p.K != 3:
-        raise AlignlabError("the ternary figure requires a 3-symbol alphabet")
-    delta = config.delta if config.delta is not None else 0.11
-    m = config.m if config.m is not None else 10
-    n = config.n if config.n is not None else 3
+    delta, m, n = config.get("delta"), config.get("m"), config.get("n")
 
     sol = solve_alpha_for_kl(q, p, delta)
     phi_probs = sol.phi.probs()
@@ -417,8 +448,7 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     """Per-symbol divergence of exact best-of-N from the solved tilt as m grows."""
     started = time.perf_counter()
     p, q = _demo_pair(config)
-    delta = config.delta if config.delta is not None else 0.11
-    m_grid = config.m_grid if config.m_grid is not None else (5, 10, 20, 40, 80, 160)
+    delta, m_grid = config.get("delta"), config.get("m_grid")
 
     sol = solve_alpha_for_kl(q, p, delta)
     phi_probs = sol.phi.probs()
@@ -488,9 +518,7 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
     boundary are clamped just inside it (counted in the report).
     """
     started = time.perf_counter()
-    K = config.K if config.K is not None else 1024
-    n_seeds = config.seeds if config.seeds is not None else 20
-    n_grid = config.n_grid if config.n_grid is not None else default_n_grid()
+    K, n_seeds, n_grid = config.get("K"), config.get("seeds"), config.get("n_grid")
 
     rows = []
     max_d = 0.0
@@ -553,7 +581,7 @@ def run_closeness_bound(config: ExperimentConfig) -> ExperimentReport:
     is psi's measured excess cross entropy to the target.
     """
     started = time.perf_counter()
-    trials = config.trials if config.trials is not None else 1000
+    trials = config.get("trials")
 
     accepted = 0
     skipped = 0
@@ -630,19 +658,16 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     """
     started = time.perf_counter()
     p, q = _demo_pair(config)
-    delta = config.delta if config.delta is not None else 0.11
-    m = config.m if config.m is not None else 400
-    trials = config.trials if config.trials is not None else 100_000
-    eps = config.eps if config.eps is not None else 0.05
+    delta, m, trials, eps = (config.get(name) for name in ("delta", "m", "trials", "eps"))
 
     sol = solve_alpha_for_kl(q, p, delta)
     mean_t = cross_entropy(sol.phi, q)
-    t_grid = config.t_grid if config.t_grid is not None else default_probe_grid(mean_t, eps)
+    t_grid = config.get("t_grid") or default_probe_grid(mean_t, eps)
     band = eps + math.log(trials) / m
 
     conjecture_n = None
-    if config.conjecture:
-        conjecture_n = config.n if config.n is not None else int(round(math.exp(m * delta)))
+    if config.get("conjecture"):
+        conjecture_n = config.get("n") or int(round(math.exp(m * delta)))
 
     rows = []
     checks: list[dict] = []
@@ -654,7 +679,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
         oracle = legendre_oracle(p, q, delta, float(t))
         max_oracle_dev = max(max_oracle_dev, abs(point.rate - oracle))
         hits = deviation_hit_count(p, q, delta, float(t), eps, m, trials, _point_seed(config.seed, i))
-        mc = None if hits == 0 else -math.log(hits / trials) / m
+        mc = rate_from_hits(hits, trials, m)
         if mc is None:
             if point.rate <= 3.0:
                 undefined_shallow += 1
@@ -665,8 +690,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
             bon_hits = bon_hit_count(
                 p, q, conjecture_n, float(t), eps, m, trials, _point_seed(config.seed, 10_000 + i)
             )
-            bon_mc = None if bon_hits == 0 else -math.log(bon_hits / trials) / m
-            row.extend([bon_mc, bon_hits])
+            row.extend([rate_from_hits(bon_hits, trials, m), bon_hits])
         rows.append(tuple(row))
 
     results = {
@@ -694,6 +718,27 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     return _finish(report, started, config.output_dir, csvs)
 
 
+# The fields each experiment reads, with their defaults; None marks a default
+# the runner derives from the other fields.  _DEMO is the ternary demo pair at
+# its demo budget.
+_DEMO = {"p": TERNARY_REFERENCE, "q": TERNARY_TARGET, "delta": 0.11}
+FIELDS = {
+    "example1": {"p": TERNARY_REFERENCE, "q": TERNARY_TARGET, "m": 2, "n": 2},
+    "ternary_figure": {**_DEMO, "m": 10, "n": 3},
+    "equivalence_scan": {**_DEMO, "m_grid": (5, 10, 20, 40, 80, 160)},
+    "random_alphabet": {"K": 1024, "seeds": 20, "n_grid": default_n_grid()},
+    "closeness_bound": {"trials": 1000},
+    "ldp_probe": {
+        **_DEMO,
+        "m": 400,
+        "n": None,
+        "trials": 100_000,
+        "eps": 0.05,
+        "t_grid": None,
+        "conjecture": False,
+    },
+}
+
 RUNNERS = {
     "example1": run_example1,
     "ternary_figure": run_ternary_figure,
@@ -706,6 +751,4 @@ RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch a config to its experiment runner."""
-    if config.experiment not in RUNNERS:
-        raise AlignlabError(f"unknown experiment {config.experiment!r}")
     return RUNNERS[config.experiment](config)

@@ -30,6 +30,15 @@ def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> flo
     return float(np.sum(np.exp(p.log_probs) * (p.log_probs - q.log_probs)))
 
 
+def kl_divergence_rows(v: np.ndarray, ref_probs: np.ndarray) -> np.ndarray:
+    """D(v_i || ref) for each row v_i of linear-domain probabilities, with
+    0 log 0 = 0: the simplex points of a contour tracer, which may touch the
+    boundary and so cannot be CategoricalDistributions."""
+    mask = v > 0.0
+    safe = np.where(mask, v, 1.0)
+    return np.sum(np.where(mask, v * (np.log(safe) - np.log(ref_probs)), 0.0), axis=-1)
+
+
 def entropy(p: CategoricalDistribution) -> float:
     """H(p) = sum_k p_k log(1/p_k), between 0 and log K."""
     return float(-np.sum(np.exp(p.log_probs) * p.log_probs))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from alignlab.cli import cli_dispatch, load_config_file, parse_value
+from alignlab.cli import _HELP, cli_dispatch, load_config_file, parse_value
+from alignlab.experiments import COMMON_FIELDS, FIELDS, RUNNERS, ExperimentConfig
 
 
 class TestConfigParsing:
@@ -15,6 +17,19 @@ class TestConfigParsing:
         assert parse_value("delta", "0.11") == 0.11
         assert parse_value("conjecture", "true") is True
         assert parse_value("output_dir", "out") == "out"
+        assert parse_value("seed", "7") == 7
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("seed", "notanint", "seed expects int, got 'notanint'"),
+            ("m_grid", "5,x", "m_grid expects tuple[int, ...], got '5,x'"),
+            ("conjecture", "maybe", "conjecture expects bool, got 'maybe'"),
+        ],
+    )
+    def test_parse_errors_name_the_field(self, field, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_value(field, text)
 
     def test_load_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -120,6 +135,7 @@ class TestConfigValidation:
         "command, flag, value, message",
         [
             ("random-alphabet", "--seeds", "0", "seeds must be >= 1"),
+            ("random-alphabet", "--seed", "-1", "seed must be >= 0"),
             ("random-alphabet", "--K", "1", "K must be >= 2"),
             ("equivalence-scan", "--m-grid", "5,0", "m_grid must list values >= 1"),
             ("random-alphabet", "--n-grid", "0", "n_grid must list values >= 1"),
@@ -136,3 +152,56 @@ class TestConfigValidation:
         assert code == 2
         assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config_text, message",
+        [
+            (["closeness-bound"], "deltas = nan, -1\n", "unknown config key 'deltas'"),
+            (["random-alphabet", "--p", "1,-1", "--q", "1,1"], None, "unrecognized arguments"),
+            (
+                ["example1", "--p", "0.5,0.5", "--q", "0.2,0.3,0.5"],
+                None,
+                "p and q must have the same length",
+            ),
+            (
+                ["ternary-figure", "--p", "0.5,0.5", "--q", "0.4,0.6"],
+                None,
+                "ternary_figure needs 3 weights in p and q",
+            ),
+            (["example1", "--p", "0.5,nan,0.2"], None, "p must list >= 2 positive finite weights"),
+            (["equivalence-scan", "--trials", "5"], None, "unrecognized arguments: --trials 5"),
+            # not taken as an abbreviation of --m-grid
+            (["equivalence-scan", "--m", "5"], None, "unrecognized arguments: --m 5"),
+            (["ldp-probe", "--n", "5"], None, "n is read only with conjecture"),
+            (["example1"], "experiment = ldp_probe\n", "config file is for 'ldp_probe'"),
+        ],
+    )
+    def test_input_no_runner_reads_is_usage_error(
+        self, tmp_path, capsys, argv, config_text, message
+    ):
+        out = tmp_path / "x"
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            argv = [*argv, "--config", str(cfg)]
+        code = cli_dispatch([*argv, "--out", str(out)])
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert code == 2
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
+
+    def test_flags_are_the_experiment_fields(self, capsys):
+        # each subcommand's --help lists exactly its experiment's fields
+        for experiment, defaults in FIELDS.items():
+            command = experiment.replace("_", "-")
+            assert cli_dispatch([command, "--help"]) == 0
+            text = capsys.readouterr().out
+            flags = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE))
+            declared = {"--" + name.replace("_", "-") for name in defaults}
+            assert flags == declared | {"--help", "--config", "--seed", "--out"}, command
+
+    def test_help_covers_every_field(self):
+        fields = set(ExperimentConfig.__dataclass_fields__) - set(COMMON_FIELDS)
+        assert set(_HELP) == fields
+        assert set().union(*FIELDS.values()) == fields
+        assert set(FIELDS) == set(RUNNERS)

@@ -14,11 +14,11 @@ from alignlab import (
     bon_hit_count,
     cross_entropy,
     deviation_hit_count,
-    empirical_deviation_rate,
     finite_m_cumulant_check,
     legendre_oracle,
     make_distribution,
     max_achievable_kl,
+    rate_from_hits,
     rate_function,
     renyi_cross_entropy,
     reward_target_range,
@@ -140,35 +140,40 @@ class TestFiniteMCumulant:
             finite_m_cumulant_check(demo_p, demo_q, 0.11, 0.0, 3)
 
 
+def _deviation_rate(p, q, delta, t, eps, m, trials, seed):
+    return rate_from_hits(deviation_hit_count(p, q, delta, t, eps, m, trials, seed), trials, m)
+
+
 class TestEmpiricalDeviationRate:
     def test_full_window_rate_zero(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
-        rate = empirical_deviation_rate(
+        rate = _deviation_rate(
             demo_p, demo_q, 0.11, 0.5 * (lo + hi), eps=hi - lo, m=20, trials=200, seed=5
         )
         assert rate == 0.0
 
     def test_near_zero_at_mean(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        rate = empirical_deviation_rate(
+        rate = _deviation_rate(
             demo_p, demo_q, 0.11, cross_entropy(phi, demo_q), eps=0.1, m=400, trials=500, seed=6
         )
         assert rate is not None and rate < 0.01
 
     def test_zero_hits_is_none(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
-        rate = empirical_deviation_rate(
+        rate = _deviation_rate(
             demo_p, demo_q, 0.0, hi - 1e-4 * (hi - lo), eps=1e-4, m=200, trials=50, seed=7
         )
         assert rate is None
+        assert rate_from_hits(0, 50, 200) is None
 
     def test_deterministic(self, demo_p, demo_q):
         args = (demo_p, demo_q, 0.11, 1.25, 0.05, 50, 300, 11)
-        assert empirical_deviation_rate(*args) == empirical_deviation_rate(*args)
+        assert _deviation_rate(*args) == _deviation_rate(*args)
 
     def test_hit_count_matches_rate(self, demo_p, demo_q):
         hits = deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 60, 400, 13)
-        rate = empirical_deviation_rate(demo_p, demo_q, 0.11, 1.19, 0.08, 60, 400, 13)
+        rate = rate_from_hits(hits, 400, 60)
         assert rate == pytest.approx(-math.log(hits / 400) / 60, abs=1e-15)
 
     def test_batching_independent_hit_count(self, demo_p, demo_q):
@@ -182,6 +187,7 @@ class TestEmpiricalDeviationRate:
         split = 0
         for trial in range(400):
             seq = sample_sequence(phi, m, spawn_generator(seed, trial))
+            assert seq.dtype == np.int64 and seq.shape == (m,)
             if abs(-log_sequence_prob(demo_q, seq) / m - t) < eps:
                 split += 1
         assert split == deviation_hit_count(demo_p, demo_q, 0.11, t, eps, m, 400, seed)

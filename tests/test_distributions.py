@@ -11,18 +11,13 @@ from hypothesis import strategies as st
 from alignlab import (
     AlphabetTooSmall,
     NonPositiveWeight,
-    Sequence,
     SizeOverflow,
     SymbolOutOfRange,
-    TypeVector,
     count_types,
-    enumerate_types,
     from_log_weights,
     log_sequence_prob,
-    log_type_class_size,
     make_distribution,
     sample_sequence,
-    type_of,
 )
 from alignlab.distributions import (
     log_class_sizes,
@@ -97,78 +92,89 @@ class TestMakeDistribution:
         assert abs(float(np.exp(dist.log_probs).sum()) - 1.0) <= 1e-12
 
 
+def _log_class_size(counts) -> float:
+    """log m! / prod_k counts_k!, one lgamma per count."""
+    m = int(sum(counts))
+    return math.lgamma(m + 1) - float(sum(math.lgamma(int(c) + 1) for c in counts))
+
+
 class TestSequenceProb:
     def test_uniform_product(self):
         dist = make_distribution((1, 1, 1))
-        seq = Sequence(np.array([0, 1, 2]))
+        seq = np.array([0, 1, 2])
         assert log_sequence_prob(dist, seq) == pytest.approx(3 * math.log(1 / 3), abs=1e-15)
 
     def test_demo_pair_double_zero(self, demo_p):
-        seq = Sequence(np.array([0, 0]))
+        seq = np.array([0, 0])
         assert log_sequence_prob(demo_p, seq) == pytest.approx(math.log(0.04), abs=1e-12)
 
     def test_equals_type_identity(self, demo_p):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            seq = Sequence(rng.integers(0, 3, size=rng.integers(1, 40)))
-            tau = type_of(seq, 3)
-            via_type = float(tau.counts @ demo_p.log_probs)
+            seq = rng.integers(0, 3, size=rng.integers(1, 40))
+            counts = np.bincount(seq, minlength=3)
+            via_type = float(counts @ demo_p.log_probs)
             assert log_sequence_prob(demo_p, seq) == pytest.approx(via_type, abs=1e-12)
 
     def test_symbol_out_of_range(self, demo_p):
         with pytest.raises(SymbolOutOfRange):
-            log_sequence_prob(demo_p, Sequence(np.array([0, 3])))
+            log_sequence_prob(demo_p, np.array([0, 3]))
+        with pytest.raises(SymbolOutOfRange):
+            log_sequence_prob(demo_p, np.array([0, -1]))
 
 
 class TestTypeOf:
+    """The type of a sequence is its ``np.bincount`` over the alphabet."""
+
     def test_direct_count(self):
-        tau = type_of(Sequence(np.array([0, 0, 1, 2])), 3)
-        assert tau.counts.tolist() == [2, 1, 1]
-        assert tau.m == 4
+        counts = np.bincount(np.array([0, 0, 1, 2]), minlength=3)
+        assert counts.tolist() == [2, 1, 1]
+        assert counts.sum() == 4
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
         base = rng.integers(0, 4, size=30)
-        tau = type_of(Sequence(base), 4)
+        counts = np.bincount(base, minlength=4)
         for _ in range(10):
             perm = rng.permutation(base)
-            assert type_of(Sequence(perm), 4) == tau
+            assert np.array_equal(np.bincount(perm, minlength=4), counts)
 
     def test_singleton(self):
-        tau = type_of(Sequence(np.array([0])), 3)
-        assert tau.counts.tolist() == [1, 0, 0]
+        counts = np.bincount(np.array([0]), minlength=3)
+        assert counts.tolist() == [1, 0, 0]
 
     def test_out_of_range(self):
-        with pytest.raises(SymbolOutOfRange):
-            type_of(Sequence(np.array([0, 5])), 3)
+        # a symbol outside the alphabet shows up as a count past its last bin
+        counts = np.bincount(np.array([0, 5]), minlength=3)
+        assert counts.size > 3 and counts[3:].sum() == 1
 
 
 class TestEnumerateTypes:
+    """All types of length-m sequences are the rows of ``type_counts_matrix``."""
+
     def test_m2_k2(self):
-        types = enumerate_types(2, 2)
-        assert [t.counts.tolist() for t in types] == [[0, 2], [1, 1], [2, 0]]
+        assert type_counts_matrix(2, 2).tolist() == [[0, 2], [1, 1], [2, 0]]
 
     def test_m2_k3_count(self):
-        assert len(enumerate_types(2, 3)) == 6
+        assert len(type_counts_matrix(2, 3)) == 6
 
     def test_m10_k3_count(self):
         # brute-force composition count
         brute = sum(1 for a in range(11) for _ in range(11 - a))
         assert brute == 66
-        assert len(enumerate_types(10, 3)) == 66
+        assert len(type_counts_matrix(10, 3)) == 66
 
     def test_all_distinct_and_sum_to_m(self):
-        types = enumerate_types(7, 4)
-        assert len({t for t in types}) == count_types(7, 4)
-        assert all(t.m == 7 for t in types)
+        counts = type_counts_matrix(7, 4)
+        assert len({tuple(row) for row in counts}) == count_types(7, 4)
+        assert np.all(counts.sum(axis=1) == 7)
 
     def test_cap(self):
         with pytest.raises(SizeOverflow):
-            enumerate_types(1000, 6, cap=100)
+            type_counts_matrix(1000, 6, cap=100)
 
     def test_m_grained(self):
-        for tau in enumerate_types(5, 3):
-            probs = tau.as_probs()
+        for probs in type_counts_matrix(5, 3) / 5:
             assert np.allclose(probs * 5, np.round(probs * 5), atol=1e-12)
 
 
@@ -194,30 +200,32 @@ class TestTypeCountsMatrix:
         assert np.array_equal(counts, _lexicographic_compositions(400, 3))
 
     def test_enumerate_types_rows(self):
-        types = enumerate_types(6, 4)
-        assert np.array_equal(np.array([t.counts for t in types]), type_counts_matrix(6, 4))
+        # the distinct bincounts of all 4^6 sequences, in lexicographic order
+        seqs = np.array(list(itertools.product(range(4), repeat=6)))
+        types = np.unique([np.bincount(seq, minlength=4) for seq in seqs], axis=0)
+        assert np.array_equal(types, type_counts_matrix(6, 4))
 
 
 class TestTypeClassSize:
     def test_class_sizes_match_per_row_lgamma_sum(self):
         for K, m in [*itertools.product(range(2, 7), range(1, 13)), (3, 400)]:
             counts = type_counts_matrix(m, K)
-            per_row = [log_type_class_size(TypeVector(row)) for row in counts]
+            per_row = [_log_class_size(row) for row in counts]
             assert np.array_equal(log_class_sizes(counts), per_row)
 
     def test_single_class(self):
-        assert log_type_class_size(TypeVector(np.array([2, 0, 0]))) == pytest.approx(0.0, abs=1e-12)
+        assert log_class_sizes(np.array([[2, 0, 0]]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_arrangements(self):
-        assert log_type_class_size(TypeVector(np.array([1, 1, 0]))) == pytest.approx(
+        assert log_class_sizes(np.array([[1, 1, 0]]))[0] == pytest.approx(
             math.log(2), abs=1e-12
         )
 
     def test_exact_multinomial(self):
-        tau = TypeVector(np.array([4, 3, 3]))
+        counts = np.array([[4, 3, 3]])
         exact = math.factorial(10) // (math.factorial(4) * math.factorial(3) ** 2)
         assert exact == 4200
-        assert log_type_class_size(tau) == pytest.approx(math.log(exact), rel=1e-12)
+        assert log_class_sizes(counts)[0] == pytest.approx(math.log(exact), rel=1e-12)
 
     def test_random_against_integer_multinomial(self):
         rng = np.random.default_rng(5)
@@ -226,11 +234,10 @@ class TestTypeClassSize:
             counts = rng.multinomial(int(rng.integers(1, 60)), np.ones(K) / K)
             if counts.sum() == 0:
                 continue
-            tau = TypeVector(counts)
-            exact = math.factorial(tau.m)
+            exact = math.factorial(int(counts.sum()))
             for c in counts:
                 exact //= math.factorial(int(c))
-            assert log_type_class_size(tau) == pytest.approx(math.log(exact), rel=1e-10)
+            assert log_class_sizes(counts[None, :])[0] == pytest.approx(math.log(exact), rel=1e-10)
 
     def test_types_partition_sequence_space(self):
         rng = np.random.default_rng(6)
@@ -246,23 +253,24 @@ class TestSampleSequence:
     def test_deterministic(self, demo_p):
         a = sample_sequence(demo_p, 50, 123)
         b = sample_sequence(demo_p, 50, 123)
-        assert np.array_equal(a.symbols, b.symbols)
+        assert np.array_equal(a, b)
 
     def test_near_point_mass(self):
         eps = 1e-6
         dist = make_distribution((1 - 2 * eps, eps, eps))
         seq = sample_sequence(dist, 5, 7)
-        assert np.all(seq.symbols == 0)
+        assert np.all(seq == 0)
 
     def test_uniform_type_concentrates(self):
         dist = make_distribution((1, 1, 1))
         seq = sample_sequence(dist, 30000, 99)
-        tau = type_of(seq, 3)
-        assert np.max(np.abs(tau.as_probs() - 1 / 3)) <= 0.02
+        freqs = np.bincount(seq, minlength=3) / 30000
+        assert np.max(np.abs(freqs - 1 / 3)) <= 0.02
 
     def test_symbols_in_range(self, demo_p):
         seq = sample_sequence(demo_p, 1000, 11)
-        assert seq.symbols.min() >= 0 and seq.symbols.max() < 3
+        assert seq.dtype == np.int64 and seq.shape == (1000,)
+        assert seq.min() >= 0 and seq.max() < 3
 
 
 class TestSymbolsFromUniforms:

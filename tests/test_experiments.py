@@ -8,6 +8,8 @@ import pytest
 
 from alignlab import ExperimentConfig, run_experiment
 from alignlab.experiments import (
+    COMMON_FIELDS,
+    FIELDS,
     ExperimentReport,
     _radial_contour_points,
     _trace_kl_contour,
@@ -254,3 +256,42 @@ class TestDispatchAndReport:
         assert loaded["results"] == {"phi_on_kl_contour_linf": None, "rates": [1.5, None, None]}
         assert loaded["checks"][0]["value"] is None and loaded["checks"][0]["limit"] == 1e-8
         assert loaded["config"] == {"delta": 0.11}
+
+
+# Small configs that still reach every field their experiment reads.
+TINY = {
+    "example1": {},
+    "ternary_figure": {"m": 4},
+    "equivalence_scan": {"m_grid": (3, 5)},
+    "random_alphabet": {"K": 4, "seeds": 1, "n_grid": (1, 3)},
+    "closeness_bound": {"trials": 5},
+    "ldp_probe": {"m": 10, "trials": 20, "conjecture": True},  # conjecture reads n
+}
+
+
+class TestFieldsTable:
+    @pytest.mark.parametrize("experiment", sorted(FIELDS))
+    def test_runner_reads_exactly_its_fields(self, experiment):
+        reads = set()
+        names = set(ExperimentConfig.__dataclass_fields__)
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        config = Recording(experiment, **TINY[experiment])
+        reads.clear()
+        run_experiment(config)
+        assert reads == set(FIELDS[experiment]) | set(COMMON_FIELDS)
+
+    def test_unread_field_rejected(self):
+        with pytest.raises(ValueError, match="closeness_bound does not read m, delta"):
+            ExperimentConfig("closeness_bound", m=3, delta=0.1)
+
+    def test_unset_fields_take_the_table_defaults(self):
+        config = ExperimentConfig("ternary_figure", m=4)
+        assert config.get("m") == 4
+        assert config.get("delta") == FIELDS["ternary_figure"]["delta"]
+        assert config.echo() == {"experiment": "ternary_figure", "m": 4, "seed": 0}
