@@ -36,7 +36,6 @@ from .errors import (
     SizeOverflow,
 )
 from .logspace import cumulative_log_probs, log_power_diff
-from .rng import as_generator
 
 REWARD_TIE_TOL = 1e-12
 ORACLE_TUPLE_CAP = 10_000_000
@@ -82,11 +81,10 @@ class TypeLaw:
     its multinomial size.  The per-sequence value is constant within a class:
     under memoryless references and additive rewards both the reward and the
     reference probability of a sequence depend on it only through its type.
-    The arrays are made read-only, so the accessors can return them directly.
+    The arrays are made read-only.
     """
 
     m: int
-    policy_tag: str
     counts: np.ndarray = field(repr=False)
     per_seq_log_probs: np.ndarray = field(repr=False)
     class_log_sizes: np.ndarray = field(repr=False)
@@ -99,26 +97,17 @@ class TypeLaw:
     def K(self) -> int:
         return int(self.counts.shape[1])
 
-    def counts_matrix(self) -> np.ndarray:
-        return self.counts
-
-    def seq_log_probs(self) -> np.ndarray:
-        return self.per_seq_log_probs
-
-    def log_sizes(self) -> np.ndarray:
-        return self.class_log_sizes
-
     def class_masses(self) -> np.ndarray:
         """Total probability of each type class."""
         return np.exp(self.class_log_sizes + self.per_seq_log_probs)
 
 
 def group_reward_levels(
-    log_probs: np.ndarray, rewards: np.ndarray, tie_tol: float = REWARD_TIE_TOL
+    log_probs: np.ndarray, rewards: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group outcomes into strictly increasing reward levels.
 
-    Adjacent rewards within ``tie_tol`` after one stable sort join the same
+    Adjacent rewards within ``REWARD_TIE_TOL`` after one stable sort join the same
     level, so grouping is deterministic.  Returns ``(order, sizes, level_lps,
     cums)``: the sort order of the outcomes, the member count of each level,
     each level's log mass, and the n_levels + 1 cumulative log masses, where
@@ -130,7 +119,7 @@ def group_reward_levels(
     if lp.shape != rw.shape:
         raise LengthMismatch(f"{lp.size} probabilities vs {rw.size} rewards")
     order = np.argsort(rw, kind="stable")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(rw[order]) > tie_tol) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(rw[order]) > REWARD_TIE_TOL) + 1))
     sizes = np.diff(starts, append=lp.size)
     sorted_lp = lp[order]
     hi = np.maximum.reduceat(sorted_lp, starts)
@@ -179,18 +168,17 @@ def bon_type_law(
     q: CategoricalDistribution,
     m: int,
     config: BonConfig,
-    type_cap: int = 10_000_000,
 ) -> TypeLaw:
     """Exact best-of-N law over length-m sequences, per type class.
 
     Class reward is sum_k counts_k log q_k and the reference per-sequence log
     probability is sum_k counts_k log p_k; the level formula then assigns one
     per-sequence value to each class.  With ``log_N`` set, N enters only as
-    the float multiplier exp(log_N).
+    the float multiplier exp(log_N).  N = 1 gives the law of p^m itself.
     """
     if p.K != q.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
-    counts = type_counts_matrix(m, p.K, cap=type_cap)
+    counts = type_counts_matrix(m, p.K)
     sizes = log_class_sizes(counts)
     ref_lp = counts @ p.log_probs
     rewards = counts @ q.log_probs
@@ -202,16 +190,7 @@ def bon_type_law(
         # _winner_log_probs reshapes whole-class masses; per-sequence values
         # divide the class mass back out
         seq_lp = seq_lp - sizes
-    return TypeLaw(m, "best_of_n", counts, seq_lp, sizes)
-
-
-def product_type_law(
-    dist: CategoricalDistribution, m: int, policy_tag: str = "reference",
-    type_cap: int = 10_000_000,
-) -> TypeLaw:
-    """Type-class law of the m-fold product of ``dist``."""
-    counts = type_counts_matrix(m, dist.K, cap=type_cap)
-    return TypeLaw(m, policy_tag, counts, counts @ dist.log_probs, log_class_sizes(counts))
+    return TypeLaw(m, counts, seq_lp, sizes)
 
 
 def sequence_space_log_probs(
@@ -233,22 +212,22 @@ def bon_enumeration_oracle(
     q: CategoricalDistribution,
     m: int,
     N: int,
-    tuple_cap: int = ORACLE_TUPLE_CAP,
 ) -> np.ndarray:
     """Brute-force best-of-N PMF over all K^m sequences.
 
     Enumerates every ordered N-tuple of draws, weights it by its product
     probability, and splits each tuple's mass uniformly across the positions
     achieving the maximal reward.  Ground truth for the closed forms on tiny
-    instances; cost is (K^m)^N.
+    instances; cost is (K^m)^N, and more than ``ORACLE_TUPLE_CAP`` tuples
+    raises SizeOverflow.
     """
     if p.K != q.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
     _check_n(N)
     M = p.K**m
     n_tuples = M**N
-    if n_tuples > tuple_cap:
-        raise SizeOverflow(f"(K^m)^N = {n_tuples} exceeds cap {tuple_cap}")
+    if n_tuples > ORACLE_TUPLE_CAP:
+        raise SizeOverflow(f"(K^m)^N = {n_tuples} exceeds cap {ORACLE_TUPLE_CAP}")
     seq_lp = sequence_space_log_probs(p, m)
     seq_rw = sequence_space_log_probs(q, m)
     out = np.zeros(M)
@@ -267,12 +246,12 @@ def bon_enumeration_oracle(
     return out
 
 
-def check_sample_budget(m: int, N: int, budget: int = SAMPLE_BUDGET) -> None:
+def check_sample_budget(m: int, N: int) -> None:
     """Raise unless N is a positive integer and best-of-N sampling of length-m
-    sequences draws at most ``budget`` candidate symbols per trial."""
+    sequences draws at most ``SAMPLE_BUDGET`` candidate symbols per trial."""
     _check_n(N)
-    if N * m > budget:
-        raise BudgetExceeded(f"N*m = {N * m} exceeds sampling budget {budget}")
+    if N * m > SAMPLE_BUDGET:
+        raise BudgetExceeded(f"N*m = {N * m} exceeds sampling budget {SAMPLE_BUDGET}")
 
 
 def bon_winners(
@@ -288,7 +267,8 @@ def bon_winners(
     the N length-m candidates drawn from p, one candidate after another, then
     one tie-break variate.  Candidates whose q log likelihood is within
     ``REWARD_TIE_TOL`` of the row's best tie, and the variate picks one of
-    them uniformly.  Returns the (T, m) winning symbols.
+    them uniformly.  Returns the (T, m) winning symbols; one seeded draw is
+    ``bon_winners(p, q, m, N, default_rng(seed).random((1, N*m + 1)))[0]``.
     """
     if p.K != q.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
@@ -306,30 +286,10 @@ def bon_winners(
     return symbols[np.arange(T), pick]
 
 
-def bon_sample(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    m: int,
-    N: int,
-    seed,
-    budget: int = SAMPLE_BUDGET,
-) -> np.ndarray:
-    """Draw N length-m sequences from p and return the symbols of one
-    maximizing the q log likelihood; ties are broken uniformly with one extra
-    seeded variate.
-
-    Consumes N*m + 1 uniforms of the stream: the single-trial case of
-    :func:`bon_winners`.
-    """
-    check_sample_budget(m, N, budget)
-    u = as_generator(seed).random((1, N * m + 1))
-    return bon_winners(p, q, m, N, u)[0]
-
-
 def bon_expected_type(law: TypeLaw) -> np.ndarray:
     """Expected type under a sequence-level law: a point on the simplex."""
     masses = law.class_masses()
-    fractions = law.counts_matrix() / law.m
+    fractions = law.counts / law.m
     return masses @ fractions
 
 
@@ -338,27 +298,13 @@ def bon_kl_to_reference(law: TypeLaw, p: CategoricalDistribution) -> float:
     (the reference, or a tilt such as phi_delta)."""
     if law.K != p.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {law.K} vs {p.K}")
-    ref_lp = law.counts_matrix() @ p.log_probs
-    return float(np.sum(law.class_masses() * (law.seq_log_probs() - ref_lp)))
-
-
-def bon_kl_rate_to_optimal(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    m: int,
-    delta: float,
-) -> float:
-    """Per-symbol D(pi_N^m || phi_delta^m) / m with N = exp(m * delta)."""
-    from .tilting import solve_alpha_for_kl
-
-    phi = solve_alpha_for_kl(q, p, delta).phi
-    law = bon_type_law(p, q, m, BonConfig(log_N=m * delta))
-    return bon_kl_to_reference(law, phi) / m
+    ref_lp = law.counts @ p.log_probs
+    return float(np.sum(law.class_masses() * (law.per_seq_log_probs - ref_lp)))
 
 
 def expected_reward_rate(law: TypeLaw, q: CategoricalDistribution) -> float:
     """Per-symbol expected reward (1/m) E[log q^m(Y)] under a sequence law."""
     if law.K != q.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {law.K} vs {q.K}")
-    rewards = law.counts_matrix() @ q.log_probs
+    rewards = law.counts @ q.log_probs
     return float(np.sum(law.class_masses() * rewards)) / law.m

@@ -164,8 +164,9 @@ def bon_hit_count(
 ) -> int:
     """Number of best-of-N samples whose per-symbol value lands in the window.
 
-    Trial i is :func:`bon_sample` on the child stream ``spawn_generator(seed,
-    i)``: its N*m + 1 uniforms draw the candidates and break ties.
+    Trial i is one row of :func:`bon_winners`: the first N*m + 1 uniforms of
+    the child stream ``spawn_generator(seed, i)`` draw the candidates and
+    break ties.
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")

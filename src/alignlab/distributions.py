@@ -12,15 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphabetTooSmall,
-    NonPositiveWeight,
-    SizeOverflow,
-    SymbolOutOfRange,
-)
-from .rng import as_generator
+from .errors import AlphabetTooSmall, NonPositiveWeight, SizeOverflow
 
-DEFAULT_TYPE_CAP = 10_000_000
+TYPE_CAP = 10_000_000
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -100,22 +94,9 @@ def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
     return shifted - math.log(float(np.sum(np.exp(shifted))))
 
 
-def log_sequence_prob(dist: CategoricalDistribution, seq: np.ndarray) -> float:
-    """log of the product probability of the symbols ``seq`` under i.i.d.
-    draws from ``dist``."""
-    symbols = np.asarray(seq, dtype=np.int64)
-    if symbols.size < 1 or symbols.min() < 0 or symbols.max() >= dist.K:
-        raise SymbolOutOfRange(f"a sequence needs symbols in 0..{dist.K - 1}")
-    return float(np.sum(dist.log_probs[symbols]))
-
-
-def count_types(m: int, K: int) -> int:
-    """Number of K-part compositions of m: C(m+K-1, K-1)."""
-    return math.comb(m + K - 1, K - 1)
-
-
-def type_counts_matrix(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> np.ndarray:
-    """All compositions of m into K parts as an (n_types, K) int array.
+def type_counts_matrix(m: int, K: int) -> np.ndarray:
+    """All C(m+K-1, K-1) compositions of m into K parts as an (n_types, K)
+    int array; more than ``TYPE_CAP`` raises SizeOverflow.
 
     Rows are in ascending lexicographic order: each pass splits every partial
     row into one child per value of its next part, in ascending order, and
@@ -123,9 +104,9 @@ def type_counts_matrix(m: int, K: int, cap: int = DEFAULT_TYPE_CAP) -> np.ndarra
     """
     if m < 1 or K < 2:
         raise AlphabetTooSmall(f"need m >= 1 and K >= 2, got m={m}, K={K}")
-    n = count_types(m, K)
-    if n > cap:
-        raise SizeOverflow(f"{n} types exceeds cap {cap}")
+    n = math.comb(m + K - 1, K - 1)
+    if n > TYPE_CAP:
+        raise SizeOverflow(f"{n} types exceeds cap {TYPE_CAP}")
     rows = np.zeros((1, 0), dtype=np.int64)
     left = np.array([m], dtype=np.int64)
     for _ in range(K - 1):
@@ -152,16 +133,3 @@ def symbols_from_uniforms(dist: CategoricalDistribution, u: np.ndarray) -> np.nd
     cdf = np.cumsum(np.exp(dist.log_probs))
     cdf[-1] = 1.0  # guard the last bin against rounding
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-def draw_symbols(dist: CategoricalDistribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. symbol draws of the given shape via inverse-CDF lookup."""
-    return symbols_from_uniforms(dist, rng.random(shape))
-
-
-def sample_sequence(dist: CategoricalDistribution, m: int, seed) -> np.ndarray:
-    """Draw a length-m i.i.d. sequence of symbols from ``dist``; deterministic
-    given seed."""
-    if m < 1:
-        raise SymbolOutOfRange("m must be >= 1")
-    return draw_symbols(dist, m, as_generator(seed))

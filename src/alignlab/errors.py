@@ -19,10 +19,6 @@ class AlphabetMismatch(AlignlabError):
     """Two distributions live on alphabets of different sizes."""
 
 
-class SymbolOutOfRange(AlignlabError):
-    """A sequence symbol falls outside the alphabet."""
-
-
 class SizeOverflow(AlignlabError):
     """An enumeration would exceed the configured size cap."""
 

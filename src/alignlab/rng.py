@@ -1,24 +1,14 @@
-"""Seed handling for reproducible sampling.
+"""Per-trial random streams for reproducible Monte Carlo.
 
-Every sampling entry point takes a ``SeedLike``: an integer, a numpy
-``SeedSequence``, or an already-constructed ``Generator``.  Monte Carlo
-consumers derive one child stream per trial, ``spawn_generator(master seed,
-trial index)``, so results do not depend on how trials are grouped; the hit
-counts read a fixed number of uniforms from each (:func:`fill_trial_uniforms`).
+Monte Carlo consumers derive one child stream per trial, ``spawn_generator(
+master seed, trial index)``, so results do not depend on how trials are
+grouped; the hit counts read a fixed number of uniforms from each
+(:func:`fill_trial_uniforms`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-SeedLike = int | np.random.SeedSequence | np.random.Generator
-
-
-def as_generator(seed: SeedLike) -> np.random.Generator:
-    """Return a Generator for an int / SeedSequence / Generator seed value."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def spawn_generator(master_seed: int, index: int) -> np.random.Generator:

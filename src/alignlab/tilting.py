@@ -55,15 +55,6 @@ class TiltSolution:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One point on the expected-reward versus KL-budget curve."""
-
-    delta: float
-    alpha: float
-    expected_reward: float
-
-
 def mismatched_tilt(
     q: CategoricalDistribution, p: CategoricalDistribution, alpha: float
 ) -> CategoricalDistribution:
@@ -265,17 +256,6 @@ def solve_beta_for_reward(
     inside ``reward_target_range(q)``.
     """
     return _solve_beta(q, p, t)[0]
-
-
-def tradeoff_curve(
-    q: CategoricalDistribution, p: CategoricalDistribution, deltas
-) -> list[TradeoffPoint]:
-    """Solve the budget inversion on a grid of KL budgets."""
-    points = []
-    for delta in deltas:
-        sol = solve_alpha_for_kl(q, p, float(delta))
-        points.append(TradeoffPoint(float(delta), sol.alpha, sol.expected_reward))
-    return points
 
 
 def tilt_compose_check(

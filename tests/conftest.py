@@ -48,7 +48,7 @@ def loop_symbols(dist, shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def loop_bon_sample(p, q, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One best-of-n draw the way bon_sample drew it, trial by trial."""
+    """One best-of-n draw the way the per-trial sampler drew it."""
     symbols = loop_symbols(p, (n, m), rng)
     rewards = q.log_probs[symbols].sum(axis=1)
     winners = np.nonzero(rewards >= rewards.max() - REWARD_TIE_TOL)[0]

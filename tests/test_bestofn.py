@@ -19,20 +19,17 @@ from alignlab import (
     bon_enumeration_oracle,
     bon_exact_pmf,
     bon_expected_type,
-    bon_kl_rate_to_optimal,
     bon_kl_to_reference,
-    bon_sample,
     bon_type_law,
     bon_winners,
     group_reward_levels,
     make_distribution,
-    product_type_law,
     sequence_space_log_probs,
     solve_alpha_for_kl,
     from_log_weights,
 )
 
-from alignlab.bestofn import REWARD_TIE_TOL, _winner_log_probs
+from alignlab.bestofn import REWARD_TIE_TOL, _winner_log_probs, check_sample_budget
 from alignlab.logspace import log_power_diff, logsumexp
 
 from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, random_pair
@@ -155,16 +152,14 @@ class TestBonTypeLaw:
 
     def test_single_draw_equals_product_law(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 4, BonConfig(N=1))
-        ref = product_type_law(demo_p, 4)
-        assert np.array_equal(law.seq_log_probs(), ref.seq_log_probs())
-        assert law.policy_tag == "best_of_n"
+        assert np.array_equal(law.per_seq_log_probs, law.counts @ demo_p.log_probs)
 
     def test_matches_enumeration_oracle_per_sequence(self, demo_p, demo_q):
         p2 = make_distribution((0.35, 0.65))
         q2 = make_distribution((0.8, 0.2))
         law = bon_type_law(p2, q2, 3, BonConfig(N=3))
         oracle = bon_enumeration_oracle(p2, q2, 3, 3)
-        by_class = dict(zip(map(tuple, law.counts_matrix()), law.seq_log_probs()))
+        by_class = dict(zip(map(tuple, law.counts), law.per_seq_log_probs))
         for idx in range(8):
             seq = [(idx >> (2 - pos)) & 1 for pos in range(3)]
             counts = (seq.count(0), seq.count(1))
@@ -187,7 +182,8 @@ class TestBonTypeLaw:
 
     def test_size_overflow(self, demo_p, demo_q):
         with pytest.raises(SizeOverflow):
-            bon_type_law(demo_p, demo_q, 10_000, BonConfig(N=2), type_cap=1000)
+            # C(10002, 2) = 5.0e7 types, over TYPE_CAP = 1e7
+            bon_type_law(demo_p, demo_q, 10_000, BonConfig(N=2))
 
     def test_cross_type_reward_tie(self, demo_p):
         # q0^2 == q1 * q2 makes the types (2,0,0) and (0,1,1) collide at one
@@ -197,7 +193,7 @@ class TestBonTypeLaw:
         assert abs(2 * q.log_probs[0] - (q.log_probs[1] + q.log_probs[2])) < 1e-12
         law = bon_type_law(demo_p, q, 2, BonConfig(N=3))
         oracle = bon_enumeration_oracle(demo_p, q, 2, 3)
-        classes = zip(law.counts_matrix(), law.seq_log_probs())
+        classes = zip(law.counts, law.per_seq_log_probs)
         by_class = {tuple(c): math.exp(lp) for c, lp in classes}
         for idx in range(9):
             digits = [idx // 3, idx % 3]
@@ -207,7 +203,7 @@ class TestBonTypeLaw:
     def test_log_n_matches_integer_n(self, demo_p, demo_q):
         by_int = bon_type_law(demo_p, demo_q, 6, BonConfig(N=5))
         by_log = bon_type_law(demo_p, demo_q, 6, BonConfig(log_N=math.log(5.0)))
-        assert np.max(np.abs(by_int.seq_log_probs() - by_log.seq_log_probs())) <= 1e-9
+        assert np.max(np.abs(by_int.per_seq_log_probs - by_log.per_seq_log_probs)) <= 1e-9
 
 
 _LN2 = math.log(2.0)
@@ -374,10 +370,10 @@ class TestArrayKernel:
         assert abs(float(law.class_masses().sum()) - 1.0) <= 1e-12
         if config.is_single_draw:
             return
-        counts = law.counts_matrix()
-        class_lp = law.log_sizes() + counts @ p.log_probs
+        counts = law.counts
+        class_lp = law.class_log_sizes + counts @ p.log_probs
         ref, scale = _loop_winner_log_probs(class_lp, counts @ q.log_probs, config.n_effective)
-        got = law.seq_log_probs() + law.log_sizes()
+        got = law.per_seq_log_probs + law.class_log_sizes
         live = ref > -700.0
         tol = 1e-12 + 32 * _EPS * scale[live]
         assert np.all(np.abs(got[live] - ref[live]) <= tol)
@@ -413,10 +409,10 @@ class TestArrayKernel:
         p, q = demo_p, make_distribution((2 / 7, 4 / 7, 1 / 7))
         for config in (BonConfig(N=17), BonConfig(log_N=9.5)):
             law = bon_type_law(p, q, 4, config)
-            counts = law.counts_matrix()
-            class_lp = law.log_sizes() + counts @ p.log_probs
+            counts = law.counts
+            class_lp = law.class_log_sizes + counts @ p.log_probs
             exact = _mp_winner_log_probs(class_lp, counts @ q.log_probs, config.n_effective)
-            got = law.seq_log_probs() + law.log_sizes()
+            got = law.per_seq_log_probs + law.class_log_sizes
             live = exact > -700.0
             assert np.max(np.abs(got[live] - exact[live])) <= 1e-12
 
@@ -434,7 +430,8 @@ class TestEnumerationOracle:
 
     def test_cap(self, demo_p, demo_q):
         with pytest.raises(SizeOverflow):
-            bon_enumeration_oracle(demo_p, demo_q, 4, 4, tuple_cap=1000)
+            # 81^4 = 4.3e7 tuples, over ORACLE_TUPLE_CAP = 1e7
+            bon_enumeration_oracle(demo_p, demo_q, 4, 4)
 
     def test_closed_forms_match_oracle(self):
         rng = np.random.default_rng(40)
@@ -453,7 +450,7 @@ class TestEnumerationOracle:
             flat = bon_exact_pmf(probs, rewards, N).probs()
             assert np.max(np.abs(flat - oracle)) <= 1e-12
             law = bon_type_law(p, q, m, BonConfig(N=N))
-            classes = zip(law.counts_matrix(), law.seq_log_probs())
+            classes = zip(law.counts, law.per_seq_log_probs)
             by_class = {tuple(c): math.exp(lp) for c, lp in classes}
             for idx in range(K**m):
                 digits = [(idx // K ** (m - 1 - pos)) % K for pos in range(m)]
@@ -480,42 +477,44 @@ class TestExchangeability:
         assert pi[0] != marginal0 * marginal0
 
 
+def _one_draw(p, q, m, n, seed):
+    """One best-of-n draw on the stream of ``seed``: its first n*m + 1 uniforms."""
+    return bon_winners(p, q, m, n, np.random.default_rng(seed).random((1, n * m + 1)))[0]
+
+
 class TestBonSample:
     def test_deterministic(self, demo_p, demo_q):
-        a = bon_sample(demo_p, demo_q, 5, 4, 2718)
-        b = bon_sample(demo_p, demo_q, 5, 4, 2718)
+        a = _one_draw(demo_p, demo_q, 5, 4, 2718)
+        b = _one_draw(demo_p, demo_q, 5, 4, 2718)
         assert np.array_equal(a, b)
 
-    def test_budget(self, demo_p, demo_q):
+    def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            bon_sample(demo_p, demo_q, 10, 10**9, 0)
+            check_sample_budget(10, 10**9)
+        check_sample_budget(10, 10**7)
 
     def test_single_draw_matches_reference_chi2(self, demo_p, demo_q):
-        rng = np.random.default_rng(4242)
+        # 30000 draws of 3 uniforms each, one after another on one stream
         n = 30000
-        cells = np.zeros(9)
-        for _ in range(n):
-            seq = bon_sample(demo_p, demo_q, 2, 1, rng)
-            cells[3 * seq[0] + seq[1]] += 1
+        u = np.random.default_rng(4242).random((n, 3))
+        seqs = bon_winners(demo_p, demo_q, 2, 1, u)
+        cells = np.bincount(3 * seqs[:, 0] + seqs[:, 1], minlength=9)
         expected = np.outer(demo_p.probs(), demo_p.probs()).ravel() * n
         chi2 = float(((cells - expected) ** 2 / expected).sum())
         assert chi2 <= CHI2_DF8_999
 
     def test_uniform_tie_break_preserves_reference_chi2(self, demo_p):
-        rng = np.random.default_rng(31)
         uniform_target = make_distribution((1, 1, 1))
         n = 30000
-        cells = np.zeros(3)
-        for _ in range(n):
-            seq = bon_sample(demo_p, uniform_target, 1, 5, rng)
-            cells[seq[0]] += 1
+        u = np.random.default_rng(31).random((n, 6))
+        cells = np.bincount(bon_winners(demo_p, uniform_target, 1, 5, u)[:, 0], minlength=3)
         expected = demo_p.probs() * n
         chi2 = float(((cells - expected) ** 2 / expected).sum())
         assert chi2 <= CHI2_DF2_999
 
     def test_pair_joint_three_sigma_bands(self, demo_p, demo_q):
         # 1e6 draws against the exact joint, per-cell 3 sigma multinomial
-        # bands; each draw takes 5 uniforms of one stream, as bon_sample does
+        # bands; each draw takes the next 5 uniforms of one stream
         trials = 1_000_000
         counts = _pair_counts(demo_p, demo_q, np.random.default_rng(777), trials)
         emp = counts / trials
@@ -531,7 +530,7 @@ class TestBonSample:
         rng = np.random.default_rng(777)
         counts = np.zeros((3, 3))
         for _ in range(trials):
-            seq = bon_sample(demo_p, demo_q, 2, 2, rng)
+            seq = bon_winners(demo_p, demo_q, 2, 2, rng.random((1, 5)))[0]
             counts[seq[0], seq[1]] += 1
         assert np.array_equal(chunked, counts)
 
@@ -539,7 +538,7 @@ class TestBonSample:
         targets = {"demo": demo_q, "uniform": make_distribution((1, 1, 1))}
         for (target, m, n), draws in RECORDED_BON_DRAWS.items():
             got = " ".join(
-                "".join(map(str, bon_sample(demo_p, targets[target], m, n, seed)))
+                "".join(map(str, _one_draw(demo_p, targets[target], m, n, seed)))
                 for seed in range(4)
             )
             assert got == draws, (target, m, n)
@@ -570,11 +569,11 @@ class TestBonSample:
         with pytest.raises(InvalidN):
             bon_winners(demo_p, demo_q, 3, 0, np.zeros((4, 1)))
         with pytest.raises(InvalidN):
-            bon_sample(demo_p, demo_q, 3, -2, 0)
+            check_sample_budget(3, -2)
 
 
-# bon_sample(TERNARY_P, target, m, N, seed) for seeds 0-3, recorded from the
-# per-trial sampler that bon_winners replaced.
+# One best-of-N draw of TERNARY_P, target, m, N on the stream of each of
+# seeds 0-3, recorded from the per-trial sampler that bon_winners replaced.
 RECORDED_BON_DRAWS = {
     ("demo", 1, 1): "2 2 1 0",
     ("demo", 1, 2): "2 2 1 0",
@@ -664,11 +663,18 @@ class TestExpectedTypeAndKl:
         law = bon_type_law(demo_p, demo_q, 10, BonConfig(N=3))
         assert bon_kl_to_reference(law, demo_p) <= math.log(3) + 1e-9
 
+    @staticmethod
+    def _kl_rate(p, q, m, delta):
+        """Per-symbol D(pi_N^m || phi_delta^m) / m at N = exp(m delta), as
+        equivalence-scan forms it."""
+        phi = solve_alpha_for_kl(q, p, delta).phi
+        return bon_kl_to_reference(bon_type_law(p, q, m, BonConfig(log_N=m * delta)), phi) / m
+
     def test_kl_rate_zero_budget(self, demo_p, demo_q):
-        assert bon_kl_rate_to_optimal(demo_p, demo_q, 4, 0.0) == 0.0
+        assert self._kl_rate(demo_p, demo_q, 4, 0.0) == 0.0
 
     def test_kl_rate_decreases_in_m(self, demo_p, demo_q):
-        rates = [bon_kl_rate_to_optimal(demo_p, demo_q, m, 0.11) for m in (5, 10, 20, 40)]
+        rates = [self._kl_rate(demo_p, demo_q, m, 0.11) for m in (5, 10, 20, 40)]
         assert all(r > 0 for r in rates)
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
@@ -679,7 +685,7 @@ class TestExpectedTypeAndKl:
         for m in (5, 10, 20, 40, 80):
             law = bon_type_law(demo_p, demo_q, m, BonConfig(log_N=m * 0.11))
             l1s.append(float(np.abs(bon_expected_type(law) - phi).sum()))
-            rewards = law.counts_matrix() @ demo_q.log_probs
+            rewards = law.counts @ demo_q.log_probs
             reward_rate = float(np.sum(law.class_masses() * rewards)) / m
             gaps.append(abs(reward_rate - phi_sol.expected_reward))
         assert all(b < a for a, b in zip(l1s, l1s[1:]))

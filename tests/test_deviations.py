@@ -179,16 +179,15 @@ class TestEmpiricalDeviationRate:
     def test_batching_independent_hit_count(self, demo_p, demo_q):
         # per-trial child streams: splitting the trial range across workers
         # must reproduce the single-pass count
-        from alignlab.distributions import log_sequence_prob, sample_sequence
-        from alignlab.rng import spawn_generator
+        from alignlab.distributions import symbols_from_uniforms
 
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
         t, eps, m, seed = 1.19, 0.08, 60, 13
         split = 0
         for trial in range(400):
-            seq = sample_sequence(phi, m, spawn_generator(seed, trial))
+            seq = symbols_from_uniforms(phi, spawn_generator(seed, trial).random(m))
             assert seq.dtype == np.int64 and seq.shape == (m,)
-            if abs(-log_sequence_prob(demo_q, seq) / m - t) < eps:
+            if abs(-float(np.sum(demo_q.log_probs[seq])) / m - t) < eps:
                 split += 1
         assert split == deviation_hit_count(demo_p, demo_q, 0.11, t, eps, m, 400, seed)
 

@@ -12,12 +12,9 @@ from alignlab import (
     AlphabetTooSmall,
     NonPositiveWeight,
     SizeOverflow,
-    SymbolOutOfRange,
-    count_types,
     from_log_weights,
-    log_sequence_prob,
     make_distribution,
-    sample_sequence,
+    sequence_space_log_probs,
 )
 from alignlab.distributions import (
     log_class_sizes,
@@ -98,29 +95,32 @@ def _log_class_size(counts) -> float:
     return math.lgamma(m + 1) - float(sum(math.lgamma(int(c) + 1) for c in counts))
 
 
+def _sequence_index(seq, K: int) -> int:
+    """Big-endian base-K index of a sequence, as ``sequence_space_log_probs`` orders them."""
+    return int(np.ravel_multi_index(tuple(seq), (K,) * len(seq)))
+
+
 class TestSequenceProb:
+    """The product probability of a sequence is its entry in ``sequence_space_log_probs``."""
+
     def test_uniform_product(self):
         dist = make_distribution((1, 1, 1))
-        seq = np.array([0, 1, 2])
-        assert log_sequence_prob(dist, seq) == pytest.approx(3 * math.log(1 / 3), abs=1e-15)
+        index = _sequence_index([0, 1, 2], 3)
+        assert sequence_space_log_probs(dist, 3)[index] == pytest.approx(
+            3 * math.log(1 / 3), abs=1e-15
+        )
 
     def test_demo_pair_double_zero(self, demo_p):
-        seq = np.array([0, 0])
-        assert log_sequence_prob(demo_p, seq) == pytest.approx(math.log(0.04), abs=1e-12)
+        assert sequence_space_log_probs(demo_p, 2)[0] == pytest.approx(math.log(0.04), abs=1e-12)
 
     def test_equals_type_identity(self, demo_p):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            seq = rng.integers(0, 3, size=rng.integers(1, 40))
+            seq = rng.integers(0, 3, size=rng.integers(1, 9))
             counts = np.bincount(seq, minlength=3)
             via_type = float(counts @ demo_p.log_probs)
-            assert log_sequence_prob(demo_p, seq) == pytest.approx(via_type, abs=1e-12)
-
-    def test_symbol_out_of_range(self, demo_p):
-        with pytest.raises(SymbolOutOfRange):
-            log_sequence_prob(demo_p, np.array([0, 3]))
-        with pytest.raises(SymbolOutOfRange):
-            log_sequence_prob(demo_p, np.array([0, -1]))
+            got = sequence_space_log_probs(demo_p, seq.size)[_sequence_index(seq, 3)]
+            assert got == pytest.approx(via_type, abs=1e-12)
 
 
 class TestTypeOf:
@@ -166,12 +166,13 @@ class TestEnumerateTypes:
 
     def test_all_distinct_and_sum_to_m(self):
         counts = type_counts_matrix(7, 4)
-        assert len({tuple(row) for row in counts}) == count_types(7, 4)
+        assert len({tuple(row) for row in counts}) == math.comb(7 + 4 - 1, 4 - 1)
         assert np.all(counts.sum(axis=1) == 7)
 
     def test_cap(self):
+        # C(1005, 5) = 8.5e12 types, over TYPE_CAP = 1e7
         with pytest.raises(SizeOverflow):
-            type_counts_matrix(1000, 6, cap=100)
+            type_counts_matrix(1000, 6)
 
     def test_m_grained(self):
         for probs in type_counts_matrix(5, 3) / 5:
@@ -196,7 +197,7 @@ class TestTypeCountsMatrix:
 
     def test_large_m(self):
         counts = type_counts_matrix(400, 3)
-        assert counts.shape == (count_types(400, 3), 3)
+        assert counts.shape == (math.comb(402, 2), 3)
         assert np.array_equal(counts, _lexicographic_compositions(400, 3))
 
     def test_enumerate_types_rows(self):
@@ -249,26 +250,31 @@ class TestTypeClassSize:
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def _sample_sequence(dist, m: int, seed: int) -> np.ndarray:
+    """A length-m i.i.d. sequence from the first m uniforms of ``seed``'s stream."""
+    return symbols_from_uniforms(dist, np.random.default_rng(seed).random(m))
+
+
 class TestSampleSequence:
     def test_deterministic(self, demo_p):
-        a = sample_sequence(demo_p, 50, 123)
-        b = sample_sequence(demo_p, 50, 123)
+        a = _sample_sequence(demo_p, 50, 123)
+        b = _sample_sequence(demo_p, 50, 123)
         assert np.array_equal(a, b)
 
     def test_near_point_mass(self):
         eps = 1e-6
         dist = make_distribution((1 - 2 * eps, eps, eps))
-        seq = sample_sequence(dist, 5, 7)
+        seq = _sample_sequence(dist, 5, 7)
         assert np.all(seq == 0)
 
     def test_uniform_type_concentrates(self):
         dist = make_distribution((1, 1, 1))
-        seq = sample_sequence(dist, 30000, 99)
+        seq = _sample_sequence(dist, 30000, 99)
         freqs = np.bincount(seq, minlength=3) / 30000
         assert np.max(np.abs(freqs - 1 / 3)) <= 0.02
 
     def test_symbols_in_range(self, demo_p):
-        seq = sample_sequence(demo_p, 1000, 11)
+        seq = _sample_sequence(demo_p, 1000, 11)
         assert seq.dtype == np.int64 and seq.shape == (1000,)
         assert seq.min() >= 0 and seq.max() < 3
 

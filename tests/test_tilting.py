@@ -21,7 +21,6 @@ from alignlab import (
     solve_alpha_for_kl,
     solve_beta_for_reward,
     tilt_compose_check,
-    tradeoff_curve,
 )
 from alignlab import tilting
 from alignlab.distributions import from_log_weights
@@ -203,22 +202,20 @@ class TestSolveBetaForReward:
 
 
 class TestTradeoffCurve:
+    """The expected-reward versus KL-budget curve, one budget solve per point."""
+
     def test_single_zero(self, demo_p, demo_q):
-        points = tradeoff_curve(demo_q, demo_p, [0.0])
-        assert len(points) == 1
-        assert points[0].delta == 0.0 and points[0].alpha == 0.0
-        assert points[0].expected_reward == pytest.approx(
-            -cross_entropy(demo_p, demo_q), abs=1e-15
-        )
+        sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
+        assert sol.alpha == 0.0
+        assert sol.expected_reward == pytest.approx(-cross_entropy(demo_p, demo_q), abs=1e-15)
 
     def test_monotone_rewards(self, demo_p, demo_q):
         deltas = np.linspace(0.0, 1.5, 20)
-        points = tradeoff_curve(demo_q, demo_p, deltas)
-        rewards = [pt.expected_reward for pt in points]
+        rewards = [solve_alpha_for_kl(demo_q, demo_p, float(d)).expected_reward for d in deltas]
         assert all(b >= a for a, b in zip(rewards, rewards[1:]))
 
     def test_duplicates_identical(self, demo_p, demo_q):
-        a, b = tradeoff_curve(demo_q, demo_p, [0.3, 0.3])
+        a, b = (solve_alpha_for_kl(demo_q, demo_p, 0.3) for _ in range(2))
         assert a == b
 
 
