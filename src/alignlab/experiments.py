@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bestofn import (
+    SAMPLE_BUDGET,
     BonConfig,
     bon_enumeration_oracle,
     bon_exact_pmf,
@@ -41,7 +42,7 @@ from .deviations import (
 from .errors import AlignlabError
 from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
 from .rng import spawn_generator
-from .tilting import max_achievable_kl, mismatched_tilt, solve_alpha_for_kl
+from .tilting import max_achievable_kl, mismatched_tilt, reward_target_range, solve_alpha_for_kl
 
 # Ternary demo pair used across the curve/scan experiments.
 TERNARY_REFERENCE = (0.2, 0.3, 0.5)
@@ -121,6 +122,14 @@ class ExperimentConfig:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
         if self.experiment == "ldp_probe" and self.n is not None and not self.conjecture:
             raise ValueError(f"n is read only with conjecture, got n={self.n!r}")
+        if self.conjecture:
+            m, delta = self.get("m"), self.get("delta")
+            try:
+                n = _conjecture_n(self)
+            except OverflowError:
+                raise ValueError(f"exp(m*delta) overflows, got m={m!r}, delta={delta!r}") from None
+            if n * m > SAMPLE_BUDGET:
+                raise ValueError(f"N*m must be <= {SAMPLE_BUDGET}, got N={n}, m={m}")
         for name in ("p", "q"):
             weights = getattr(self, name)
             if weights is not None and not (
@@ -133,6 +142,10 @@ class ExperimentConfig:
                 raise ValueError(f"p and q must have the same length, got {K} and {K_q}")
             if self.experiment == "ternary_figure" and K != 3:
                 raise ValueError(f"ternary_figure needs 3 weights in p and q, got {K}")
+        if self.t_grid:
+            lo, hi = reward_target_range(make_distribution(self.get("q")))
+            if not all(lo < t < hi for t in self.t_grid):
+                raise ValueError(f"t_grid must lie in ({lo!r}, {hi!r}), got {self.t_grid!r}")
 
     def get(self, name: str):
         """The field's value, or its experiment's default when it is unset."""
@@ -207,21 +220,16 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _write_outputs(report: ExperimentReport, outdir: str | None, csvs: dict) -> None:
+    """Write the CSVs and then the report, which lists them and itself."""
     if outdir is None:
         return
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    report_name = f"{report.experiment}_report.json"
+    report.results["files"] = sorted([f"{name}.csv" for name in csvs] + [report_name])
     for name, (header, rows) in csvs.items():
-        path = out / f"{name}.csv"
-        write_csv(path, header, rows)
-        written.append(path.name)
-    report_path = out / f"{report.experiment}_report.json"
-    report_path.write_text(report.to_json())
-    written.append(report_path.name)
-    report.results["files"] = sorted(written)
-    # rewrite so the report on disk lists its own companions
-    report_path.write_text(report.to_json())
+        write_csv(out / f"{name}.csv", header, rows)
+    (out / report_name).write_text(report.to_json())
 
 
 def _demo_pair(config: ExperimentConfig) -> tuple[CategoricalDistribution, CategoricalDistribution]:
@@ -644,6 +652,11 @@ def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(master), int(index))).generate_state(1, np.uint64)[0])
 
 
+def _conjecture_n(config: ExperimentConfig) -> int:
+    """N of the conjecture mode: ``n``, or round(exp(m * delta)) when unset."""
+    return config.n or round(math.exp(config.get("m") * config.get("delta")))
+
+
 def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
     """Five-point deviation grid: the mean and offsets observable at desk scale."""
     return tuple(mean_t + k * eps for k in (-3.0, -2.0, 0.0, 2.0, 3.0))
@@ -665,9 +678,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     t_grid = config.get("t_grid") or default_probe_grid(mean_t, eps)
     band = eps + math.log(trials) / m
 
-    conjecture_n = None
-    if config.get("conjecture"):
-        conjecture_n = config.get("n") or int(round(math.exp(m * delta)))
+    conjecture_n = _conjecture_n(config) if config.get("conjecture") else None
 
     rows = []
     checks: list[dict] = []

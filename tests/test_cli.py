@@ -129,6 +129,26 @@ class TestLdpProbeValidation:
         assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the derived N = round(exp(400 * 0.11)) is 1.3e19
+            (["--conjecture"], "N*m must be <= 100000000"),
+            (["--conjecture", "--n", "10000000", "--m", "11"], "N*m must be <= 100000000"),
+            (["--conjecture", "--m", "10000"], "exp(m*delta) overflows"),
+            # the reward range of the demo q is (0.405..., 2.197...)
+            (["--t-grid", "1.0,100", "--m", "10"], "t_grid must lie in (0.405"),
+            (["--t-grid", "0.405", "--m", "10"], "t_grid must lie in (0.405"),
+        ],
+    )
+    def test_unrunnable_probe_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        code = cli_dispatch(["ldp-probe", "--trials", "1", *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
