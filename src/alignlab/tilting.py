@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, from_log_weights, normalized_log_weights
+from .distributions import CategoricalDistribution, normalized_log_weights
 from .errors import (
     AlphabetMismatch,
     DegenerateFamily,
@@ -64,24 +64,28 @@ def mismatched_tilt(
         raise ValueError("alpha must be finite")
     if alpha == 0.0:
         return p
-    return from_log_weights(p.log_probs + alpha * q.log_probs)
+    lq = q.log_probs
+    return CategoricalDistribution(_tilt_log_probs(p.log_probs, lq - np.max(lq), alpha))
 
 
-def _tilt_moments(lp: np.ndarray, lq: np.ndarray, alpha: float):
+def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alpha: float) -> np.ndarray:
+    """Log-probs of T(q, p, alpha) from ``lq_top = log q - max log q``: the
+    weights round at the scale of alpha times the spread of log q, not of
+    alpha * |log q| (alpha reaches 1e4-1e7 for nearly uniform q)."""
+    return lp if alpha == 0.0 else normalized_log_weights(lp + alpha * lq_top)
+
+
+def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alpha: float):
     """Log-probs and probabilities of T(q, p, alpha), and the mean and
-    variance of log q under it.
+    variance of log q under it; ``lq_top`` is ``lq - max(lq)``.
 
     The log-probs are those of ``mismatched_tilt(q, p, alpha)``, bit for bit,
     so sums over them give the same numbers as the metrics on that tilt.
     """
-    log_phi = lp if alpha == 0.0 else normalized_log_weights(lp + alpha * lq)
+    log_phi = _tilt_log_probs(lp, lq_top, alpha)
     w = np.exp(log_phi)
     mean = float(np.sum(w * lq))
     return log_phi, w, mean, float(np.sum(w * np.square(lq - mean)))
-
-
-def _is_uniform(q: CategoricalDistribution) -> bool:
-    return float(np.ptp(q.log_probs)) <= _UNIFORM_LOGPROB_SPREAD
 
 
 def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) -> float:
@@ -157,16 +161,17 @@ def solve_alpha_for_kl(
         raise InfeasibleBudget(f"KL budget must be nonnegative and finite, got {delta!r}")
     if delta == 0.0:
         return TiltSolution(0.0, p, 0.0, -cross_entropy(p, q))
-    if _is_uniform(q):
+    if float(np.ptp(q.log_probs)) <= _UNIFORM_LOGPROB_SPREAD:
         raise DegenerateFamily("uniform alignment target: the family is the single point p")
     max_kl = max_achievable_kl(q, p)
     if delta >= max_kl - FEASIBILITY_MARGIN:
         raise InfeasibleBudget(f"delta={delta!r} >= achievable supremum {max_kl!r}")
     lp, lq = p.log_probs, q.log_probs
+    lq_top = lq - np.max(lq)
 
     def evaluate(alpha: float):
         # the same sum kl_divergence(mismatched_tilt(q, p, alpha), p) takes
-        log_phi, w, _, var = _tilt_moments(lp, lq, alpha)
+        log_phi, w, _, var = _tilt_moments(lp, lq, lq_top, alpha)
         return alpha, float(np.sum(w * (log_phi - lp))), alpha * var, log_phi
 
     def warp(kl: float):
@@ -181,7 +186,7 @@ def solve_alpha_for_kl(
     # from no further out than 1: the estimate overshoots by orders of
     # magnitude when p puts little mass on the argmax of q, and Var_p(log q)
     # can round to 0
-    var = _tilt_moments(lp, lq, 0.0)[3]
+    var = _tilt_moments(lp, lq, lq_top, 0.0)[3]
     lo, hi = 0.0, math.sqrt(2.0 * delta / var) if 2.0 * delta < var else 1.0
     below = None
     for _ in range(MAX_DOUBLINGS):
@@ -215,10 +220,11 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float
     if not (math.isfinite(t) and lo_t < t < hi_t):
         raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
     lp, lq = p.log_probs, q.log_probs
+    lq_top = lq - np.max(lq)
 
     def evaluate(beta: float):
         # H(T(q, p, beta) || q) is minus the mean of log q under the tilt
-        log_phi, _, mean, var = _tilt_moments(lp, lq, beta)
+        log_phi, _, mean, var = _tilt_moments(lp, lq, lq_top, beta)
         return beta, -mean, -var, log_phi
 
     def warp(h: float):

@@ -364,14 +364,15 @@ class TestNewtonSolvers:
         assert gap <= 1e-12 + _rounding_allowance(beta, q)
 
     def test_kernel_moments(self, demo_p, demo_q):
-        log_phi, w, mean, var = _tilt_moments(demo_p.log_probs, demo_q.log_probs, 0.7)
+        lq = demo_q.log_probs
+        log_phi, w, mean, var = _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), 0.7)
         tilt = mismatched_tilt(demo_q, demo_p, 0.7)
         assert np.array_equal(log_phi, tilt.log_probs)
         assert mean == -cross_entropy(tilt, demo_q)
         direct = np.array(_direct_tilt(TERNARY_P, TERNARY_Q, 0.7))
         lq = np.log(TERNARY_Q)
         assert var == pytest.approx(float(direct @ lq**2 - (direct @ lq) ** 2), abs=1e-14)
-        assert _tilt_moments(demo_p.log_probs, demo_q.log_probs, 0.0)[0] is demo_p.log_probs
+        assert _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), 0.0)[0] is demo_p.log_probs
 
     def test_zero_budget_takes_no_steps(self, demo_p, demo_q):
         sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
@@ -392,6 +393,20 @@ class TestNewtonSolvers:
         assert sol.iterations < MAX_STEPS
         assert sol.residual == sol.achieved_kl - delta
         assert abs(sol.residual) <= 1e-10
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1e-4]))
+    @settings(max_examples=40)
+    def test_near_uniform_target_meets_stop(self, seed, spread):
+        # a log-q spread of 1e-3 or 1e-4 puts alpha at 1e3-1e6 at half the
+        # feasible budget; tilting by q / max q keeps the rounding of D below
+        # the 1e-12 stop there (tilting by q itself left up to ~4e-12)
+        rng = np.random.default_rng(seed)
+        p = make_distribution(interior_dirichlet(rng, 64))
+        q = make_distribution(np.exp(spread * rng.standard_normal(64)))
+        delta = 0.5 * max_achievable_kl(q, p)
+        sol = solve_alpha_for_kl(q, p, delta)
+        assert sol.alpha > 1e3
+        assert abs(kl_divergence(sol.phi, p) - delta) <= 1e-12
 
     @pytest.mark.parametrize("p_top", [1e-30, 1e-200, 5e-324])
     def test_little_mass_on_target_argmax(self, p_top):
