@@ -25,7 +25,7 @@ from .distributions import (
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import cross_entropy, kl_divergence, renyi_cross_entropy
-from .rng import fill_trial_uniforms
+from .rng import trial_uniforms
 from .tilting import (
     mismatched_tilt,
     reward_target_range,
@@ -122,10 +122,8 @@ def _window_hits(q, t, eps, m, trials, seed, width, symbols_of) -> int:
     so the count does not depend on the chunking and memory stays bounded.
     """
     per_chunk = max(1, min(trials, CHUNK_UNIFORMS // width))
-    buffer = np.empty((per_chunk, width))
     hits = 0
-    for first in range(0, trials, per_chunk):
-        u = fill_trial_uniforms(seed, first, buffer[: min(per_chunk, trials - first)])
+    for u in trial_uniforms(seed, 0, trials, width, per_chunk):
         values = -q.log_probs[symbols_of(u)].sum(axis=1) / m
         hits += int(np.count_nonzero(np.abs(values - t) < eps))
     return hits

@@ -132,4 +132,4 @@ def symbols_from_uniforms(dist: CategoricalDistribution, u: np.ndarray) -> np.nd
     """
     cdf = np.cumsum(np.exp(dist.log_probs))
     cdf[-1] = 1.0  # guard the last bin against rounding
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
