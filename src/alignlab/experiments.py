@@ -142,10 +142,15 @@ class ExperimentConfig:
                 raise ValueError(f"p and q must have the same length, got {K} and {K_q}")
             if self.experiment == "ternary_figure" and K != 3:
                 raise ValueError(f"ternary_figure needs 3 weights in p and q, got {K}")
-        if self.t_grid:
+        if self.experiment == "ldp_probe":
+            try:
+                _, grid = _probe_grid(self)
+            except AlignlabError as exc:
+                raise ValueError(str(exc)) from None
             lo, hi = reward_target_range(make_distribution(self.get("q")))
-            if not all(lo < t < hi for t in self.t_grid):
-                raise ValueError(f"t_grid must lie in ({lo!r}, {hi!r}), got {self.t_grid!r}")
+            if not all(lo < t < hi for t in grid):
+                name = "t_grid" if self.t_grid else "the default t_grid (mean +- 3 eps)"
+                raise ValueError(f"{name} must lie in ({lo!r}, {hi!r}), got {grid!r}")
 
     def get(self, name: str):
         """The field's value, or its experiment's default when it is unset."""
@@ -662,6 +667,13 @@ def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
     return tuple(mean_t + k * eps for k in (-3.0, -2.0, 0.0, 2.0, 3.0))
 
 
+def _probe_grid(config: ExperimentConfig) -> tuple[float, tuple[float, ...]]:
+    """Mean per-symbol -log q under the budget's tilt (the grid centre), and the t grid."""
+    p, q = _demo_pair(config)
+    mean_t = cross_entropy(solve_alpha_for_kl(q, p, config.get("delta")).phi, q)
+    return mean_t, config.get("t_grid") or default_probe_grid(mean_t, config.get("eps"))
+
+
 def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     """Exact rate function vs its cumulant-transform oracle vs Monte Carlo.
 
@@ -673,9 +685,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     p, q = _demo_pair(config)
     delta, m, trials, eps = (config.get(name) for name in ("delta", "m", "trials", "eps"))
 
-    sol = solve_alpha_for_kl(q, p, delta)
-    mean_t = cross_entropy(sol.phi, q)
-    t_grid = config.get("t_grid") or default_probe_grid(mean_t, eps)
+    mean_t, t_grid = _probe_grid(config)
     band = eps + math.log(trials) / m
 
     conjecture_n = _conjecture_n(config) if config.get("conjecture") else None

@@ -139,6 +139,10 @@ class TestLdpProbeValidation:
             # the reward range of the demo q is (0.405..., 2.197...)
             (["--t-grid", "1.0,100", "--m", "10"], "t_grid must lie in (0.405"),
             (["--t-grid", "0.405", "--m", "10"], "t_grid must lie in (0.405"),
+            # the default grid's -3 eps point is -0.31
+            (["--eps", "0.5", "--m", "10"], "the default t_grid (mean +- 3 eps) must lie in (0.405"),
+            (["--delta", "100", "--m", "10"], "delta=100.0 >= achievable supremum"),
+            (["--delta", "100", "--t-grid", "1.0"], "delta=100.0 >= achievable supremum"),
         ],
     )
     def test_unrunnable_probe_is_usage_error(self, tmp_path, capsys, argv, message):
