@@ -13,6 +13,7 @@ from alignlab import (
     AlphabetMismatch,
     BonConfig,
     BudgetExceeded,
+    CategoricalDistribution,
     InvalidN,
     LengthMismatch,
     SizeOverflow,
@@ -23,6 +24,7 @@ from alignlab import (
     bon_type_law,
     bon_winners,
     group_reward_levels,
+    kl_divergence,
     make_distribution,
     sequence_space_log_probs,
     solve_alpha_for_kl,
@@ -658,6 +660,19 @@ class TestExpectedTypeAndKl:
             p, q = random_pair(rng, K)
             law = bon_type_law(p, q, m, BonConfig(N=n))
             assert bon_kl_to_reference(law, p) <= math.log(n) + 1e-9
+
+    @settings(max_examples=200)
+    @given(
+        _flat_instances(),
+        st.one_of(st.sampled_from([1, 2, 3, 17, 10**6, 10**9]), st.integers(1, 10**9)),
+    )
+    def test_kl_bound_log_n_minus_flat(self, instance, n):
+        # D(pi_N || p) <= log N - (N - 1)/N (Beirami et al., arXiv:2401.01879),
+        # tighter than log N, over random and tie-heavy rewards
+        log_probs, rewards = instance
+        p = CategoricalDistribution(log_probs)
+        pi = bon_exact_pmf(p, rewards, n)
+        assert kl_divergence(pi, p) <= math.log(n) - (n - 1) / n + 1e-9
 
     def test_kl_to_optimal_bound_demo(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 10, BonConfig(N=3))

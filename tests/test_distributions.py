@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alignlab import (
@@ -280,26 +280,46 @@ class TestSampleSequence:
 
 
 class TestSymbolsFromUniforms:
+    # a fixed K = 1024 Dirichlet(0.3) draw, whose guide table needs several
+    # step passes in some bucket
+    SKEWED = np.random.default_rng(2024).dirichlet(np.full(1024, 0.3)) + 1e-300
+
     @settings(max_examples=40)
     @given(
-        K=st.integers(2, 64),
+        K=st.integers(2, 1024),
         seed=st.integers(0, 2**32 - 1),
-        tiny=st.booleans(),
+        tiny=st.integers(0, 8),
+        skewed=st.booleans(),
     )
-    def test_counts_cdf_steps_at_or_below(self, K, seed, tiny):
+    @example(K=1024, seed=0, tiny=0, skewed=True)
+    def test_counts_cdf_steps_at_or_below(self, K, seed, tiny, skewed):
         # the symbol of u is the number of CDF steps <= u, checked with
-        # uniforms placed exactly on every step and just below it
+        # uniforms placed exactly on every step and just below it, and on
+        # every guide-table bucket edge j/G and just below it; underflowing
+        # weights put many steps in one bucket
         rng = np.random.default_rng(seed)
-        weights = rng.random(K) + 1e-3
-        if tiny:
-            weights[rng.integers(K)] = 1e-300
+        weights = self.SKEWED if skewed else rng.random(K) + 1e-3
+        if tiny and not skewed:
+            weights[rng.integers(K, size=tiny)] = 1e-300
         dist = make_distribution(weights)
+        _, G, _, passes = dist._guide_table
+        # exactness rests on u*G and j/G being exact: G is a power of two
+        assert G >= 4 * dist.K and G & (G - 1) == 0
+        assert passes > 1 or not skewed
         cdf = np.cumsum(np.exp(dist.log_probs))
         steps = cdf[:-1]
-        u = np.concatenate([rng.random(500), steps, np.nextafter(steps, 0.0), [0.0]])
-        u = u[u < 1.0].reshape(1, -1)
+        edges = np.arange(G) / G
+        u = np.concatenate(
+            [rng.random(500), steps, np.nextafter(steps, 0.0), edges, np.nextafter(edges, 0.0)]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)].reshape(1, -1)
         expected = (u[..., None] >= steps).sum(axis=-1)
         got = symbols_from_uniforms(dist, u)
         assert got.dtype == np.int64 and got.shape == u.shape
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.0, np.nan])
+    def test_rejects_uniforms_outside_unit_interval(self, demo_p, bad):
+        u = np.array([0.0, 0.5, bad, 0.25])
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            symbols_from_uniforms(demo_p, u)

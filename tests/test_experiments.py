@@ -156,6 +156,9 @@ class TestRandomAlphabet:
         assert report.passed
         assert report.results["max_kl_to_optimal"] <= 0.5
         assert report.results["max_kl_bound_excess"] <= 1e-9
+        # N = 1 makes log N - (N - 1)/N = 0 = D, so the tighter bound is tight
+        assert report.results["max_kl_bound_log_n_minus_excess"] == 0.0
+        assert {c["name"] for c in report.checks} >= {"kl_bound_log_n", "kl_bound_log_n_minus"}
 
     def test_single_draw_rows_are_zero(self):
         report = run_random_alphabet(
@@ -180,6 +183,16 @@ class TestClosenessBound:
         assert report.results["violations"] == 0
         assert report.results["accepted"] > 50
         assert report.results["max_bound_excess"] <= 1e-9
+
+    def test_degenerate_trials_counted_apart(self, tmp_path):
+        # at this seed one trial is feasible only at a mixing weight of ~1e-12
+        # (psi ~ phi); it is neither accepted nor a CSV row
+        config = ExperimentConfig("closeness_bound", trials=100, seed=12, output_dir=str(tmp_path))
+        r = run_closeness_bound(config).results
+        assert r["degenerate"] == 1 and r["accepted"] == 95
+        assert r["accepted"] + r["skipped"] + r["degenerate"] == r["trials"]
+        rows = (tmp_path / "closeness_bound.csv").read_text().splitlines()[1:]
+        assert len(rows) == r["accepted"]
 
 
 class TestLdpProbe:
