@@ -40,36 +40,9 @@ from .logspace import cumulative_log_probs, log_power_diff
 REWARD_TIE_TOL = 1e-12
 ORACLE_TUPLE_CAP = 10_000_000
 SAMPLE_BUDGET = 100_000_000
-# exp(log_N) must stay a finite float multiplier
+# bon_type_law's N is at most exp(MAX_LOG_N): N multiplies log masses, and
+# class log-probs stay finite up to this bound
 MAX_LOG_N = 690.0
-
-
-@dataclass(frozen=True)
-class BonConfig:
-    """Best-of-N sample count, given directly or as log N for huge regimes."""
-
-    N: int | None = None
-    log_N: float | None = None
-
-    def __post_init__(self):
-        if (self.N is None) == (self.log_N is None):
-            raise InvalidN("exactly one of N / log_N must be set")
-        if self.N is not None and (not isinstance(self.N, int) or self.N < 1):
-            raise InvalidN(f"N must be a positive integer, got {self.N!r}")
-        if self.log_N is not None:
-            log_n = float(self.log_N)
-            if not (0.0 <= log_n <= MAX_LOG_N):
-                raise InvalidN(f"log_N must be in [0, {MAX_LOG_N}], got {self.log_N!r}")
-            object.__setattr__(self, "log_N", log_n)
-
-    @property
-    def n_effective(self) -> float:
-        """N as a float multiplier of log masses (fractional in the log_N regime)."""
-        return float(self.N) if self.N is not None else math.exp(self.log_N)
-
-    @property
-    def is_single_draw(self) -> bool:
-        return self.n_effective == 1.0
 
 
 @dataclass(frozen=True)
@@ -167,26 +140,31 @@ def bon_type_law(
     p: CategoricalDistribution,
     q: CategoricalDistribution,
     m: int,
-    config: BonConfig,
+    N: float,
 ) -> TypeLaw:
     """Exact best-of-N law over length-m sequences, per type class.
 
     Class reward is sum_k counts_k log q_k and the reference per-sequence log
     probability is sum_k counts_k log p_k; the level formula then assigns one
-    per-sequence value to each class.  With ``log_N`` set, N enters only as
-    the float multiplier exp(log_N).  N = 1 gives the law of p^m itself.
+    per-sequence value to each class.  N enters only as a multiplier of log
+    masses, so it may be any int or float in [1, exp(``MAX_LOG_N``)], such as
+    exp(m * delta); N = 1 gives the law of p^m itself.
     """
     if p.K != q.K:
         raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
+    if isinstance(N, bool) or not isinstance(N, (int, float, np.integer)) or not (
+        1 <= N <= math.exp(MAX_LOG_N)
+    ):
+        raise InvalidN(f"N must be a number in [1, exp({MAX_LOG_N})], got {N!r}")
     counts = type_counts_matrix(m, p.K)
     sizes = log_class_sizes(counts)
     ref_lp = counts @ p.log_probs
     rewards = counts @ q.log_probs
-    if config.is_single_draw:
+    if N == 1:
         seq_lp = ref_lp
     else:
         class_log_mass = sizes + ref_lp
-        seq_lp = _winner_log_probs(class_log_mass, rewards, config.n_effective)
+        seq_lp = _winner_log_probs(class_log_mass, rewards, float(N))
         # _winner_log_probs reshapes whole-class masses; per-sequence values
         # divide the class mass back out
         seq_lp = seq_lp - sizes

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         command = experiment.replace("_", "-")
         cp = sub.add_parser(command, help=f"run the {command} experiment", allow_abbrev=False)
         cp.add_argument("--config", help="flat key = value config file")
-        cp.add_argument("--seed", help="master seed (64-bit integer; default: 0)")
+        cp.add_argument("--seed", help="master seed (nonnegative integer; default: 0)")
         cp.add_argument(
             "--out", dest="output_dir", metavar="DIR", help="output directory for CSV/JSON files"
         )

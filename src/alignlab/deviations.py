@@ -1,11 +1,12 @@
 """Rate functions, scaled reward cumulants, and Monte Carlo deviation probes.
 
-For a tilted product source, the per-symbol negative log likelihood under the
-alignment target obeys an exponential decay law for rare deviations; its rate
-at a point t is the KL divergence from the reward-matched tilt at t back to
-the base model.  The scaled cumulants of the reward are Renyi cross entropies
-of the base to the target, exactly at every sequence length because product
-measures factorize.
+For a tilted product source phi, the per-symbol negative log likelihood under
+the alignment target obeys an exponential decay law for rare deviations; its
+rate at a point t is the KL divergence from the reward-matched tilt at t back
+to phi.  The scaled cumulants of the reward are Renyi cross entropies of phi
+to the target, exactly at every sequence length because product measures
+factorize.  Every function here takes the source phi itself, not a KL
+budget, so a caller solves the budget's tilt phi_delta once and passes it.
 """
 
 from __future__ import annotations
@@ -15,23 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestofn import bon_winners, check_sample_budget
-from .distributions import (
-    CategoricalDistribution,
-    log_class_sizes,
-    symbols_from_uniforms,
-    type_counts_matrix,
-)
+from .bestofn import bon_type_law, bon_winners, check_sample_budget
+from .distributions import CategoricalDistribution, symbols_from_uniforms
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import cross_entropy, kl_divergence, renyi_cross_entropy
 from .rng import trial_uniforms
-from .tilting import (
-    mismatched_tilt,
-    reward_target_range,
-    solve_alpha_for_kl,
-    solve_beta_for_reward,
-)
+from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward
 
 RHO_ZERO_WINDOW = 1e-6
 LEGENDRE_BRACKET_TOL = 1e-9
@@ -61,53 +52,50 @@ class CumulantPoint:
 def rate_function(
     p: CategoricalDistribution,
     q: CategoricalDistribution,
-    delta: float,
+    phi: CategoricalDistribution,
     t: float,
 ) -> RatePoint:
-    """Rate of P(|per-symbol -log q^m(Y) - t| small) under the delta-tilted base.
+    """Rate of P(|per-symbol -log q^m(Y) - t| small) under the source phi^m.
 
-    delta = 0 gives the rate under the reference itself.
+    phi is a tilt T(q, p, alpha) of the reference p; phi = p gives the rate
+    under the reference itself.
     """
-    base = solve_alpha_for_kl(q, p, delta).phi
     beta = solve_beta_for_reward(q, p, t)
-    rate = kl_divergence(mismatched_tilt(q, p, beta), base)
+    rate = kl_divergence(mismatched_tilt(q, p, beta), phi)
     return RatePoint(t=t, beta=beta, rate=rate)
 
 
 def scaled_cumulant(
-    p: CategoricalDistribution,
+    phi: CategoricalDistribution,
     q: CategoricalDistribution,
-    delta: float,
     rho: float,
 ) -> CumulantPoint:
-    """(1/m rho) log E[exp(rho reward)] in the large-m limit (exact per symbol)."""
+    """(1/m rho) log E[exp(rho reward)] under phi^m in the large-m limit
+    (exact per symbol)."""
     if rho < 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho!r}")
-    phi = solve_alpha_for_kl(q, p, delta).phi
     if rho < RHO_ZERO_WINDOW:
         return CumulantPoint(rho=rho, value=-cross_entropy(phi, q))
     return CumulantPoint(rho=rho, value=-renyi_cross_entropy(phi, q, 1.0 + rho))
 
 
 def finite_m_cumulant_check(
-    p: CategoricalDistribution,
+    phi: CategoricalDistribution,
     q: CategoricalDistribution,
-    delta: float,
     rho: float,
     m: int,
 ) -> tuple[float, float]:
     """Both sides of the finite-m cumulant identity.
 
     Returns ((1/(m rho)) log E_{Y ~ phi^m}[exp(rho reward(Y))] via exact
-    type-class summation, and the closed form from the Renyi cross entropy.
-    The identity is exact at every m because E factorizes over symbols.
+    summation over the type classes of phi^m (``bon_type_law`` at N = 1),
+    and the closed form from the Renyi cross entropy.  The identity is exact
+    at every m because E factorizes over symbols.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho!r}")
-    phi = solve_alpha_for_kl(q, p, delta).phi
-    counts = type_counts_matrix(m, p.K)
-    sizes = log_class_sizes(counts)
-    log_terms = sizes + counts @ phi.log_probs + rho * (counts @ q.log_probs)
+    law = bon_type_law(phi, q, m, 1)
+    log_terms = law.class_log_sizes + law.per_seq_log_probs + rho * (law.counts @ q.log_probs)
     lhs = logsumexp(log_terms) / (m * rho)
     rhs = -renyi_cross_entropy(phi, q, 1.0 + rho)
     return lhs, rhs
@@ -130,23 +118,21 @@ def _window_hits(q, t, eps, m, trials, seed, width, symbols_of) -> int:
 
 
 def deviation_hit_count(
-    p: CategoricalDistribution,
+    phi: CategoricalDistribution,
     q: CategoricalDistribution,
-    delta: float,
     t: float,
     eps: float,
     m: int,
     trials: int,
     seed: int,
 ) -> int:
-    """Number of tilted-source samples whose per-symbol value lands in the window.
+    """Number of samples of phi^m whose per-symbol value lands in the window.
 
     Trial i draws its m symbols from the m uniforms of the child stream
     ``spawn_generator(seed, i)``.
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
-    phi = solve_alpha_for_kl(q, p, delta).phi
     return _window_hits(q, t, eps, m, trials, seed, m, lambda u: symbols_from_uniforms(phi, u))
 
 
@@ -184,9 +170,8 @@ def rate_from_hits(hits: int, trials: int, m: int) -> float | None:
 
 
 def legendre_oracle(
-    p: CategoricalDistribution,
+    phi: CategoricalDistribution,
     q: CategoricalDistribution,
-    delta: float,
     t: float,
 ) -> float:
     """Rate at t recovered from the cumulant curve instead of root-finding.
@@ -198,7 +183,6 @@ def legendre_oracle(
     lo_t, hi_t = reward_target_range(q)
     if not (lo_t < t < hi_t):
         raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
-    phi = solve_alpha_for_kl(q, p, delta).phi
     lphi = phi.log_probs
     lq = q.log_probs
 

@@ -44,7 +44,7 @@ class LengthMismatch(AlignlabError):
 
 
 class InvalidN(AlignlabError):
-    """The sample count N is not a positive integer (or valid log N)."""
+    """The sample count N is out of range, or not a positive integer where one is needed."""
 
 
 class BudgetExceeded(AlignlabError):

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .bestofn import (
+    MAX_LOG_N,
+    ORACLE_TUPLE_CAP,
     SAMPLE_BUDGET,
-    BonConfig,
     bon_enumeration_oracle,
     bon_exact_pmf,
     bon_expected_type,
@@ -28,6 +29,7 @@ from .bestofn import (
     sequence_space_log_probs,
 )
 from .distributions import (
+    TYPE_CAP,
     CategoricalDistribution,
     from_log_weights,
     make_distribution,
@@ -61,6 +63,17 @@ PAIR_DEMO_JOINT = {
     (2, 2): (103, 400),
 }
 PAIR_DEMO_MARGINAL0 = (209, 625)
+
+# The KL contour of the ternary figure: rays out of p, bisected to this width.
+CONTOUR_DIRECTIONS = 360
+CONTOUR_TOL = 1e-10
+# Points along the figure's reward chord.
+CHORD_SAMPLES = 50
+# random_alphabet's default N grid: this many geometric points in [1, N_GRID_MAX].
+N_GRID_POINTS = 12
+N_GRID_MAX = 1000
+# Random pairs are drawn until every coordinate clears this floor.
+DIRICHLET_FLOOR = 1e-12
 
 
 # Fields every experiment reads, next to the ones it declares in FIELDS.
@@ -142,9 +155,31 @@ class ExperimentConfig:
                 raise ValueError(f"p and q must have the same length, got {K} and {K_q}")
             if self.experiment == "ternary_figure" and K != 3:
                 raise ValueError(f"ternary_figure needs 3 weights in p and q, got {K}")
+        if self.experiment == "example1":
+            K, m, n = len(self.get("p")), self.get("m"), self.get("n")
+            # (K^m)^n, exactly: K >= 2, so K^e is over the cap once e reaches
+            # the cap's bit length, and the exponent is capped there
+            if K ** min(m * n, ORACLE_TUPLE_CAP.bit_length()) > ORACLE_TUPLE_CAP:
+                raise ValueError(
+                    f"(K^m)^n must be <= {ORACLE_TUPLE_CAP}, got K={K}, m={m}, n={n}"
+                )
+        if self.experiment in ("ternary_figure", "equivalence_scan"):
+            # the type law's largest m, then its N: n, or exp(m * delta)
+            ternary = self.experiment == "ternary_figure"
+            K = len(self.get("p"))
+            m = self.get("m") if ternary else max(self.get("m_grid"))
+            if math.comb(m + K - 1, K - 1) > TYPE_CAP:
+                raise ValueError(
+                    f"type classes C(m+K-1, K-1) must be <= {TYPE_CAP}, got m={m}, K={K}"
+                )
+            if ternary and self.get("n") > math.exp(MAX_LOG_N):
+                raise ValueError(f"n must be <= exp({MAX_LOG_N}), got {self.get('n')}")
+            delta = self.get("delta")
+            if not ternary and m * delta > MAX_LOG_N:
+                raise ValueError(f"m*delta (log N) must be <= {MAX_LOG_N}, got m={m}, delta={delta}")
         if self.experiment == "ldp_probe":
             try:
-                _, grid = _probe_grid(self)
+                _, _, grid = _probe_grid(self)
             except AlignlabError as exc:
                 raise ValueError(str(exc)) from None
             lo, hi = reward_target_range(make_distribution(self.get("q")))
@@ -343,19 +378,17 @@ def _radial_contour_points(
     return p_probs + r[:, None] * d, clamped
 
 
-def _trace_kl_contour(
-    p_probs: np.ndarray, delta: float, directions: int = 360, tol: float = 1e-10
-) -> tuple[np.ndarray, int]:
+def _trace_kl_contour(p_probs: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
     """Closed polyline of {v : D(v||p) = delta} by radial root-finding."""
     e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
-    thetas = [2.0 * math.pi * i / directions for i in range(directions)]
+    thetas = [2.0 * math.pi * i / CONTOUR_DIRECTIONS for i in range(CONTOUR_DIRECTIONS)]
     d = np.array([math.cos(theta) * e1 + math.sin(theta) * e2 for theta in thetas])
-    points, clamped = _radial_contour_points(p_probs, d, delta, tol)
+    points, clamped = _radial_contour_points(p_probs, d, delta, CONTOUR_TOL)
     return np.vstack([points, points[:1]]), int(clamped.sum())
 
 
-def _reward_contour_segment(q: CategoricalDistribution, level: float, samples: int = 50) -> np.ndarray:
+def _reward_contour_segment(q: CategoricalDistribution, level: float) -> np.ndarray:
     """The chord {w : sum_k w_k log(1/q_k) = level} across the ternary simplex."""
     vertex_values = -q.log_probs
     endpoints = []
@@ -373,7 +406,7 @@ def _reward_contour_segment(q: CategoricalDistribution, level: float, samples: i
     if len(endpoints) < 2:
         raise AlignlabError(f"reward level {level!r} does not cross the simplex")
     a, b = endpoints[0], endpoints[-1]
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, CHORD_SAMPLES)
     return (1.0 - ts)[:, None] * a[None, :] + ts[:, None] * b[None, :]
 
 
@@ -433,7 +466,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
         family_rows.append((probs[0], probs[1], probs[2], "aligned_family"))
     csvs["aligned_family"] = (["x_bary1", "x_bary2", "x_bary3", "curve_tag"], family_rows)
 
-    law = bon_type_law(p, q, m, BonConfig(N=n))
+    law = bon_type_law(p, q, m, n)
     e_type = bon_expected_type(law)
     l1_bon = float(np.abs(e_type - phi_probs).sum())
     l1_ref = float(np.abs(p_probs - phi_probs).sum())
@@ -470,7 +503,7 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     kl_rates = []
     bound_ok = True
     for m in m_grid:
-        law = bon_type_law(p, q, int(m), BonConfig(log_N=m * delta))
+        law = bon_type_law(p, q, int(m), math.exp(m * delta))
         kl_rate = bon_kl_to_reference(law, sol.phi) / m
         kl_ref_seq = bon_kl_to_reference(law, p)
         reward_gap = abs(expected_reward_rate(law, q) - sol.expected_reward)
@@ -509,17 +542,17 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     return _finish(report, started, config.output_dir, csvs)
 
 
-def default_n_grid(points: int = 12, n_max: int = 1000) -> tuple[int, ...]:
-    """Geometric grid of integer sample counts in [1, n_max]."""
-    grid = sorted({int(round(x)) for x in np.geomspace(1.0, float(n_max), points)})
-    return tuple(grid)
+def default_n_grid() -> tuple[int, ...]:
+    """Geometric grid of integer sample counts in [1, N_GRID_MAX]."""
+    points = np.geomspace(1.0, float(N_GRID_MAX), N_GRID_POINTS)
+    return tuple(sorted({int(round(x)) for x in points}))
 
 
-def _dirichlet_interior(rng: np.random.Generator, K: int, floor: float = 1e-12) -> np.ndarray:
-    """Flat Dirichlet draw rejected until all coordinates clear the floor."""
+def _dirichlet_interior(rng: np.random.Generator, K: int) -> np.ndarray:
+    """Flat Dirichlet draw rejected until all coordinates clear DIRICHLET_FLOOR."""
     while True:
         draw = rng.dirichlet(np.ones(K))
-        if draw.min() >= floor:
+        if draw.min() >= DIRICHLET_FLOOR:
             return draw
 
 
@@ -693,11 +726,15 @@ def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
     return tuple(mean_t + k * eps for k in (-3.0, -2.0, 0.0, 2.0, 3.0))
 
 
-def _probe_grid(config: ExperimentConfig) -> tuple[float, tuple[float, ...]]:
-    """Mean per-symbol -log q under the budget's tilt (the grid centre), and the t grid."""
+def _probe_grid(
+    config: ExperimentConfig,
+) -> tuple[CategoricalDistribution, float, tuple[float, ...]]:
+    """The budget's tilt phi, the mean per-symbol -log q under it (the grid
+    centre), and the t grid."""
     p, q = _demo_pair(config)
-    mean_t = cross_entropy(solve_alpha_for_kl(q, p, config.get("delta")).phi, q)
-    return mean_t, config.get("t_grid") or default_probe_grid(mean_t, config.get("eps"))
+    phi = solve_alpha_for_kl(q, p, config.get("delta")).phi
+    mean_t = cross_entropy(phi, q)
+    return phi, mean_t, config.get("t_grid") or default_probe_grid(mean_t, config.get("eps"))
 
 
 def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
@@ -711,7 +748,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     p, q = _demo_pair(config)
     delta, m, trials, eps = (config.get(name) for name in ("delta", "m", "trials", "eps"))
 
-    mean_t, t_grid = _probe_grid(config)
+    phi, mean_t, t_grid = _probe_grid(config)
     band = eps + math.log(trials) / m
 
     conjecture_n = _conjecture_n(config) if config.get("conjecture") else None
@@ -722,10 +759,10 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     max_band_dev = 0.0
     undefined_shallow = 0
     for i, t in enumerate(t_grid):
-        point = rate_function(p, q, delta, float(t))
-        oracle = legendre_oracle(p, q, delta, float(t))
+        point = rate_function(p, q, phi, float(t))
+        oracle = legendre_oracle(phi, q, float(t))
         max_oracle_dev = max(max_oracle_dev, abs(point.rate - oracle))
-        hits = deviation_hit_count(p, q, delta, float(t), eps, m, trials, _point_seed(config.seed, i))
+        hits = deviation_hit_count(phi, q, float(t), eps, m, trials, _point_seed(config.seed, i))
         mc = rate_from_hits(hits, trials, m)
         if mc is None:
             if point.rate <= 3.0:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from alignlab import (
-    BonConfig,
     ExperimentConfig,
     bon_enumeration_oracle,
     bon_exact_pmf,
@@ -100,7 +99,7 @@ def test_criterion_03_oracle_equivalence():
             n,
         ).probs()
         worst = max(worst, float(np.max(np.abs(flat - oracle))))
-        law = bon_type_law(p, q, m, BonConfig(N=n))
+        law = bon_type_law(p, q, m, n)
         classes = zip(law.counts, law.per_seq_log_probs)
         by_class = {tuple(c): math.exp(lp) for c, lp in classes}
         for idx in range(K**m):
@@ -129,7 +128,7 @@ def test_criterion_04_kl_bound():
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 100))
         p, q = random_pair(rng, K)
-        law = bon_type_law(p, q, m, BonConfig(N=n))
+        law = bon_type_law(p, q, m, n)
         from alignlab import bon_kl_to_reference
 
         worst_excess = max(worst_excess, bon_kl_to_reference(law, p) - math.log(n))
@@ -191,9 +190,10 @@ def test_criterion_07_cumulant_identity():
         pairs.append((rp, rq, 0.3 * max_achievable_kl(rq, rp)))
     worst = 0.0
     for pp, qq, delta in pairs:
+        phi = solve_alpha_for_kl(qq, pp, delta).phi
         for m in range(1, 11):
             for rho in (0.25, 0.5, 1.0, 2.0):
-                lhs, rhs = finite_m_cumulant_check(pp, qq, delta, rho, m)
+                lhs, rhs = finite_m_cumulant_check(phi, qq, rho, m)
                 worst = max(worst, abs(lhs - rhs))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -210,14 +210,14 @@ def test_criterion_08_rate_function_consistency():
     for _ in range(10):
         p, q = random_pair(rng, 3)
         delta = float(rng.uniform(0.1, 0.8)) * max_achievable_kl(q, p)
+        phi = solve_alpha_for_kl(q, p, delta).phi
         lo, hi = reward_target_range(q)
         for frac in np.linspace(0.05, 0.95, 20):
             t = lo + float(frac) * (hi - lo)
-            exact = rate_function(p, q, delta, t).rate
-            worst = max(worst, abs(exact - legendre_oracle(p, q, delta, t)))
-        phi = solve_alpha_for_kl(q, p, delta).phi
+            exact = rate_function(p, q, phi, t).rate
+            worst = max(worst, abs(exact - legendre_oracle(phi, q, t)))
         mean_t = float(phi.probs() @ (-q.log_probs))
-        worst_mean = max(worst_mean, rate_function(p, q, delta, mean_t).rate)
+        worst_mean = max(worst_mean, rate_function(p, q, phi, mean_t).rate)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-5 and worst_mean <= 1e-10 and elapsed < 60.0
     _report(8, ok, f"oracle gap max {worst:.2e}, rate at mean max {worst_mean:.2e}, {elapsed:.1f}s")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from alignlab import (
     AlphabetMismatch,
-    BonConfig,
     BudgetExceeded,
     CategoricalDistribution,
     InvalidN,
@@ -31,7 +30,7 @@ from alignlab import (
     from_log_weights,
 )
 
-from alignlab.bestofn import REWARD_TIE_TOL, _winner_log_probs, check_sample_budget
+from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs, check_sample_budget
 from alignlab.logspace import log_power_diff, logsumexp
 
 from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, random_pair
@@ -64,25 +63,24 @@ def _pair_space(p, q):
     return probs, rewards
 
 
-class TestBonConfig:
-    def test_exactly_one_of_n_logn(self):
-        with pytest.raises(InvalidN):
-            BonConfig()
-        with pytest.raises(InvalidN):
-            BonConfig(N=2, log_N=1.0)
+class TestBonTypeLawN:
+    def test_invalid_values(self, demo_p, demo_q):
+        # N is an int or float in [1, exp(MAX_LOG_N)], never a bool
+        too_large = math.exp(MAX_LOG_N) * 1.01
+        for N in (0, 0.5, math.nan, math.inf, -math.inf, True, too_large, "2", None):
+            with pytest.raises(InvalidN):
+                bon_type_law(demo_p, demo_q, 3, N)
 
-    def test_invalid_values(self):
-        with pytest.raises(InvalidN):
-            BonConfig(N=0)
-        with pytest.raises(InvalidN):
-            BonConfig(N=2.5)
-        with pytest.raises(InvalidN):
-            BonConfig(log_N=-0.1)
-
-    def test_effective_n(self):
-        assert BonConfig(N=7).n_effective == 7.0
-        assert BonConfig(log_N=0.0).is_single_draw
-        assert BonConfig(log_N=2.0).n_effective == pytest.approx(math.exp(2.0), rel=1e-15)
+    def test_effective_n(self, demo_p, demo_q):
+        by_int = bon_type_law(demo_p, demo_q, 3, 7)
+        by_float = bon_type_law(demo_p, demo_q, 3, 7.0)
+        assert np.array_equal(by_int.per_seq_log_probs, by_float.per_seq_log_probs)
+        single = bon_type_law(demo_p, demo_q, 3, math.exp(0.0))
+        assert np.array_equal(single.per_seq_log_probs, single.counts @ demo_p.log_probs)
+        # fractional N (log N = log 2.5) and the largest N are valid multipliers
+        for N in (2.5, math.exp(2.0), math.exp(MAX_LOG_N)):
+            law = bon_type_law(demo_p, demo_q, 3, N)
+            assert float(law.class_masses().sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRewardLevels:
@@ -147,19 +145,19 @@ class TestBonExactPmf:
 
 class TestBonTypeLaw:
     def test_marginal_via_expected_type(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 2, BonConfig(N=2))
+        law = bon_type_law(demo_p, demo_q, 2, 2)
         # exchangeability makes the single-symbol marginal the expected type
         etype = bon_expected_type(law)
         assert abs(etype[0] - float(MARGINAL_0)) <= 1e-12
 
     def test_single_draw_equals_product_law(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 4, BonConfig(N=1))
+        law = bon_type_law(demo_p, demo_q, 4, 1)
         assert np.array_equal(law.per_seq_log_probs, law.counts @ demo_p.log_probs)
 
     def test_matches_enumeration_oracle_per_sequence(self, demo_p, demo_q):
         p2 = make_distribution((0.35, 0.65))
         q2 = make_distribution((0.8, 0.2))
-        law = bon_type_law(p2, q2, 3, BonConfig(N=3))
+        law = bon_type_law(p2, q2, 3, 3)
         oracle = bon_enumeration_oracle(p2, q2, 3, 3)
         by_class = dict(zip(map(tuple, law.counts), law.per_seq_log_probs))
         for idx in range(8):
@@ -168,24 +166,24 @@ class TestBonTypeLaw:
             assert math.exp(by_class[counts]) == pytest.approx(oracle[idx], abs=1e-12)
 
     def test_normalization_across_regimes(self, demo_p, demo_q):
-        for m, config in [
-            (2, BonConfig(N=2)),
-            (6, BonConfig(N=17)),
-            (40, BonConfig(log_N=40 * 0.11)),
-            (80, BonConfig(log_N=80 * 0.11)),
-            (160, BonConfig(log_N=160 * 0.11)),
+        for m, N in [
+            (2, 2),
+            (6, 17),
+            (40, math.exp(40 * 0.11)),
+            (80, math.exp(80 * 0.11)),
+            (160, math.exp(160 * 0.11)),
         ]:
-            law = bon_type_law(demo_p, demo_q, m, config)
+            law = bon_type_law(demo_p, demo_q, m, N)
             assert float(law.class_masses().sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_fractional_effective_n(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 5, BonConfig(log_N=0.55))
+        law = bon_type_law(demo_p, demo_q, 5, math.exp(0.55))
         assert float(law.class_masses().sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_size_overflow(self, demo_p, demo_q):
         with pytest.raises(SizeOverflow):
             # C(10002, 2) = 5.0e7 types, over TYPE_CAP = 1e7
-            bon_type_law(demo_p, demo_q, 10_000, BonConfig(N=2))
+            bon_type_law(demo_p, demo_q, 10_000, 2)
 
     def test_cross_type_reward_tie(self, demo_p):
         # q0^2 == q1 * q2 makes the types (2,0,0) and (0,1,1) collide at one
@@ -193,7 +191,7 @@ class TestBonTypeLaw:
         # the brute-force oracle
         q = make_distribution((2 / 7, 4 / 7, 1 / 7))
         assert abs(2 * q.log_probs[0] - (q.log_probs[1] + q.log_probs[2])) < 1e-12
-        law = bon_type_law(demo_p, q, 2, BonConfig(N=3))
+        law = bon_type_law(demo_p, q, 2, 3)
         oracle = bon_enumeration_oracle(demo_p, q, 2, 3)
         classes = zip(law.counts, law.per_seq_log_probs)
         by_class = {tuple(c): math.exp(lp) for c, lp in classes}
@@ -203,8 +201,8 @@ class TestBonTypeLaw:
             assert abs(by_class[counts] - oracle[idx]) <= 1e-12
 
     def test_log_n_matches_integer_n(self, demo_p, demo_q):
-        by_int = bon_type_law(demo_p, demo_q, 6, BonConfig(N=5))
-        by_log = bon_type_law(demo_p, demo_q, 6, BonConfig(log_N=math.log(5.0)))
+        by_int = bon_type_law(demo_p, demo_q, 6, 5)
+        by_log = bon_type_law(demo_p, demo_q, 6, math.exp(math.log(5.0)))
         assert np.max(np.abs(by_int.per_seq_log_probs - by_log.per_seq_log_probs)) <= 1e-9
 
 
@@ -362,19 +360,19 @@ class TestArrayKernel:
         st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
         st.integers(1, 25),
         st.one_of(
-            st.integers(2, 10**9).map(lambda n: BonConfig(N=n)),
-            st.floats(0.0, 40.0).map(lambda log_n: BonConfig(log_N=log_n)),
+            st.integers(2, 10**9),
+            st.floats(0.0, 40.0).map(math.exp),
         ),
     )
-    def test_type_law_with_cross_type_ties(self, a, b, p_weights, m, config):
+    def test_type_law_with_cross_type_ties(self, a, b, p_weights, m, N):
         p, q = _cross_tie_pair(a, b, p_weights)
-        law = bon_type_law(p, q, m, config)
+        law = bon_type_law(p, q, m, N)
         assert abs(float(law.class_masses().sum()) - 1.0) <= 1e-12
-        if config.is_single_draw:
+        if N == 1:
             return
         counts = law.counts
         class_lp = law.class_log_sizes + counts @ p.log_probs
-        ref, scale = _loop_winner_log_probs(class_lp, counts @ q.log_probs, config.n_effective)
+        ref, scale = _loop_winner_log_probs(class_lp, counts @ q.log_probs, float(N))
         got = law.per_seq_log_probs + law.class_log_sizes
         live = ref > -700.0
         tol = 1e-12 + 32 * _EPS * scale[live]
@@ -409,11 +407,11 @@ class TestArrayKernel:
     def test_type_law_50_digits(self, demo_p):
         # the cross-type tie pair at m=4, where 50 digits resolve every class
         p, q = demo_p, make_distribution((2 / 7, 4 / 7, 1 / 7))
-        for config in (BonConfig(N=17), BonConfig(log_N=9.5)):
-            law = bon_type_law(p, q, 4, config)
+        for N in (17, math.exp(9.5)):
+            law = bon_type_law(p, q, 4, N)
             counts = law.counts
             class_lp = law.class_log_sizes + counts @ p.log_probs
-            exact = _mp_winner_log_probs(class_lp, counts @ q.log_probs, config.n_effective)
+            exact = _mp_winner_log_probs(class_lp, counts @ q.log_probs, float(N))
             got = law.per_seq_log_probs + law.class_log_sizes
             live = exact > -700.0
             assert np.max(np.abs(got[live] - exact[live])) <= 1e-12
@@ -451,7 +449,7 @@ class TestEnumerationOracle:
             rewards = sequence_space_log_probs(q, m)
             flat = bon_exact_pmf(probs, rewards, N).probs()
             assert np.max(np.abs(flat - oracle)) <= 1e-12
-            law = bon_type_law(p, q, m, BonConfig(N=N))
+            law = bon_type_law(p, q, m, N)
             classes = zip(law.counts, law.per_seq_log_probs)
             by_class = {tuple(c): math.exp(lp) for c, lp in classes}
             for idx in range(K**m):
@@ -616,7 +614,7 @@ def _pair_counts(p, q, rng, trials, chunk=2**14):
 
 class TestExpectedTypeAndKl:
     def test_single_draw_expected_type_is_reference(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 6, BonConfig(N=1))
+        law = bon_type_law(demo_p, demo_q, 6, 1)
         assert np.max(np.abs(bon_expected_type(law) - demo_p.probs())) <= 1e-12
 
     def test_pair_expected_type_matches_joint(self, demo_p, demo_q):
@@ -627,18 +625,18 @@ class TestExpectedTypeAndKl:
             for y2 in range(3):
                 direct[y1] += joint[y1, y2] / 2
                 direct[y2] += joint[y1, y2] / 2
-        law = bon_type_law(demo_p, demo_q, 2, BonConfig(N=2))
+        law = bon_type_law(demo_p, demo_q, 2, 2)
         assert np.max(np.abs(bon_expected_type(law) - direct)) <= 1e-12
 
     def test_expected_type_fixture_m10(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 10, BonConfig(N=3))
+        law = bon_type_law(demo_p, demo_q, 10, 3)
         etype = bon_expected_type(law)
         assert np.max(np.abs(etype - np.array(ETYPE_M10_N3))) <= 1e-12
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi.probs()
         assert np.abs(etype - phi).sum() < np.abs(demo_p.probs() - phi).sum()
 
     def test_kl_to_reference_single_draw(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 5, BonConfig(N=1))
+        law = bon_type_law(demo_p, demo_q, 5, 1)
         assert bon_kl_to_reference(law, demo_p) == 0.0
 
     def test_kl_to_reference_pair_value(self, demo_p, demo_q):
@@ -647,7 +645,7 @@ class TestExpectedTypeAndKl:
             float(frac) * math.log(float(frac) / (0.2, 0.3, 0.5)[y1] / (0.2, 0.3, 0.5)[y2])
             for (y1, y2), frac in PAIR_JOINT.items()
         )
-        law = bon_type_law(demo_p, demo_q, 2, BonConfig(N=2))
+        law = bon_type_law(demo_p, demo_q, 2, 2)
         assert bon_kl_to_reference(law, demo_p) == pytest.approx(expected, abs=1e-12)
         assert bon_kl_to_reference(law, demo_p) <= math.log(2)
 
@@ -658,7 +656,7 @@ class TestExpectedTypeAndKl:
             m = int(rng.integers(1, 5))
             n = int(rng.integers(1, 30))
             p, q = random_pair(rng, K)
-            law = bon_type_law(p, q, m, BonConfig(N=n))
+            law = bon_type_law(p, q, m, n)
             assert bon_kl_to_reference(law, p) <= math.log(n) + 1e-9
 
     @settings(max_examples=200)
@@ -675,7 +673,7 @@ class TestExpectedTypeAndKl:
         assert kl_divergence(pi, p) <= math.log(n) - (n - 1) / n + 1e-9
 
     def test_kl_to_optimal_bound_demo(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 10, BonConfig(N=3))
+        law = bon_type_law(demo_p, demo_q, 10, 3)
         assert bon_kl_to_reference(law, demo_p) <= math.log(3) + 1e-9
 
     @staticmethod
@@ -683,7 +681,7 @@ class TestExpectedTypeAndKl:
         """Per-symbol D(pi_N^m || phi_delta^m) / m at N = exp(m delta), as
         equivalence-scan forms it."""
         phi = solve_alpha_for_kl(q, p, delta).phi
-        return bon_kl_to_reference(bon_type_law(p, q, m, BonConfig(log_N=m * delta)), phi) / m
+        return bon_kl_to_reference(bon_type_law(p, q, m, math.exp(m * delta)), phi) / m
 
     def test_kl_rate_zero_budget(self, demo_p, demo_q):
         assert self._kl_rate(demo_p, demo_q, 4, 0.0) == 0.0
@@ -698,7 +696,7 @@ class TestExpectedTypeAndKl:
         phi = phi_sol.phi.probs()
         l1s, gaps = [], []
         for m in (5, 10, 20, 40, 80):
-            law = bon_type_law(demo_p, demo_q, m, BonConfig(log_N=m * 0.11))
+            law = bon_type_law(demo_p, demo_q, m, math.exp(m * 0.11))
             l1s.append(float(np.abs(bon_expected_type(law) - phi).sum()))
             rewards = law.counts @ demo_q.log_probs
             reward_rate = float(np.sum(law.class_masses() * rewards)) / m
@@ -707,6 +705,6 @@ class TestExpectedTypeAndKl:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_alphabet_mismatch(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 2, BonConfig(N=2))
+        law = bon_type_law(demo_p, demo_q, 2, 2)
         with pytest.raises(AlphabetMismatch):
             bon_kl_to_reference(law, make_distribution((1, 1)))

@@ -8,6 +8,8 @@ import pytest
 from alignlab.cli import _HELP, cli_dispatch, load_config_file, parse_value
 from alignlab.experiments import COMMON_FIELDS, FIELDS, RUNNERS, ExperimentConfig
 
+TYPE_CAP_ERROR = "type classes C(m+K-1, K-1) must be <= 10000000"
+
 
 class TestConfigParsing:
     def test_parse_values(self):
@@ -167,6 +169,14 @@ class TestConfigValidation:
             ("ternary-figure", "--delta", "inf", "delta must be nonnegative and finite"),
             ("equivalence-scan", "--delta", "-0.1", "delta must be nonnegative and finite"),
             ("ldp-probe", "--t-grid", ",", "t_grid must list at least one value"),
+            # size limits of the kernels: N = exp(m*delta) at m = 160, the
+            # type classes C(m+2, 2) at K = 3, the oracle's (3^12)^2 tuples,
+            # and an N = n above exp(690)
+            ("equivalence-scan", "--delta", "5", "m*delta (log N) must be <= 690.0"),
+            ("equivalence-scan", "--m-grid", "5000", TYPE_CAP_ERROR),
+            ("ternary-figure", "--m", "5000", TYPE_CAP_ERROR),
+            ("example1", "--m", "12", "(K^m)^n must be <= 10000000"),
+            ("ternary-figure", "--n", "1" + "0" * 300, "n must be <= exp(690.0)"),
         ],
     )
     def test_invalid_input_is_usage_error(self, tmp_path, capsys, command, flag, value, message):
@@ -176,6 +186,13 @@ class TestConfigValidation:
         assert code == 2
         assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_largest_sizes_pass_the_boundary(self):
+        # the boundary rejects only what the kernels would: C(4472, 2) is
+        # 9,997,156 classes, m*delta = 690 exactly, and (3^7)^2 = 4,782,969 tuples
+        ExperimentConfig("equivalence_scan", m_grid=(4470,))
+        ExperimentConfig("equivalence_scan", m_grid=(1000,), delta=0.69)
+        ExperimentConfig("example1", m=7)
 
     @pytest.mark.parametrize(
         "argv, config_text, message",
@@ -198,6 +215,10 @@ class TestConfigValidation:
             (["equivalence-scan", "--m", "5"], None, "unrecognized arguments: --m 5"),
             (["ldp-probe", "--n", "5"], None, "n is read only with conjecture"),
             (["example1"], "experiment = ldp_probe\n", "config file is for 'ldp_probe'"),
+            (["equivalence-scan", "--m-grid", "1000", "--delta", "0.8"], None, "m*delta (log N)"),
+            (["equivalence-scan", "--m-grid", "4472"], None, TYPE_CAP_ERROR),
+            (["example1", "--m", "12", "--n", "3"], None, "(K^m)^n must be <= 10000000"),
+            (["example1", "--m", "1000000", "--n", "1000000"], None, "(K^m)^n must be <= 10000000"),
         ],
     )
     def test_input_no_runner_reads_is_usage_error(

@@ -32,6 +32,8 @@ from alignlab.rng import spawn_generator
 from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, loop_symbols, random_pair
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
+# the demo pair's tilted source at the demo budget 0.11
+DEMO_PHI = solve_alpha_for_kl(make_distribution(TERNARY_Q), make_distribution(TERNARY_P), 0.11).phi
 
 
 def _loop_values(draw, q, m, trials, seed) -> np.ndarray:
@@ -49,27 +51,27 @@ def _trial_count(width, where):
 
 class TestRateFunction:
     def test_zero_at_reference_mean(self, demo_p, demo_q):
-        point = rate_function(demo_p, demo_q, 0.0, cross_entropy(demo_p, demo_q))
+        point = rate_function(demo_p, demo_q, demo_p, cross_entropy(demo_p, demo_q))
         assert abs(point.beta) <= 1e-9
         assert point.rate <= 1e-10
 
     def test_zero_at_tilted_mean(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        point = rate_function(demo_p, demo_q, 0.11, cross_entropy(phi, demo_q))
+        point = rate_function(demo_p, demo_q, DEMO_PHI, cross_entropy(phi, demo_q))
         assert point.rate <= 1e-10
 
     def test_positive_off_mean(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        point = rate_function(demo_p, demo_q, 0.0, cross_entropy(phi, demo_q))
+        point = rate_function(demo_p, demo_q, demo_p, cross_entropy(phi, demo_q))
         assert point.rate > 1e-3
-        oracle = legendre_oracle(demo_p, demo_q, 0.0, cross_entropy(phi, demo_q))
+        oracle = legendre_oracle(demo_p, demo_q, cross_entropy(phi, demo_q))
         assert abs(point.rate - oracle) <= 1e-5
 
     def test_increases_away_from_mean(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
         mean = cross_entropy(phi, demo_q)
-        above = [rate_function(demo_p, demo_q, 0.11, mean + d).rate for d in (0.1, 0.2, 0.3)]
-        below = [rate_function(demo_p, demo_q, 0.11, mean - d).rate for d in (0.1, 0.2, 0.3)]
+        above = [rate_function(demo_p, demo_q, DEMO_PHI, mean + d).rate for d in (0.1, 0.2, 0.3)]
+        below = [rate_function(demo_p, demo_q, DEMO_PHI, mean - d).rate for d in (0.1, 0.2, 0.3)]
         assert all(b > a for a, b in zip(above, above[1:]))
         assert all(b > a for a, b in zip(below, below[1:]))
         assert all(r >= 0 for r in above + below)
@@ -80,68 +82,69 @@ class TestRateFunction:
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
         mean = cross_entropy(phi, demo_q)
         for t in (mean - 0.2, mean - 0.05, mean + 0.1, mean + 0.4):
-            direct = rate_function(demo_p, demo_q, 0.11, t).rate
-            reanchored = rate_function(phi, demo_q, 0.0, t).rate
+            direct = rate_function(demo_p, demo_q, DEMO_PHI, t).rate
+            reanchored = rate_function(phi, demo_q, phi, t).rate
             assert direct == pytest.approx(reanchored, abs=1e-9)
 
 
 class TestScaledCumulant:
     def test_zero_order_is_expected_reward(self, demo_p, demo_q):
         sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
-        point = scaled_cumulant(demo_p, demo_q, 0.11, 0.0)
+        point = scaled_cumulant(DEMO_PHI, demo_q, 0.0)
         assert point.value == pytest.approx(sol.expected_reward, abs=1e-12)
 
     def test_uniform_everything(self):
         u = make_distribution((1,) * 6)
         for rho in (0.0, 0.5, 2.0):
-            assert scaled_cumulant(u, u, 0.0, rho).value == pytest.approx(
+            assert scaled_cumulant(u, u, rho).value == pytest.approx(
                 -math.log(6), abs=1e-9
             )
 
     def test_order_one_direct_sum(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
         expected = math.log(float(np.sum(phi.probs() * demo_q.probs())))
-        assert scaled_cumulant(demo_p, demo_q, 0.11, 1.0).value == pytest.approx(
+        assert scaled_cumulant(DEMO_PHI, demo_q, 1.0).value == pytest.approx(
             expected, abs=1e-12
         )
-        assert scaled_cumulant(demo_p, demo_q, 0.11, 1.0).value == pytest.approx(
+        assert scaled_cumulant(DEMO_PHI, demo_q, 1.0).value == pytest.approx(
             -renyi_cross_entropy(phi, demo_q, 2.0), abs=1e-15
         )
 
     def test_continuous_at_zero(self, demo_p, demo_q):
-        base = scaled_cumulant(demo_p, demo_q, 0.11, 0.0).value
-        assert abs(scaled_cumulant(demo_p, demo_q, 0.11, 1e-4).value - base) < 1e-3
+        base = scaled_cumulant(DEMO_PHI, demo_q, 0.0).value
+        assert abs(scaled_cumulant(DEMO_PHI, demo_q, 1e-4).value - base) < 1e-3
 
     def test_negative_rho_rejected(self, demo_p, demo_q):
         with pytest.raises(ValueError):
-            scaled_cumulant(demo_p, demo_q, 0.11, -0.5)
+            scaled_cumulant(DEMO_PHI, demo_q, -0.5)
 
 
 class TestFiniteMCumulant:
     def test_m_one_is_definition(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        lhs, rhs = finite_m_cumulant_check(demo_p, demo_q, 0.11, 0.7, 1)
+        lhs, rhs = finite_m_cumulant_check(DEMO_PHI, demo_q, 0.7, 1)
         assert lhs == pytest.approx(-renyi_cross_entropy(phi, demo_q, 1.7), abs=1e-12)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_demo_pair_m8(self, demo_p, demo_q):
-        lhs, rhs = finite_m_cumulant_check(demo_p, demo_q, 0.11, 0.5, 8)
+        lhs, rhs = finite_m_cumulant_check(DEMO_PHI, demo_q, 0.5, 8)
         assert abs(lhs - rhs) <= 1e-10
 
     def test_random_pairs(self):
         rng = np.random.default_rng(50)
         for _ in range(5):
             p, q = random_pair(rng, 3)
-            lhs, rhs = finite_m_cumulant_check(p, q, 0.05, 2.0, 4)
+            lhs, rhs = finite_m_cumulant_check(solve_alpha_for_kl(q, p, 0.05).phi, q, 2.0, 4)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_rho_must_be_positive(self, demo_p, demo_q):
         with pytest.raises(ValueError):
-            finite_m_cumulant_check(demo_p, demo_q, 0.11, 0.0, 3)
+            finite_m_cumulant_check(DEMO_PHI, demo_q, 0.0, 3)
 
 
 def _deviation_rate(p, q, delta, t, eps, m, trials, seed):
-    return rate_from_hits(deviation_hit_count(p, q, delta, t, eps, m, trials, seed), trials, m)
+    phi = solve_alpha_for_kl(q, p, delta).phi
+    return rate_from_hits(deviation_hit_count(phi, q, t, eps, m, trials, seed), trials, m)
 
 
 class TestEmpiricalDeviationRate:
@@ -172,7 +175,7 @@ class TestEmpiricalDeviationRate:
         assert _deviation_rate(*args) == _deviation_rate(*args)
 
     def test_hit_count_matches_rate(self, demo_p, demo_q):
-        hits = deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 60, 400, 13)
+        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 400, 13)
         rate = rate_from_hits(hits, 400, 60)
         assert rate == pytest.approx(-math.log(hits / 400) / 60, abs=1e-15)
 
@@ -189,7 +192,7 @@ class TestEmpiricalDeviationRate:
             assert seq.dtype == np.int64 and seq.shape == (m,)
             if abs(-float(np.sum(demo_q.log_probs[seq])) / m - t) < eps:
                 split += 1
-        assert split == deviation_hit_count(demo_p, demo_q, 0.11, t, eps, m, 400, seed)
+        assert split == deviation_hit_count(phi, demo_q, t, eps, m, 400, seed)
 
 
 class TestBatchedHitCounts:
@@ -213,7 +216,7 @@ class TestBatchedHitCounts:
         values = _loop_values(lambda rng: loop_symbols(phi, m, rng), q, m, trials, seed)
         t = float(np.quantile(values, quantile))
         expected = int(np.count_nonzero(np.abs(values - t) < eps))
-        assert deviation_hit_count(p, q, 0.11, t, eps, m, trials, seed) == expected
+        assert deviation_hit_count(phi, q, t, eps, m, trials, seed) == expected
 
     @settings(max_examples=30)
     @given(
@@ -237,14 +240,14 @@ class TestBatchedHitCounts:
         # a window near the bulk splits the trials into hits and misses
         hits = bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 500, 3)
         assert 0 < hits < 500
-        hits = deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 60, 500, 3)
+        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 500, 3)
         assert 0 < hits < 500
 
     def test_invalid_sizes(self, demo_p, demo_q):
         with pytest.raises(ValueError):
             bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 0, 3)
         with pytest.raises(ValueError):
-            deviation_hit_count(demo_p, demo_q, 0.11, 1.19, 0.08, 0, 10, 3)
+            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 0, 10, 3)
         with pytest.raises(AlphabetMismatch):
             bon_hit_count(demo_p, make_distribution((1, 2, 3, 4)), 8, 0.9, 0.2, 10, 5, 3)
         with pytest.raises(InvalidN):
@@ -254,7 +257,7 @@ class TestBatchedHitCounts:
 class TestLegendreOracle:
     def test_zero_at_mean(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        value = legendre_oracle(demo_p, demo_q, 0.11, cross_entropy(phi, demo_q))
+        value = legendre_oracle(DEMO_PHI, demo_q, cross_entropy(phi, demo_q))
         assert abs(value) <= 1e-7
 
     def test_matches_rate_function_on_grids(self):
@@ -265,29 +268,30 @@ class TestLegendreOracle:
             from alignlab import max_achievable_kl
 
             delta = min(boundary_delta, 0.8 * max_achievable_kl(q, p))
+            phi = solve_alpha_for_kl(q, p, delta).phi
             lo, hi = reward_target_range(q)
             for frac in np.linspace(0.08, 0.92, 12):
                 t = lo + float(frac) * (hi - lo)
-                exact = rate_function(p, q, delta, t).rate
-                assert abs(exact - legendre_oracle(p, q, delta, t)) <= 1e-5
+                exact = rate_function(p, q, phi, t).rate
+                assert abs(exact - legendre_oracle(phi, q, t)) <= 1e-5
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 0.9), st.floats(0.05, 0.95))
     @settings(max_examples=40)
     def test_matches_rate_function_property(self, seed, K, budget, frac):
         # the Newton solvers behind rate_function against the grid oracle
         p, q = random_pair(np.random.default_rng(seed), K)
-        delta = budget * max_achievable_kl(q, p)
+        phi = solve_alpha_for_kl(q, p, budget * max_achievable_kl(q, p)).phi
         lo, hi = reward_target_range(q)
         t = lo + frac * (hi - lo)
-        assert abs(rate_function(p, q, delta, t).rate - legendre_oracle(p, q, delta, t)) <= 1e-5
+        assert abs(rate_function(p, q, phi, t).rate - legendre_oracle(phi, q, t)) <= 1e-5
 
     def test_symmetric_points_nonnegative(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
         mean = cross_entropy(phi, demo_q)
         for d in (0.15, -0.15):
-            assert legendre_oracle(demo_p, demo_q, 0.11, mean + d) >= 0.0
+            assert legendre_oracle(DEMO_PHI, demo_q, mean + d) >= 0.0
 
     def test_out_of_range(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         with pytest.raises(TargetOutOfRange):
-            legendre_oracle(demo_p, demo_q, 0.11, hi + 0.01)
+            legendre_oracle(DEMO_PHI, demo_q, hi + 0.01)

@@ -229,6 +229,28 @@ class TestLdpProbe:
         names = {c["name"] for c in report.checks}
         assert not any("bon" in name for name in names)
 
+    @pytest.mark.parametrize("conjecture", [None, True])
+    def test_solves_the_tilt_twice(self, monkeypatch, conjecture):
+        # one solve at the config boundary and one in the run, whatever the
+        # number of t points; every module that binds the solver is wrapped
+        import alignlab
+        from alignlab import deviations, experiments, tilting
+
+        calls = []
+        real = tilting.solve_alpha_for_kl
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (alignlab, tilting, deviations, experiments):
+            if hasattr(module, "solve_alpha_for_kl"):
+                monkeypatch.setattr(module, "solve_alpha_for_kl", counting)
+        config = ExperimentConfig("ldp_probe", m=40, trials=200, conjecture=conjecture)
+        report = run_ldp_probe(config)
+        assert len(report.results["t_grid"]) == 5
+        assert len(calls) <= 2
+
     def test_mc_reproducible(self):
         config = ExperimentConfig("ldp_probe", m=60, trials=500, seed=31)
         a = run_ldp_probe(config)
