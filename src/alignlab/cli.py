@@ -1,11 +1,12 @@
 """Command-line entry points for the experiment suite.
 
 Each subcommand runs one experiment and takes a flag for each field that
-experiment reads (``experiments.FIELDS``), plus ``--config``, ``--seed`` and
-``--out``.  ``--config`` loads a flat ``key = value`` file whose keys match
-:class:`ExperimentConfig` fields, and flags override it.  Every value is
-parsed by its field's type annotation.  Exit code 0 means every declared
-tolerance passed, 1 means some check failed, 2 means a usage error.
+experiment reads (its record in ``experiments.EXPERIMENTS``), plus
+``--config``, ``--seed`` and ``--out``.  ``--config`` loads a flat
+``key = value`` file whose keys match :class:`ExperimentConfig` fields, and
+flags override it.  Every value is parsed by its field's type annotation.
+Exit code 0 means every declared tolerance passed, 1 means some check failed,
+2 means a usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import typing
 from pathlib import Path
 
 from .errors import AlignlabError
-from .experiments import FIELDS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 _HINTS = typing.get_type_hints(ExperimentConfig)
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tilted-policy and best-of-N experiments on finite alphabets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for experiment, defaults in FIELDS.items():
+    for experiment, record in EXPERIMENTS.items():
         command = experiment.replace("_", "-")
         cp = sub.add_parser(command, help=f"run the {command} experiment", allow_abbrev=False)
         cp.add_argument("--config", help="flat key = value config file")
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cp.add_argument(
             "--out", dest="output_dir", metavar="DIR", help="output directory for CSV/JSON files"
         )
-        for name, default in defaults.items():
+        for name, default in record.fields.items():
             flag = "--" + name.replace("_", "-")
             if _kind(name) is bool:
                 cp.add_argument(flag, action="store_const", const="true", help=_HELP[name])

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,19 +77,39 @@ N_GRID_MAX = 1000
 DIRICHLET_FLOOR = 1e-12
 
 
-# Fields every experiment reads, next to the ones it declares in FIELDS.
+# Fields every experiment reads, next to the ones its record declares.
 COMMON_FIELDS = ("experiment", "seed", "output_dir")
 
 
-@dataclass
+def _positive_weights(w) -> bool:
+    return len(w) >= 2 and all(math.isfinite(x) and x > 0.0 for x in w)
+
+
+# The generic check of each field, in the order they run: what a set value
+# must satisfy whatever the experiment, and how the error says so.
+_FIELD_CHECKS = {
+    **dict.fromkeys(("m", "n", "trials", "seeds"), (lambda v: v >= 1, "must be >= 1")),
+    "seed": (lambda s: s >= 0, "must be >= 0"),
+    "K": (lambda K: K >= 2, "must be >= 2"),
+    **dict.fromkeys(("m_grid", "n_grid"), (lambda g: g and min(g) >= 1, "must list values >= 1")),
+    "t_grid": (bool, "must list at least one value"),
+    "eps": (lambda e: math.isfinite(e) and e > 0.0, "must be positive and finite"),
+    "delta": (lambda d: math.isfinite(d) and d >= 0.0, "must be nonnegative and finite"),
+    **dict.fromkeys(("p", "q"), (_positive_weights, "must list >= 2 positive finite weights")),
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment run.
 
-    ``FIELDS[experiment]`` declares the fields the experiment reads, with
-    their defaults; :meth:`get` gives a field left ``None`` its default.
-    Construction is the one check of the inputs: it raises ValueError for a
-    set field the experiment does not read and for any value its runner
-    could not use (AlignlabError for an unknown experiment).
+    ``EXPERIMENTS[experiment].fields`` declares the fields the experiment
+    reads, with their defaults; :meth:`get` gives a field left ``None`` its
+    default.  Construction is the one check of the inputs: it raises
+    ValueError for a set field the experiment does not read and for any value
+    its runner could not use (AlignlabError for an unknown experiment).  What
+    the experiment's ``derive`` returns is kept as ``derived``: not a field,
+    so neither settable nor echoed, and frozen with the fields.
     """
 
     experiment: str
@@ -109,93 +130,40 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in FIELDS:
+        # set values come from vars(), not field by field, so the fields read
+        # through the config are those derive and the runner read
+        record = EXPERIMENTS.get(self.experiment)
+        if record is None:
             raise AlignlabError(f"unknown experiment {self.experiment!r}")
-        reads = {*FIELDS[self.experiment], *COMMON_FIELDS}
-        unread = [k for k, v in vars(self).items() if v is not None and k not in reads]
+        values = {k: v for k, v in vars(self).items() if v is not None}
+        unread = [k for k in values if k not in record.fields and k not in COMMON_FIELDS]
         if unread:
             raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
-        for name in ("m", "n", "trials", "seeds"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.K is not None and self.K < 2:
-            raise ValueError(f"K must be >= 2, got {self.K!r}")
-        for name in ("m_grid", "n_grid"):
-            grid = getattr(self, name)
-            if grid is not None and (not grid or min(grid) < 1):
-                raise ValueError(f"{name} must list values >= 1, got {grid!r}")
-        if self.t_grid is not None and not self.t_grid:
-            raise ValueError(f"t_grid must list at least one value, got {self.t_grid!r}")
-        if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
-        if self.delta is not None and not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
-        if self.experiment == "ldp_probe" and self.n is not None and not self.conjecture:
-            raise ValueError(f"n is read only with conjecture, got n={self.n!r}")
-        if self.conjecture:
-            m, delta = self.get("m"), self.get("delta")
-            try:
-                n = _conjecture_n(self)
-            except OverflowError:
-                raise ValueError(f"exp(m*delta) overflows, got m={m!r}, delta={delta!r}") from None
-            if n * m > SAMPLE_BUDGET:
-                raise ValueError(f"N*m must be <= {SAMPLE_BUDGET}, got N={n}, m={m}")
-        for name in ("p", "q"):
-            weights = getattr(self, name)
-            if weights is not None and not (
-                len(weights) >= 2 and all(math.isfinite(w) and w > 0.0 for w in weights)
-            ):
-                raise ValueError(f"{name} must list >= 2 positive finite weights, got {weights!r}")
-        if "p" in reads:
-            K, K_q = len(self.get("p")), len(self.get("q"))
-            if K != K_q:
-                raise ValueError(f"p and q must have the same length, got {K} and {K_q}")
-            if self.experiment == "ternary_figure" and K != 3:
-                raise ValueError(f"ternary_figure needs 3 weights in p and q, got {K}")
-        if self.experiment == "example1":
-            K, m, n = len(self.get("p")), self.get("m"), self.get("n")
-            # (K^m)^n, exactly: K >= 2, so K^e is over the cap once e reaches
-            # the cap's bit length, and the exponent is capped there
-            if K ** min(m * n, ORACLE_TUPLE_CAP.bit_length()) > ORACLE_TUPLE_CAP:
-                raise ValueError(
-                    f"(K^m)^n must be <= {ORACLE_TUPLE_CAP}, got K={K}, m={m}, n={n}"
-                )
-        if self.experiment in ("ternary_figure", "equivalence_scan"):
-            # the type law's largest m, then its N: n, or exp(m * delta)
-            ternary = self.experiment == "ternary_figure"
-            K = len(self.get("p"))
-            m = self.get("m") if ternary else max(self.get("m_grid"))
-            if math.comb(m + K - 1, K - 1) > TYPE_CAP:
-                raise ValueError(
-                    f"type classes C(m+K-1, K-1) must be <= {TYPE_CAP}, got m={m}, K={K}"
-                )
-            if ternary and self.get("n") > math.exp(MAX_LOG_N):
-                raise ValueError(f"n must be <= exp({MAX_LOG_N}), got {self.get('n')}")
-            delta = self.get("delta")
-            if not ternary and m * delta > MAX_LOG_N:
-                raise ValueError(f"m*delta (log N) must be <= {MAX_LOG_N}, got m={m}, delta={delta}")
-        if self.experiment == "ldp_probe":
-            try:
-                _, _, grid = _probe_grid(self)
-            except AlignlabError as exc:
-                raise ValueError(str(exc)) from None
-            lo, hi = reward_target_range(make_distribution(self.get("q")))
-            if not all(lo < t < hi for t in grid):
-                name = "t_grid" if self.t_grid else "the default t_grid (mean +- 3 eps)"
-                raise ValueError(f"{name} must lie in ({lo!r}, {hi!r}), got {grid!r}")
+        for name, (holds, requirement) in _FIELD_CHECKS.items():
+            if name in values and not holds(values[name]):
+                raise ValueError(f"{name} {requirement}, got {values[name]!r}")
+        object.__setattr__(self, "derived", record.derive(self))
 
     def get(self, name: str):
         """The field's value, or its experiment's default when it is unset."""
-        default = FIELDS[self.experiment][name]
         value = getattr(self, name)
-        return default if value is None else value
+        return EXPERIMENTS[self.experiment].fields[name] if value is None else value
 
     def echo(self) -> dict:
         """Config as a plain dict with unset fields dropped."""
-        return {k: v for k, v in vars(self).items() if v is not None and v is not False}
+        fields = vars(self).items()
+        return {k: v for k, v in fields if k != "derived" and v is not None and v is not False}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """The fields an experiment reads, with their defaults (None: derive
+    computes it), and ``derive(config)``, which checks the experiment's own
+    inputs and returns the values its runner unpacks from ``config.derived``.
+    The runner is the module function ``run_<name>``."""
+
+    fields: dict
+    derive: Callable[[ExperimentConfig], tuple] = lambda config: ()
 
 
 @dataclass
@@ -211,15 +179,7 @@ class ExperimentReport:
     duration_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "config": self.config,
-            "results": self.results,
-            "checks": self.checks,
-            "passed": self.passed,
-            "duration_seconds": self.duration_seconds,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """Standard JSON: a non-finite float (an unreached bound, say) is null."""
@@ -259,34 +219,57 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_outputs(report: ExperimentReport, outdir: str | None, csvs: dict) -> None:
-    """Write the CSVs and then the report, which lists them and itself."""
-    if outdir is None:
-        return
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_name = f"{report.experiment}_report.json"
-    report.results["files"] = sorted([f"{name}.csv" for name in csvs] + [report_name])
-    for name, (header, rows) in csvs.items():
-        write_csv(out / f"{name}.csv", header, rows)
-    (out / report_name).write_text(report.to_json())
+def _pair(config: ExperimentConfig) -> tuple[CategoricalDistribution, CategoricalDistribution]:
+    """The reference p and the alignment target q, of one alphabet."""
+    p, q = make_distribution(config.get("p")), make_distribution(config.get("q"))
+    if p.K != q.K:
+        raise ValueError(f"p and q must have the same length, got {p.K} and {q.K}")
+    return p, q
 
 
-def _demo_pair(config: ExperimentConfig) -> tuple[CategoricalDistribution, CategoricalDistribution]:
-    return make_distribution(config.get("p")), make_distribution(config.get("q"))
+def _solve_tilt(p: CategoricalDistribution, q: CategoricalDistribution, delta: float):
+    """phi_delta = T(q, p, alpha_delta); a budget it cannot spend is a usage error."""
+    try:
+        return solve_alpha_for_kl(q, p, delta)
+    except AlignlabError as exc:
+        raise ValueError(str(exc)) from None
 
 
-def _finish(report: ExperimentReport, started: float, outdir, csvs) -> ExperimentReport:
-    report.passed = all(c["passed"] for c in report.checks)
+def _check_type_classes(m: int, K: int) -> None:
+    if math.comb(m + K - 1, K - 1) > TYPE_CAP:
+        raise ValueError(f"type classes C(m+K-1, K-1) must be <= {TYPE_CAP}, got m={m}, K={K}")
+
+
+def _finish(config: ExperimentConfig, started: float, results, checks, csvs) -> ExperimentReport:
+    """The run's report; with an output directory, written after its CSVs."""
+    report = ExperimentReport(config.experiment, config.seed, config.echo(), results, checks)
+    report.passed = all(c["passed"] for c in checks)
     report.duration_seconds = round(time.perf_counter() - started, 6)
-    _write_outputs(report, outdir, csvs)
+    if config.output_dir is not None:
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        report_name = f"{report.experiment}_report.json"
+        report.results["files"] = sorted([f"{name}.csv" for name in csvs] + [report_name])
+        for name, (header, rows) in csvs.items():
+            write_csv(out / f"{name}.csv", header, rows)
+        (out / report_name).write_text(report.to_json())
     return report
+
+
+def _derive_example1(config: ExperimentConfig) -> tuple:
+    p, q = _pair(config)
+    m, n = config.get("m"), config.get("n")
+    # (K^m)^n, exactly: K >= 2, so K^e is over the cap once e reaches the
+    # cap's bit length, and the exponent is capped there
+    if p.K ** min(m * n, ORACLE_TUPLE_CAP.bit_length()) > ORACLE_TUPLE_CAP:
+        raise ValueError(f"(K^m)^n must be <= {ORACLE_TUPLE_CAP}, got K={p.K}, m={m}, n={n}")
+    return p, q
 
 
 def run_example1(config: ExperimentConfig) -> ExperimentReport:
     """Exact best-of-2 joint over symbol pairs, marginals, and the non-product witness."""
     started = time.perf_counter()
-    p, q = _demo_pair(config)
+    p, q = config.derived
     m, n = config.get("m"), config.get("n")
     seq_lp = sequence_space_log_probs(p, m)
     seq_rw = sequence_space_log_probs(q, m)
@@ -340,14 +323,13 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     results["max_oracle_abs_dev"] = oracle_dev
     _check(checks, "matches_enumeration_oracle", oracle_dev, 1e-12, oracle_dev <= 1e-12)
 
-    report = ExperimentReport("example1", config.seed, config.echo(), results, checks)
     rows = [
         (y1, y2, float(joint[y1, y2]))
         for y1 in range(K)
         for y2 in range(K)
     ] if m == 2 else []
     csvs = {"example1_joint": (["y1", "y2", "probability"], rows)} if rows else {}
-    return _finish(report, started, config.output_dir, csvs)
+    return _finish(config, started, results, checks, csvs)
 
 
 def _radial_contour_points(
@@ -410,13 +392,22 @@ def _reward_contour_segment(q: CategoricalDistribution, level: float) -> np.ndar
     return (1.0 - ts)[:, None] * a[None, :] + ts[:, None] * b[None, :]
 
 
+def _derive_ternary_figure(config: ExperimentConfig) -> tuple:
+    p, q = _pair(config)
+    if p.K != 3:
+        raise ValueError(f"ternary_figure needs 3 weights in p and q, got {p.K}")
+    _check_type_classes(config.get("m"), p.K)
+    if config.get("n") > math.exp(MAX_LOG_N):
+        raise ValueError(f"n must be <= exp({MAX_LOG_N}), got {config.get('n')}")
+    return p, q, _solve_tilt(p, q, config.get("delta"))
+
+
 def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     """KL contour, reward chord, tilted-family curve, and best-of-N expected type."""
     started = time.perf_counter()
-    p, q = _demo_pair(config)
+    p, q, sol = config.derived
     delta, m, n = config.get("delta"), config.get("m"), config.get("n")
 
-    sol = solve_alpha_for_kl(q, p, delta)
     phi_probs = sol.phi.probs()
     p_probs = p.probs()
     reward_level = cross_entropy(sol.phi, q)
@@ -486,17 +477,27 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
         ],
     )
 
-    report = ExperimentReport("ternary_figure", config.seed, config.echo(), results, checks)
-    return _finish(report, started, config.output_dir, csvs)
+    return _finish(config, started, results, checks, csvs)
+
+
+def _derive_equivalence_scan(config: ExperimentConfig) -> tuple:
+    p, q = _pair(config)
+    m_grid, delta = config.get("m_grid"), config.get("delta")
+    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
+        raise ValueError(f"m_grid must be strictly increasing, got {m_grid!r}")
+    m = m_grid[-1]  # the largest m, so the largest type law and N = exp(m * delta)
+    _check_type_classes(m, p.K)
+    if m * delta > MAX_LOG_N:
+        raise ValueError(f"m*delta (log N) must be <= {MAX_LOG_N}, got m={m}, delta={delta}")
+    return p, q, _solve_tilt(p, q, delta)
 
 
 def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     """Per-symbol divergence of exact best-of-N from the solved tilt as m grows."""
     started = time.perf_counter()
-    p, q = _demo_pair(config)
+    p, q, sol = config.derived
     delta, m_grid = config.get("delta"), config.get("m_grid")
 
-    sol = solve_alpha_for_kl(q, p, delta)
     phi_probs = sol.phi.probs()
 
     rows = []
@@ -538,8 +539,7 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
             rows,
         )
     }
-    report = ExperimentReport("equivalence_scan", config.seed, config.echo(), results, checks)
-    return _finish(report, started, config.output_dir, csvs)
+    return _finish(config, started, results, checks, csvs)
 
 
 def default_n_grid() -> tuple[int, ...]:
@@ -630,8 +630,7 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
             rows,
         )
     }
-    report = ExperimentReport("random_alphabet", config.seed, config.echo(), results, checks)
-    return _finish(report, started, config.output_dir, csvs)
+    return _finish(config, started, results, checks, csvs)
 
 
 # closeness-bound trials feasible only below this mixing weight test nothing
@@ -708,17 +707,11 @@ def run_closeness_bound(config: ExperimentConfig) -> ExperimentReport:
             rows,
         )
     }
-    report = ExperimentReport("closeness_bound", config.seed, config.echo(), results, checks)
-    return _finish(report, started, config.output_dir, csvs)
+    return _finish(config, started, results, checks, csvs)
 
 
 def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(master), int(index))).generate_state(1, np.uint64)[0])
-
-
-def _conjecture_n(config: ExperimentConfig) -> int:
-    """N of the conjecture mode: ``n``, or round(exp(m * delta)) when unset."""
-    return config.n or round(math.exp(config.get("m") * config.get("delta")))
 
 
 def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
@@ -726,15 +719,27 @@ def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
     return tuple(mean_t + k * eps for k in (-3.0, -2.0, 0.0, 2.0, 3.0))
 
 
-def _probe_grid(
-    config: ExperimentConfig,
-) -> tuple[CategoricalDistribution, float, tuple[float, ...]]:
-    """The budget's tilt phi, the mean per-symbol -log q under it (the grid
-    centre), and the t grid."""
-    p, q = _demo_pair(config)
-    phi = solve_alpha_for_kl(q, p, config.get("delta")).phi
-    mean_t = cross_entropy(phi, q)
-    return phi, mean_t, config.get("t_grid") or default_probe_grid(mean_t, config.get("eps"))
+def _derive_ldp_probe(config: ExperimentConfig) -> tuple:
+    p, q = _pair(config)
+    m, delta, n = config.get("m"), config.get("delta"), config.get("n")
+    if n is not None and not config.get("conjecture"):
+        raise ValueError(f"n is read only with conjecture, got n={n!r}")
+    if config.get("conjecture"):
+        # the conjecture's N: n, or round(exp(m * delta)) when unset
+        try:
+            n = n or round(math.exp(m * delta))
+        except OverflowError:
+            raise ValueError(f"exp(m*delta) overflows, got m={m!r}, delta={delta!r}") from None
+        if n * m > SAMPLE_BUDGET:
+            raise ValueError(f"N*m must be <= {SAMPLE_BUDGET}, got N={n}, m={m}")
+    tilt = _solve_tilt(p, q, delta)
+    # the grid centre is the mean per-symbol -log q under phi
+    grid = config.get("t_grid") or default_probe_grid(-tilt.expected_reward, config.get("eps"))
+    lo, hi = reward_target_range(q)
+    if not all(lo < t < hi for t in grid):
+        name = "t_grid" if config.get("t_grid") else "the default t_grid (mean +- 3 eps)"
+        raise ValueError(f"{name} must lie in ({lo!r}, {hi!r}), got {grid!r}")
+    return p, q, tilt, grid, n
 
 
 def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
@@ -745,13 +750,10 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     pass/fail assertion.
     """
     started = time.perf_counter()
-    p, q = _demo_pair(config)
+    p, q, tilt, t_grid, conjecture_n = config.derived
     delta, m, trials, eps = (config.get(name) for name in ("delta", "m", "trials", "eps"))
-
-    phi, mean_t, t_grid = _probe_grid(config)
+    phi, mean_t = tilt.phi, -tilt.expected_reward
     band = eps + math.log(trials) / m
-
-    conjecture_n = _conjecture_n(config) if config.get("conjecture") else None
 
     rows = []
     checks: list[dict] = []
@@ -798,41 +800,37 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
         header += ["rate_mc_bon", "hits_bon"]
         results["conjecture_n"] = conjecture_n
     csvs = {"ldp_probe": (header, rows)}
-    report = ExperimentReport("ldp_probe", config.seed, config.echo(), results, checks)
-    return _finish(report, started, config.output_dir, csvs)
+    return _finish(config, started, results, checks, csvs)
 
 
-# The fields each experiment reads, with their defaults; None marks a default
-# the runner derives from the other fields.  _DEMO is the ternary demo pair at
-# its demo budget.
+# One record per experiment: the fields it reads, with their defaults, and its
+# derive step.  _DEMO is the ternary demo pair at its demo budget.
 _DEMO = {"p": TERNARY_REFERENCE, "q": TERNARY_TARGET, "delta": 0.11}
-FIELDS = {
-    "example1": {"p": TERNARY_REFERENCE, "q": TERNARY_TARGET, "m": 2, "n": 2},
-    "ternary_figure": {**_DEMO, "m": 10, "n": 3},
-    "equivalence_scan": {**_DEMO, "m_grid": (5, 10, 20, 40, 80, 160)},
-    "random_alphabet": {"K": 1024, "seeds": 20, "n_grid": default_n_grid()},
-    "closeness_bound": {"trials": 1000},
-    "ldp_probe": {
-        **_DEMO,
-        "m": 400,
-        "n": None,
-        "trials": 100_000,
-        "eps": 0.05,
-        "t_grid": None,
-        "conjecture": False,
-    },
-}
-
-RUNNERS = {
-    "example1": run_example1,
-    "ternary_figure": run_ternary_figure,
-    "equivalence_scan": run_equivalence_scan,
-    "random_alphabet": run_random_alphabet,
-    "closeness_bound": run_closeness_bound,
-    "ldp_probe": run_ldp_probe,
+EXPERIMENTS = {
+    "example1": Experiment(
+        {"p": TERNARY_REFERENCE, "q": TERNARY_TARGET, "m": 2, "n": 2}, _derive_example1
+    ),
+    "ternary_figure": Experiment({**_DEMO, "m": 10, "n": 3}, _derive_ternary_figure),
+    "equivalence_scan": Experiment(
+        {**_DEMO, "m_grid": (5, 10, 20, 40, 80, 160)}, _derive_equivalence_scan
+    ),
+    "random_alphabet": Experiment({"K": 1024, "seeds": 20, "n_grid": default_n_grid()}),
+    "closeness_bound": Experiment({"trials": 1000}),
+    "ldp_probe": Experiment(
+        {
+            **_DEMO,
+            "m": 400,
+            "n": None,
+            "trials": 100_000,
+            "eps": 0.05,
+            "t_grid": None,
+            "conjecture": False,
+        },
+        _derive_ldp_probe,
+    ),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a config to its experiment runner."""
-    return RUNNERS[config.experiment](config)
+    """Run ``run_<experiment>``, looked up by name so a rebinding of it runs."""
+    return globals()[f"run_{config.experiment}"](config)

@@ -6,7 +6,8 @@ import re
 import pytest
 
 from alignlab.cli import _HELP, cli_dispatch, load_config_file, parse_value
-from alignlab.experiments import COMMON_FIELDS, FIELDS, RUNNERS, ExperimentConfig
+from alignlab import experiments
+from alignlab.experiments import COMMON_FIELDS, EXPERIMENTS, ExperimentConfig
 
 TYPE_CAP_ERROR = "type classes C(m+K-1, K-1) must be <= 10000000"
 
@@ -103,13 +104,6 @@ class TestDispatch:
         assert code == 0
         assert (tmp_path / "from-env" / "example1_report.json").exists()
 
-    def test_infeasible_budget_is_failure_exit(self, tmp_path, capsys):
-        code = cli_dispatch(
-            ["ternary-figure", "--delta", "1.7", "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
 
 class TestLdpProbeValidation:
     @pytest.mark.parametrize(
@@ -164,6 +158,9 @@ class TestConfigValidation:
             ("random-alphabet", "--seed", "-1", "seed must be >= 0"),
             ("random-alphabet", "--K", "1", "K must be >= 2"),
             ("equivalence-scan", "--m-grid", "5,0", "m_grid must list values >= 1"),
+            # a decreasing or repeated grid would fail the decreasing-rate check
+            ("equivalence-scan", "--m-grid", "10,5", "m_grid must be strictly increasing"),
+            ("equivalence-scan", "--m-grid", "5,5", "m_grid must be strictly increasing"),
             ("random-alphabet", "--n-grid", "0", "n_grid must list values >= 1"),
             ("ternary-figure", "--delta", "nan", "delta must be nonnegative and finite"),
             ("ternary-figure", "--delta", "inf", "delta must be nonnegative and finite"),
@@ -185,6 +182,27 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["ternary-figure", "--delta", "1.7"], id="ternary-figure-1.7"),
+            pytest.param(["ternary-figure", "--delta", "100"], id="ternary-figure-100"),
+            # --m-grid 5 keeps m*delta = 500 under the log N limit
+            pytest.param(
+                ["equivalence-scan", "--m-grid", "5", "--delta", "100"], id="equivalence-scan-100"
+            ),
+        ],
+    )
+    def test_infeasible_budget_is_usage_error(self, tmp_path, capsys, argv):
+        # the demo pair's largest budget is -log p_1 = log 5 = 1.609...
+        out = tmp_path / "x"
+        code = cli_dispatch([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: delta={float(argv[-1])!r} >= achievable supremum 1.609")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_largest_sizes_pass_the_boundary(self):
@@ -237,16 +255,19 @@ class TestConfigValidation:
 
     def test_flags_are_the_experiment_fields(self, capsys):
         # each subcommand's --help lists exactly its experiment's fields
-        for experiment, defaults in FIELDS.items():
+        for experiment, record in EXPERIMENTS.items():
             command = experiment.replace("_", "-")
             assert cli_dispatch([command, "--help"]) == 0
             text = capsys.readouterr().out
             flags = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE))
-            declared = {"--" + name.replace("_", "-") for name in defaults}
+            declared = {"--" + name.replace("_", "-") for name in record.fields}
             assert flags == declared | {"--help", "--config", "--seed", "--out"}, command
 
     def test_help_covers_every_field(self):
         fields = set(ExperimentConfig.__dataclass_fields__) - set(COMMON_FIELDS)
         assert set(_HELP) == fields
-        assert set().union(*FIELDS.values()) == fields
-        assert set(FIELDS) == set(RUNNERS)
+        assert set().union(*(record.fields for record in EXPERIMENTS.values())) == fields
+        # every record has a runner, the module function run_<name>, and
+        # every runner a record (run_experiment is the dispatcher)
+        runners = {name[4:] for name in vars(experiments) if name.startswith("run_")}
+        assert runners - {"experiment"} == set(EXPERIMENTS)

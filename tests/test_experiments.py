@@ -9,7 +9,7 @@ import pytest
 from alignlab import ExperimentConfig, run_experiment
 from alignlab.experiments import (
     COMMON_FIELDS,
-    FIELDS,
+    EXPERIMENTS,
     ExperimentReport,
     _radial_contour_points,
     _trace_kl_contour,
@@ -24,6 +24,25 @@ from alignlab.experiments import (
 )
 
 from .conftest import loop_radial_contour_point
+
+
+def _count_solves(monkeypatch) -> list:
+    """Wrap solve_alpha_for_kl in every module that binds it; the calls land
+    in the returned list."""
+    import alignlab
+    from alignlab import deviations, experiments, tilting
+
+    calls = []
+    real = tilting.solve_alpha_for_kl
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (alignlab, tilting, deviations, experiments):
+        if hasattr(module, "solve_alpha_for_kl"):
+            monkeypatch.setattr(module, "solve_alpha_for_kl", counting)
+    return calls
 
 
 def _report_minus_duration(report) -> dict:
@@ -129,6 +148,13 @@ class TestTernaryFigure:
         for name in ("kl_contour", "reward_contour", "aligned_family", "points"):
             assert (out_a / f"{name}.csv").read_bytes() == (out_b / f"{name}.csv").read_bytes()
 
+    def test_solves_the_tilt_twice(self, monkeypatch):
+        # phi_delta once at the config boundary, and the family's far end
+        # (0.98 of the largest budget) once in the run
+        calls = _count_solves(monkeypatch)
+        run_ternary_figure(ExperimentConfig("ternary_figure", m=4))
+        assert len(calls) == 2
+
 
 class TestEquivalenceScan:
     def test_small_grid_decreasing(self, tmp_path):
@@ -146,6 +172,11 @@ class TestEquivalenceScan:
         report = run_equivalence_scan(ExperimentConfig("equivalence_scan", delta=0.0, m_grid=(3, 5)))
         assert report.passed
         assert report.results["kl_rate_to_optimal"] == [0.0, 0.0]
+
+    def test_solves_the_tilt_once(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        run_equivalence_scan(ExperimentConfig("equivalence_scan", m_grid=(3, 5)))
+        assert len(calls) == 1
 
 
 class TestRandomAlphabet:
@@ -230,26 +261,14 @@ class TestLdpProbe:
         assert not any("bon" in name for name in names)
 
     @pytest.mark.parametrize("conjecture", [None, True])
-    def test_solves_the_tilt_twice(self, monkeypatch, conjecture):
-        # one solve at the config boundary and one in the run, whatever the
-        # number of t points; every module that binds the solver is wrapped
-        import alignlab
-        from alignlab import deviations, experiments, tilting
-
-        calls = []
-        real = tilting.solve_alpha_for_kl
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for module in (alignlab, tilting, deviations, experiments):
-            if hasattr(module, "solve_alpha_for_kl"):
-                monkeypatch.setattr(module, "solve_alpha_for_kl", counting)
+    def test_solves_the_tilt_once(self, monkeypatch, conjecture):
+        # one solve across the config boundary and the run, whatever the
+        # number of t points
+        calls = _count_solves(monkeypatch)
         config = ExperimentConfig("ldp_probe", m=40, trials=200, conjecture=conjecture)
         report = run_ldp_probe(config)
         assert len(report.results["t_grid"]) == 5
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     def test_mc_reproducible(self):
         config = ExperimentConfig("ldp_probe", m=60, trials=500, seed=31)
@@ -305,8 +324,9 @@ TINY = {
 
 
 class TestFieldsTable:
-    @pytest.mark.parametrize("experiment", sorted(FIELDS))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_runner_reads_exactly_its_fields(self, experiment):
+        # what derive (run at construction) and the runner read together
         reads = set()
         names = set(ExperimentConfig.__dataclass_fields__)
 
@@ -316,10 +336,18 @@ class TestFieldsTable:
                     reads.add(name)
                 return super().__getattribute__(name)
 
-        config = Recording(experiment, **TINY[experiment])
-        reads.clear()
-        run_experiment(config)
-        assert reads == set(FIELDS[experiment]) | set(COMMON_FIELDS)
+        run_experiment(Recording(experiment, **TINY[experiment]))
+        assert reads == set(EXPERIMENTS[experiment].fields) | set(COMMON_FIELDS)
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_run_experiment_calls_the_module_runner(self, monkeypatch, experiment):
+        # the benchmark's traced runs time each runner by rebinding
+        # experiments.run_<name>; dispatch must go through that name
+        from alignlab import experiments
+
+        config = ExperimentConfig(experiment, **TINY[experiment])
+        monkeypatch.setattr(experiments, f"run_{experiment}", lambda c: ("stub", c))
+        assert run_experiment(config) == ("stub", config)
 
     def test_unread_field_rejected(self):
         with pytest.raises(ValueError, match="closeness_bound does not read m, delta"):
@@ -328,5 +356,5 @@ class TestFieldsTable:
     def test_unset_fields_take_the_table_defaults(self):
         config = ExperimentConfig("ternary_figure", m=4)
         assert config.get("m") == 4
-        assert config.get("delta") == FIELDS["ternary_figure"]["delta"]
+        assert config.get("delta") == EXPERIMENTS["ternary_figure"].fields["delta"]
         assert config.echo() == {"experiment": "ternary_figure", "m": 4, "seed": 0}
