@@ -28,18 +28,11 @@ from .distributions import (
     symbols_from_uniforms,
     type_counts_matrix,
 )
-from .errors import (
-    AlphabetMismatch,
-    BudgetExceeded,
-    InvalidN,
-    LengthMismatch,
-    SizeOverflow,
-)
+from .errors import AlphabetMismatch, InvalidN, LengthMismatch, SizeOverflow
 from .logspace import cumulative_log_probs, log_power_diff
 
 REWARD_TIE_TOL = 1e-12
 ORACLE_TUPLE_CAP = 10_000_000
-SAMPLE_BUDGET = 100_000_000
 # bon_type_law's N is at most exp(MAX_LOG_N): N multiplies log masses, and
 # class log-probs stay finite up to this bound
 MAX_LOG_N = 690.0
@@ -222,14 +215,6 @@ def bon_enumeration_oracle(
         contrib = np.where(winners, share[:, None], 0.0)
         np.add.at(out, digits.ravel(), contrib.ravel())
     return out
-
-
-def check_sample_budget(m: int, N: int) -> None:
-    """Raise unless N is a positive integer and best-of-N sampling of length-m
-    sequences draws at most ``SAMPLE_BUDGET`` candidate symbols per trial."""
-    _check_n(N)
-    if N * m > SAMPLE_BUDGET:
-        raise BudgetExceeded(f"N*m = {N * m} exceeds sampling budget {SAMPLE_BUDGET}")
 
 
 def bon_winners(

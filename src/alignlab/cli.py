@@ -35,7 +35,7 @@ _HELP = {
     "eps": "Monte Carlo window half-width",
     "trials": "Monte Carlo trial count",
     "seeds": "number of random pairs",
-    "conjecture": "also report the best-of-N empirical deviation curve",
+    "conjecture": "also report the exact best-of-N deviation curve",
 }
 
 

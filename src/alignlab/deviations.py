@@ -1,4 +1,4 @@
-"""Rate functions, scaled reward cumulants, and Monte Carlo deviation probes.
+"""Rate functions, scaled reward cumulants, and deviation probabilities.
 
 For a tilted product source phi, the per-symbol negative log likelihood under
 the alignment target obeys an exponential decay law for rare deviations; its
@@ -7,6 +7,8 @@ to phi.  The scaled cumulants of the reward are Renyi cross entropies of phi
 to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it.
+A window probability is exact over the type classes of any sequence law,
+best-of-N included, or counted by Monte Carlo under phi^m.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestofn import bon_type_law, bon_winners, check_sample_budget
+from .bestofn import TypeLaw, bon_type_law
 from .distributions import CategoricalDistribution, symbols_from_uniforms
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
-from .metrics import cross_entropy, kl_divergence, renyi_cross_entropy
+from .metrics import kl_divergence, renyi_cross_entropy
 from .rng import trial_uniforms
 from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward
 
-RHO_ZERO_WINDOW = 1e-6
 LEGENDRE_BRACKET_TOL = 1e-9
 LEGENDRE_GRID = 41
 # Uniforms drawn per array pass of a Monte Carlo hit count: bounds its
@@ -71,11 +72,10 @@ def scaled_cumulant(
     rho: float,
 ) -> CumulantPoint:
     """(1/m rho) log E[exp(rho reward)] under phi^m in the large-m limit
-    (exact per symbol)."""
+    (exact per symbol): -H_{1+rho}(phi, q), whose rho -> 0 limit is the mean
+    reward -H(phi, q)."""
     if rho < 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho!r}")
-    if rho < RHO_ZERO_WINDOW:
-        return CumulantPoint(rho=rho, value=-cross_entropy(phi, q))
     return CumulantPoint(rho=rho, value=-renyi_cross_entropy(phi, q, 1.0 + rho))
 
 
@@ -101,20 +101,15 @@ def finite_m_cumulant_check(
     return lhs, rhs
 
 
-def _window_hits(q, t, eps, m, trials, seed, width, symbols_of) -> int:
-    """Trials whose per-symbol -log q^m(Y) / m lands within eps of t.
+def window_log_prob(law: TypeLaw, q: CategoricalDistribution, t: float, eps: float) -> float:
+    """log P(|-(1/m) log q^m(Y) - t| < eps) for Y drawn from a type-class law.
 
-    Trial i's length-m sequence is ``symbols_of`` applied to the first
-    ``width`` uniforms of ``spawn_generator(seed, i)``.  Trials are processed
-    in chunks of at most ``CHUNK_UNIFORMS`` uniforms (and at least one trial),
-    so the count does not depend on the chunking and memory stays bounded.
+    One masked log-sum-exp of the class log masses, over the same open window
+    :func:`deviation_hit_count` counts; -inf when no class lies in it.
     """
-    per_chunk = max(1, min(trials, CHUNK_UNIFORMS // width))
-    hits = 0
-    for u in trial_uniforms(seed, 0, trials, width, per_chunk):
-        values = -q.log_probs[symbols_of(u)].sum(axis=1) / m
-        hits += int(np.count_nonzero(np.abs(values - t) < eps))
-    return hits
+    values = -(law.counts @ q.log_probs) / law.m
+    inside = np.abs(values - t) < eps
+    return logsumexp((law.class_log_sizes + law.per_seq_log_probs)[inside])
 
 
 def deviation_hit_count(
@@ -129,35 +124,18 @@ def deviation_hit_count(
     """Number of samples of phi^m whose per-symbol value lands in the window.
 
     Trial i draws its m symbols from the m uniforms of the child stream
-    ``spawn_generator(seed, i)``.
+    ``spawn_generator(seed, i)``.  Trials are processed in chunks of at most
+    ``CHUNK_UNIFORMS`` uniforms (and at least one trial), so the count does
+    not depend on the chunking and memory stays bounded.
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
-    return _window_hits(q, t, eps, m, trials, seed, m, lambda u: symbols_from_uniforms(phi, u))
-
-
-def bon_hit_count(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    N: int,
-    t: float,
-    eps: float,
-    m: int,
-    trials: int,
-    seed: int,
-) -> int:
-    """Number of best-of-N samples whose per-symbol value lands in the window.
-
-    Trial i is one row of :func:`bon_winners`: the first N*m + 1 uniforms of
-    the child stream ``spawn_generator(seed, i)`` draw the candidates and
-    break ties.
-    """
-    if trials < 1 or m < 1:
-        raise ValueError("trials and m must be >= 1")
-    check_sample_budget(m, N)
-    return _window_hits(
-        q, t, eps, m, trials, seed, N * m + 1, lambda u: bon_winners(p, q, m, N, u)
-    )
+    per_chunk = max(1, min(trials, CHUNK_UNIFORMS // m))
+    hits = 0
+    for u in trial_uniforms(seed, 0, trials, m, per_chunk):
+        values = -q.log_probs[symbols_from_uniforms(phi, u)].sum(axis=1) / m
+        hits += int(np.count_nonzero(np.abs(values - t) < eps))
+    return hits
 
 
 def rate_from_hits(hits: int, trials: int, m: int) -> float | None:

@@ -45,7 +45,3 @@ class LengthMismatch(AlignlabError):
 
 class InvalidN(AlignlabError):
     """The sample count N is out of range, or not a positive integer where one is needed."""
-
-
-class BudgetExceeded(AlignlabError):
-    """A sampling request exceeds the configured work budget."""

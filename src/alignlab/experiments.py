@@ -20,7 +20,6 @@ import numpy as np
 from .bestofn import (
     MAX_LOG_N,
     ORACLE_TUPLE_CAP,
-    SAMPLE_BUDGET,
     bon_enumeration_oracle,
     bon_exact_pmf,
     bon_expected_type,
@@ -36,11 +35,11 @@ from .distributions import (
     make_distribution,
 )
 from .deviations import (
-    bon_hit_count,
     deviation_hit_count,
     legendre_oracle,
     rate_from_hits,
     rate_function,
+    window_log_prob,
 )
 from .errors import AlignlabError
 from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
@@ -235,9 +234,15 @@ def _solve_tilt(p: CategoricalDistribution, q: CategoricalDistribution, delta: f
         raise ValueError(str(exc)) from None
 
 
-def _check_type_classes(m: int, K: int) -> None:
+def _check_law_size(m: int, K: int, n: int | None = None, delta: float | None = None) -> None:
+    """The limits of ``bon_type_law`` at length m over K symbols, with N = n
+    or N = exp(m * delta)."""
     if math.comb(m + K - 1, K - 1) > TYPE_CAP:
         raise ValueError(f"type classes C(m+K-1, K-1) must be <= {TYPE_CAP}, got m={m}, K={K}")
+    if delta is not None and m * delta > MAX_LOG_N:
+        raise ValueError(f"m*delta (log N) must be <= {MAX_LOG_N}, got m={m}, delta={delta}")
+    if n is not None and n > math.exp(MAX_LOG_N):
+        raise ValueError(f"n must be <= exp({MAX_LOG_N}), got {n}")
 
 
 def _finish(config: ExperimentConfig, started: float, results, checks, csvs) -> ExperimentReport:
@@ -396,9 +401,11 @@ def _derive_ternary_figure(config: ExperimentConfig) -> tuple:
     p, q = _pair(config)
     if p.K != 3:
         raise ValueError(f"ternary_figure needs 3 weights in p and q, got {p.K}")
-    _check_type_classes(config.get("m"), p.K)
-    if config.get("n") > math.exp(MAX_LOG_N):
-        raise ValueError(f"n must be <= exp({MAX_LOG_N}), got {config.get('n')}")
+    lo, hi = reward_target_range(q)
+    if lo == hi:
+        # no reward chord crosses the simplex, whatever the budget
+        raise ValueError("uniform alignment target: the family is the single point p")
+    _check_law_size(config.get("m"), p.K, n=config.get("n"))
     return p, q, _solve_tilt(p, q, config.get("delta"))
 
 
@@ -464,7 +471,9 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     results["bon_expected_type"] = [float(x) for x in e_type]
     results["l1_bon_type_to_phi"] = l1_bon
     results["l1_reference_to_phi"] = l1_ref
-    _check(checks, "bon_type_closer_than_reference", l1_bon, l1_ref, l1_bon < l1_ref)
+    if delta > 0.0:
+        # at delta = 0, phi = p and l1_ref is 0
+        _check(checks, "bon_type_closer_than_reference", l1_bon, l1_ref, l1_bon < l1_ref)
 
     q_probs = q.probs()
     csvs["points"] = (
@@ -485,10 +494,8 @@ def _derive_equivalence_scan(config: ExperimentConfig) -> tuple:
     m_grid, delta = config.get("m_grid"), config.get("delta")
     if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError(f"m_grid must be strictly increasing, got {m_grid!r}")
-    m = m_grid[-1]  # the largest m, so the largest type law and N = exp(m * delta)
-    _check_type_classes(m, p.K)
-    if m * delta > MAX_LOG_N:
-        raise ValueError(f"m*delta (log N) must be <= {MAX_LOG_N}, got m={m}, delta={delta}")
+    # the largest m, so the largest type law and N = exp(m * delta)
+    _check_law_size(m_grid[-1], p.K, delta=delta)
     return p, q, _solve_tilt(p, q, delta)
 
 
@@ -726,12 +733,8 @@ def _derive_ldp_probe(config: ExperimentConfig) -> tuple:
         raise ValueError(f"n is read only with conjecture, got n={n!r}")
     if config.get("conjecture"):
         # the conjecture's N: n, or round(exp(m * delta)) when unset
-        try:
-            n = n or round(math.exp(m * delta))
-        except OverflowError:
-            raise ValueError(f"exp(m*delta) overflows, got m={m!r}, delta={delta!r}") from None
-        if n * m > SAMPLE_BUDGET:
-            raise ValueError(f"N*m must be <= {SAMPLE_BUDGET}, got N={n}, m={m}")
+        _check_law_size(m, p.K, n=n, delta=None if n else delta)
+        n = n or round(math.exp(m * delta))
     tilt = _solve_tilt(p, q, delta)
     # the grid centre is the mean per-symbol -log q under phi
     grid = config.get("t_grid") or default_probe_grid(-tilt.expected_reward, config.get("eps"))
@@ -745,15 +748,16 @@ def _derive_ldp_probe(config: ExperimentConfig) -> tuple:
 def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     """Exact rate function vs its cumulant-transform oracle vs Monte Carlo.
 
-    The optional conjecture mode samples best-of-N sequences instead of the
-    tilted source and reports the empirical curve side by side without any
-    pass/fail assertion.
+    The optional conjecture mode adds best-of-N's exact window probability at
+    each t, from ``bon_type_law(p, q, m, N)``, and its finite-m rate side by
+    side, without any pass/fail assertion.
     """
     started = time.perf_counter()
     p, q, tilt, t_grid, conjecture_n = config.derived
     delta, m, trials, eps = (config.get(name) for name in ("delta", "m", "trials", "eps"))
     phi, mean_t = tilt.phi, -tilt.expected_reward
     band = eps + math.log(trials) / m
+    bon_law = None if conjecture_n is None else bon_type_law(p, q, m, conjecture_n)
 
     rows = []
     checks: list[dict] = []
@@ -772,11 +776,10 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
         else:
             max_band_dev = max(max_band_dev, abs(mc - point.rate))
         row = [float(t), point.beta, point.rate, oracle, mc, hits, trials]
-        if conjecture_n is not None:
-            bon_hits = bon_hit_count(
-                p, q, conjecture_n, float(t), eps, m, trials, _point_seed(config.seed, 10_000 + i)
-            )
-            row.extend([rate_from_hits(bon_hits, trials, m), bon_hits])
+        if bon_law is not None:
+            # the rate comes from the log, so it stays finite where P underflows
+            log_p = window_log_prob(bon_law, q, float(t), eps)
+            row.extend([math.exp(log_p), -log_p / m if log_p > -math.inf else None])
         rows.append(tuple(row))
 
     results = {
@@ -797,7 +800,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
 
     header = ["t", "beta", "rate_exact", "rate_oracle", "rate_mc", "hits", "trials"]
     if conjecture_n is not None:
-        header += ["rate_mc_bon", "hits_bon"]
+        header += ["p_bon", "rate_bon_finite_m"]
         results["conjecture_n"] = conjecture_n
     csvs = {"ldp_probe": (header, rows)}
     return _finish(config, started, results, checks, csvs)

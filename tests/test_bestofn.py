@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from alignlab import (
     AlphabetMismatch,
-    BudgetExceeded,
     CategoricalDistribution,
     InvalidN,
     LengthMismatch,
@@ -30,7 +29,7 @@ from alignlab import (
     from_log_weights,
 )
 
-from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs, check_sample_budget
+from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
 from alignlab.logspace import log_power_diff, logsumexp
 
 from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, random_pair
@@ -488,11 +487,6 @@ class TestBonSample:
         b = _one_draw(demo_p, demo_q, 5, 4, 2718)
         assert np.array_equal(a, b)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            check_sample_budget(10, 10**9)
-        check_sample_budget(10, 10**7)
-
     def test_single_draw_matches_reference_chi2(self, demo_p, demo_q):
         # 30000 draws of 3 uniforms each, one after another on one stream
         n = 30000
@@ -569,7 +563,7 @@ class TestBonSample:
         with pytest.raises(InvalidN):
             bon_winners(demo_p, demo_q, 3, 0, np.zeros((4, 1)))
         with pytest.raises(InvalidN):
-            check_sample_budget(3, -2)
+            bon_winners(demo_p, demo_q, 3, -2, np.zeros((4, 1)))
 
 
 # One best-of-N draw of TERNARY_P, target, m, N on the stream of each of

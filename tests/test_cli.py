@@ -128,10 +128,11 @@ class TestLdpProbeValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # the derived N = round(exp(400 * 0.11)) is 1.3e19
-            (["--conjecture"], "N*m must be <= 100000000"),
-            (["--conjecture", "--n", "10000000", "--m", "11"], "N*m must be <= 100000000"),
-            (["--conjecture", "--m", "10000"], "exp(m*delta) overflows"),
+            # the best-of-N law's limits: C(10002, 2) = 5.0e7 type classes,
+            # N = exp(1000 * 0.8), and an n above exp(690) = 1.4e299
+            (["--conjecture", "--m", "10000"], TYPE_CAP_ERROR),
+            (["--conjecture", "--m", "1000", "--delta", "0.8"], "m*delta (log N) must be <= 690"),
+            (["--conjecture", "--n", "1" + "0" * 300, "--m", "10"], "n must be <= exp(690.0)"),
             # the reward range of the demo q is (0.405..., 2.197...)
             (["--t-grid", "1.0,100", "--m", "10"], "t_grid must lie in (0.405"),
             (["--t-grid", "0.405", "--m", "10"], "t_grid must lie in (0.405"),
@@ -148,6 +149,13 @@ class TestLdpProbeValidation:
         assert code == 2
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_conjecture_runs_at_the_default_m(self, tmp_path, capsys):
+        # the exact best-of-N column has no sampling budget: N = 1.3e19 at m = 400
+        out = tmp_path / "x"
+        assert cli_dispatch(["ldp-probe", "--conjecture", "--trials", "1000", "--out", str(out)]) == 0
+        header = (out / "ldp_probe.csv").read_text().splitlines()[0]
+        assert header.endswith(",p_bon,rate_bon_finite_m")
 
 
 class TestConfigValidation:
@@ -237,6 +245,12 @@ class TestConfigValidation:
             (["equivalence-scan", "--m-grid", "4472"], None, TYPE_CAP_ERROR),
             (["example1", "--m", "12", "--n", "3"], None, "(K^m)^n must be <= 10000000"),
             (["example1", "--m", "1000000", "--n", "1000000"], None, "(K^m)^n must be <= 10000000"),
+            # no reward chord crosses the simplex, even at a zero budget
+            (
+                ["ternary-figure", "--q", "1,1,1", "--delta", "0"],
+                None,
+                "uniform alignment target",
+            ),
         ],
     )
     def test_input_no_runner_reads_is_usage_error(

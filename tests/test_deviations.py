@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignlab import (
-    AlphabetMismatch,
-    InvalidN,
     TargetOutOfRange,
-    bon_hit_count,
+    bon_enumeration_oracle,
+    bon_type_law,
+    bon_winners,
     cross_entropy,
     deviation_hit_count,
     finite_m_cumulant_check,
@@ -23,13 +23,15 @@ from alignlab import (
     renyi_cross_entropy,
     reward_target_range,
     scaled_cumulant,
+    sequence_space_log_probs,
     solve_alpha_for_kl,
+    window_log_prob,
 )
 
 from alignlab.deviations import CHUNK_UNIFORMS
 from alignlab.rng import spawn_generator
 
-from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, loop_symbols, random_pair
+from .conftest import TERNARY_P, TERNARY_Q, loop_symbols, random_pair
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
 # the demo pair's tilted source at the demo budget 0.11
@@ -196,7 +198,7 @@ class TestEmpiricalDeviationRate:
 
 
 class TestBatchedHitCounts:
-    """The chunked hit counters reproduce the per-trial loops exactly."""
+    """The chunked hit count reproduces the per-trial loop exactly."""
 
     # the window is centred on a quantile of the loop's own values, so most
     # examples split their trials into hits and misses
@@ -218,40 +220,70 @@ class TestBatchedHitCounts:
         expected = int(np.count_nonzero(np.abs(values - t) < eps))
         assert deviation_hit_count(phi, q, t, eps, m, trials, seed) == expected
 
-    @settings(max_examples=30)
-    @given(
-        seed=st.integers(0, 2**63 - 1),
-        m=st.integers(4, 12),
-        n=st.integers(4, 40),
-        target=st.sampled_from(sorted(TARGETS)),
-        quantile=st.floats(0.0, 1.0),
-        eps=st.floats(0.005, 0.2),
-        where=st.sampled_from(["one", "below", "at", "above"]),
-    )
-    def test_bon_count_matches_loop(self, seed, m, n, target, quantile, eps, where):
-        p, q = make_distribution(TERNARY_P), make_distribution(TARGETS[target])
-        trials = _trial_count(n * m + 1, where)
-        values = _loop_values(lambda rng: loop_bon_sample(p, q, m, n, rng), q, m, trials, seed)
-        t = float(np.quantile(values, quantile))
-        expected = int(np.count_nonzero(np.abs(values - t) < eps))
-        assert bon_hit_count(p, q, n, t, eps, m, trials, seed) == expected
-
     def test_counts_are_nontrivial(self, demo_p, demo_q):
         # a window near the bulk splits the trials into hits and misses
-        hits = bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 500, 3)
-        assert 0 < hits < 500
         hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 500, 3)
         assert 0 < hits < 500
 
     def test_invalid_sizes(self, demo_p, demo_q):
         with pytest.raises(ValueError):
-            bon_hit_count(demo_p, demo_q, 8, 0.9, 0.2, 10, 0, 3)
-        with pytest.raises(ValueError):
             deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 0, 10, 3)
-        with pytest.raises(AlphabetMismatch):
-            bon_hit_count(demo_p, make_distribution((1, 2, 3, 4)), 8, 0.9, 0.2, 10, 5, 3)
-        with pytest.raises(InvalidN):
-            bon_hit_count(demo_p, demo_q, 0, 0.9, 0.2, 10, 5, 3)
+        with pytest.raises(ValueError):
+            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 10, 0, 3)
+
+
+def _levels(values: np.ndarray) -> np.ndarray:
+    """One representative of each group of values equal to within 1e-9."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], np.diff(ordered) > 1e-9))]
+
+
+def _windows(values: np.ndarray):
+    """(t, eps) of every window from one level to another, its edges halfway
+    between neighbouring levels, so no value sits near an edge."""
+    levels = _levels(values)
+    edges = np.concatenate(([levels[0] - 1.0], 0.5 * (levels[1:] + levels[:-1]), [levels[-1] + 1.0]))
+    for i in range(levels.size):
+        for j in range(i, levels.size):
+            lo, hi = edges[i], edges[j + 1]
+            yield 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+class TestWindowLogProb:
+    @pytest.mark.parametrize("target", ["random", *sorted(TARGETS)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_enumeration_oracle(self, target, m, n):
+        if target == "random":
+            p, q = random_pair(np.random.default_rng(100 * m + n), 3)
+        else:
+            p, q = make_distribution(TERNARY_P), make_distribution(TARGETS[target])
+        pmf = bon_enumeration_oracle(p, q, m, n)
+        values = -sequence_space_log_probs(q, m) / m
+        law = bon_type_law(p, q, m, n)
+        for t, eps in _windows(values):
+            expected = math.log(float(pmf[np.abs(values - t) < eps].sum()))
+            assert window_log_prob(law, q, t, eps) == pytest.approx(expected, abs=1e-12)
+
+    def test_empty_window_is_minus_inf(self, demo_p, demo_q):
+        # at m = 2 the per-symbol values nearest 1.1 are 0.955 and 1.301
+        law = bon_type_law(demo_p, demo_q, 2, 2)
+        assert window_log_prob(law, demo_q, 1.1, 0.01) == -math.inf
+
+    def test_sampled_winners_within_five_sigma(self, demo_p, demo_q):
+        # 20,000 best-of-8 draws at m = 10 from one seed; each window's hit
+        # count lies within 5 binomial standard deviations of n*P
+        m, n, draws, eps = 10, 8, 20_000, 0.05
+        law = bon_type_law(demo_p, demo_q, m, n)
+        rng = np.random.default_rng(2024)
+        winners = np.concatenate(
+            [bon_winners(demo_p, demo_q, m, n, rng.random((2_000, n * m + 1))) for _ in range(10)]
+        )
+        values = -demo_q.log_probs[winners].sum(axis=1) / m
+        for t in (0.8, 0.9, 1.0, 1.1, 1.2):
+            prob = math.exp(window_log_prob(law, demo_q, t, eps))
+            hits = int(np.count_nonzero(np.abs(values - t) < eps))
+            assert abs(hits - draws * prob) <= 5.0 * math.sqrt(draws * prob * (1.0 - prob)), t
 
 
 class TestLegendreOracle:

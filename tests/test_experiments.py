@@ -116,6 +116,10 @@ class TestTernaryFigure:
         report = run_ternary_figure(ExperimentConfig("ternary_figure", delta=0.0, n=1))
         assert report.results["alpha"] == 0.0
         assert np.allclose(report.results["phi"], [0.2, 0.3, 0.5], atol=1e-12)
+        # phi = p, so best-of-N cannot be closer to phi than p is
+        report = run_ternary_figure(ExperimentConfig("ternary_figure", delta=0.0))
+        assert report.results["l1_reference_to_phi"] == 0.0
+        assert report.passed
 
     @pytest.mark.parametrize("delta", [1e-4, 0.11, 0.7, 3.0])
     def test_array_contour_matches_per_ray_bisection(self, delta):
@@ -254,11 +258,30 @@ class TestLdpProbe:
                 output_dir=str(tmp_path),
             )
         )
-        header = (tmp_path / "ldp_probe.csv").read_text().splitlines()[0]
-        assert header.endswith("rate_mc_bon,hits_bon")
+        lines = (tmp_path / "ldp_probe.csv").read_text().splitlines()
+        assert lines[0].endswith(",trials,p_bon,rate_bon_finite_m")
+        for line in lines[1:]:
+            p_bon, rate = map(float, line.split(",")[-2:])
+            assert 0.0 < p_bon < 1.0 and rate == pytest.approx(-math.log(p_bon) / 12, rel=1e-12)
         assert report.results["conjecture_n"] == 4
         names = {c["name"] for c in report.checks}
         assert not any("bon" in name for name in names)
+
+    def test_empty_bon_window_is_an_empty_rate_cell(self, tmp_path):
+        # at m = 2 no per-symbol value lies within 0.01 of 1.1
+        config = ExperimentConfig(
+            "ldp_probe",
+            m=2,
+            trials=10,
+            eps=0.01,
+            t_grid=(1.1,),
+            conjecture=True,
+            n=2,
+            output_dir=str(tmp_path),
+        )
+        run_ldp_probe(config)
+        row = (tmp_path / "ldp_probe.csv").read_text().splitlines()[1]
+        assert row.endswith(",0.0,")
 
     @pytest.mark.parametrize("conjecture", [None, True])
     def test_solves_the_tilt_once(self, monkeypatch, conjecture):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alignlab import bon_hit_count, deviation_hit_count, solve_alpha_for_kl
+from alignlab import deviation_hit_count, solve_alpha_for_kl
 from alignlab.rng import SEED_BLOCK, spawn_generator, trial_uniforms
 
 # Master seeds of one to five uint32 words; 2^64 - 1 is the top of the
@@ -74,9 +74,8 @@ class TestNoStreamObjectPerTrial:
             lambda p, q, trials: deviation_hit_count(
                 solve_alpha_for_kl(q, p, 0.11).phi, q, 1.2, 0.05, 40, trials, 7
             ),
-            lambda p, q, trials: bon_hit_count(p, q, 4, 1.2, 0.05, 10, trials, 7),
         ],
-        ids=["deviation_hit_count", "bon_hit_count"],
+        ids=["deviation_hit_count"],
     )
     def test_constant_per_call(self, built, demo_p, demo_q, count):
         count(demo_p, demo_q, 500)
