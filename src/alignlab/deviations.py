@@ -8,7 +8,8 @@ to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it.
 A window probability is exact over the type classes of any sequence law,
-best-of-N included, or counted by Monte Carlo under phi^m.
+best-of-N included, or counted by Monte Carlo under phi^m, with the trials
+reading one caller-given NumPy generator in order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .distributions import CategoricalDistribution, symbols_from_uniforms
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import kl_divergence, renyi_cross_entropy
-from .rng import trial_uniforms
 from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward
 
 LEGENDRE_BRACKET_TOL = 1e-9
@@ -59,10 +59,12 @@ def rate_function(
     """Rate of P(|per-symbol -log q^m(Y) - t| small) under the source phi^m.
 
     phi is a tilt T(q, p, alpha) of the reference p; phi = p gives the rate
-    under the reference itself.
+    under the reference itself.  The rate is clamped at 0: at phi's own mean
+    beta equals alpha, and the rounding of the two tilts can leave a KL of
+    about -1e-16.
     """
     beta = solve_beta_for_reward(q, p, t)
-    rate = kl_divergence(mismatched_tilt(q, p, beta), phi)
+    rate = max(0.0, kl_divergence(mismatched_tilt(q, p, beta), phi))
     return RatePoint(t=t, beta=beta, rate=rate)
 
 
@@ -119,20 +121,23 @@ def deviation_hit_count(
     eps: float,
     m: int,
     trials: int,
-    seed: int,
+    rng: np.random.Generator,
 ) -> int:
     """Number of samples of phi^m whose per-symbol value lands in the window.
 
-    Trial i draws its m symbols from the m uniforms of the child stream
-    ``spawn_generator(seed, i)``.  Trials are processed in chunks of at most
-    ``CHUNK_UNIFORMS`` uniforms (and at least one trial), so the count does
-    not depend on the chunking and memory stays bounded.
+    Trial j draws its m symbols from the next m uniforms of ``rng``, so the
+    trials read one stream in order.  They are processed in chunks of at
+    most ``CHUNK_UNIFORMS`` uniforms (and at least one trial), which bounds
+    memory; ``Generator.random`` takes one stream word per double whatever
+    the call shape, so the count does not depend on the chunking.
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
     per_chunk = max(1, min(trials, CHUNK_UNIFORMS // m))
+    buffer = np.empty((per_chunk, m))
     hits = 0
-    for u in trial_uniforms(seed, 0, trials, m, per_chunk):
+    for start in range(0, trials, per_chunk):
+        u = rng.random(out=buffer[: min(per_chunk, trials - start)])
         values = -q.log_probs[symbols_from_uniforms(phi, u)].sum(axis=1) / m
         hits += int(np.count_nonzero(np.abs(values - t) < eps))
     return hits

@@ -44,7 +44,13 @@ from .deviations import (
 from .errors import AlignlabError
 from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
 from .rng import spawn_generator
-from .tilting import max_achievable_kl, mismatched_tilt, reward_target_range, solve_alpha_for_kl
+from .tilting import (
+    FEASIBILITY_MARGIN,
+    max_achievable_kl,
+    mismatched_tilt,
+    reward_target_range,
+    solve_alpha_for_kl,
+)
 
 # Ternary demo pair used across the curve/scan experiments.
 TERNARY_REFERENCE = (0.2, 0.3, 0.5)
@@ -417,6 +423,8 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
 
     phi_probs = sol.phi.probs()
     p_probs = p.probs()
+    # 0 when phi = p, at delta = 0 or when a tiny budget's phi rounds to p
+    l1_ref = float(np.abs(p_probs - phi_probs).sum())
     reward_level = cross_entropy(sol.phi, q)
 
     checks: list[dict] = []
@@ -435,6 +443,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
             ["x_bary1", "x_bary2", "x_bary3", "curve_tag"],
             [(row[0], row[1], row[2], "kl_contour") for row in contour],
         )
+    if l1_ref > 0.0:
         # consistency: the radial tracer crosses the contour at phi itself
         direction = phi_probs - p_probs
         d = direction / float(np.linalg.norm(direction))
@@ -467,12 +476,11 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     law = bon_type_law(p, q, m, n)
     e_type = bon_expected_type(law)
     l1_bon = float(np.abs(e_type - phi_probs).sum())
-    l1_ref = float(np.abs(p_probs - phi_probs).sum())
     results["bon_expected_type"] = [float(x) for x in e_type]
     results["l1_bon_type_to_phi"] = l1_bon
     results["l1_reference_to_phi"] = l1_ref
-    if delta > 0.0:
-        # at delta = 0, phi = p and l1_ref is 0
+    if n > 1 and l1_ref > 0.0:
+        # best-of-1 is p, and phi = p leaves nothing to be closer to
         _check(checks, "bon_type_closer_than_reference", l1_bon, l1_ref, l1_bon < l1_ref)
 
     q_probs = q.probs()
@@ -592,8 +600,8 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
             )
             target = delta
             clamped = False
-            if target >= boundary - 2e-9:
-                target = boundary - 2e-9
+            if target >= boundary - 2 * FEASIBILITY_MARGIN:
+                target = boundary - 2 * FEASIBILITY_MARGIN
                 clamped = True
                 clamp_count += 1
             phi = solve_alpha_for_kl(q, p, target).phi
@@ -717,10 +725,6 @@ def run_closeness_bound(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, started, results, checks, csvs)
 
 
-def _point_seed(master: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=(int(master), int(index))).generate_state(1, np.uint64)[0])
-
-
 def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
     """Five-point deviation grid: the mean and offsets observable at desk scale."""
     return tuple(mean_t + k * eps for k in (-3.0, -2.0, 0.0, 2.0, 3.0))
@@ -768,7 +772,9 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
         point = rate_function(p, q, phi, float(t))
         oracle = legendre_oracle(phi, q, float(t))
         max_oracle_dev = max(max_oracle_dev, abs(point.rate - oracle))
-        hits = deviation_hit_count(phi, q, float(t), eps, m, trials, _point_seed(config.seed, i))
+        hits = deviation_hit_count(
+            phi, q, float(t), eps, m, trials, spawn_generator(config.seed, i)
+        )
         mc = rate_from_hits(hits, trials, m)
         if mc is None:
             if point.rate <= 3.0:

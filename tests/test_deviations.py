@@ -29,20 +29,22 @@ from alignlab import (
 )
 
 from alignlab.deviations import CHUNK_UNIFORMS
-from alignlab.rng import spawn_generator
+from alignlab.experiments import ExperimentConfig
 
 from .conftest import TERNARY_P, TERNARY_Q, loop_symbols, random_pair
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
 # the demo pair's tilted source at the demo budget 0.11
 DEMO_PHI = solve_alpha_for_kl(make_distribution(TERNARY_Q), make_distribution(TERNARY_P), 0.11).phi
+# ldp-probe's default window and probe points, whose source is DEMO_PHI
+_PROBE = ExperimentConfig("ldp_probe")
+DEFAULT_GRID, DEFAULT_EPS = _PROBE.derived[3], _PROBE.get("eps")
 
 
 def _loop_values(draw, q, m, trials, seed) -> np.ndarray:
-    """Per-symbol -log q^m(Y) / m trial by trial, each on its own child stream."""
-    return np.array(
-        [-float(np.sum(q.log_probs[draw(spawn_generator(seed, i))])) / m for i in range(trials)]
-    )
+    """Per-symbol -log q^m(Y) / m trial by trial, all read in order from one stream."""
+    rng = np.random.default_rng(seed)
+    return np.array([-float(np.sum(q.log_probs[draw(rng)])) / m for _ in range(trials)])
 
 
 def _trial_count(width, where):
@@ -77,6 +79,12 @@ class TestRateFunction:
         assert all(b > a for a, b in zip(above, above[1:]))
         assert all(b > a for a, b in zip(below, below[1:]))
         assert all(r >= 0 for r in above + below)
+
+    def test_nonnegative_at_default_probe_points(self, demo_p, demo_q):
+        # at the tilted mean beta equals alpha, and the two tilts' rounding
+        # used to leave a rate of -1e-16
+        for t in DEFAULT_GRID:
+            assert rate_function(demo_p, demo_q, DEMO_PHI, t).rate >= 0.0
 
     def test_consistency_tilted_base_vs_budget(self, demo_p, demo_q):
         # rate under the tilted base at budget 0 equals the budgeted rate,
@@ -146,7 +154,8 @@ class TestFiniteMCumulant:
 
 def _deviation_rate(p, q, delta, t, eps, m, trials, seed):
     phi = solve_alpha_for_kl(q, p, delta).phi
-    return rate_from_hits(deviation_hit_count(phi, q, t, eps, m, trials, seed), trials, m)
+    hits = deviation_hit_count(phi, q, t, eps, m, trials, np.random.default_rng(seed))
+    return rate_from_hits(hits, trials, m)
 
 
 class TestEmpiricalDeviationRate:
@@ -177,24 +186,20 @@ class TestEmpiricalDeviationRate:
         assert _deviation_rate(*args) == _deviation_rate(*args)
 
     def test_hit_count_matches_rate(self, demo_p, demo_q):
-        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 400, 13)
+        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 400, np.random.default_rng(13))
         rate = rate_from_hits(hits, 400, 60)
         assert rate == pytest.approx(-math.log(hits / 400) / 60, abs=1e-15)
 
     def test_batching_independent_hit_count(self, demo_p, demo_q):
-        # per-trial child streams: splitting the trial range across workers
-        # must reproduce the single-pass count
-        from alignlab.distributions import symbols_from_uniforms
-
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        # the trials read one stream in order, m uniforms each: trials
+        # [200, 400) are the stream advanced by 200 m, and the two halves'
+        # counts add up to the single-pass count (whose chunks split at 273)
         t, eps, m, seed = 1.19, 0.08, 60, 13
-        split = 0
-        for trial in range(400):
-            seq = symbols_from_uniforms(phi, spawn_generator(seed, trial).random(m))
-            assert seq.dtype == np.int64 and seq.shape == (m,)
-            if abs(-float(np.sum(demo_q.log_probs[seq])) / m - t) < eps:
-                split += 1
-        assert split == deviation_hit_count(phi, demo_q, t, eps, m, 400, seed)
+        whole = deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 400, np.random.default_rng(seed))
+        first = deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 200, np.random.default_rng(seed))
+        rest = np.random.default_rng(seed)
+        rest.bit_generator.advance(200 * m)
+        assert first + deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 200, rest) == whole
 
 
 class TestBatchedHitCounts:
@@ -218,18 +223,39 @@ class TestBatchedHitCounts:
         values = _loop_values(lambda rng: loop_symbols(phi, m, rng), q, m, trials, seed)
         t = float(np.quantile(values, quantile))
         expected = int(np.count_nonzero(np.abs(values - t) < eps))
-        assert deviation_hit_count(phi, q, t, eps, m, trials, seed) == expected
+        rng = np.random.default_rng(seed)
+        assert deviation_hit_count(phi, q, t, eps, m, trials, rng) == expected
 
     def test_counts_are_nontrivial(self, demo_p, demo_q):
         # a window near the bulk splits the trials into hits and misses
-        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 500, 3)
+        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 60, 500, np.random.default_rng(3))
         assert 0 < hits < 500
 
     def test_invalid_sizes(self, demo_p, demo_q):
+        rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 0, 10, 3)
+            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 0, 10, rng)
         with pytest.raises(ValueError):
-            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 10, 0, 3)
+            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 10, 0, rng)
+
+
+class TestHitCountAgainstExactLaw:
+    """The Monte Carlo count against the exact window probability of phi^m."""
+
+    @pytest.mark.parametrize("m, trials", [(40, 20_000), (400, 5_000)])
+    def test_within_five_sigma(self, demo_q, m, trials):
+        # threshold fixed in advance: |hits - n P| <= 5 sqrt(n P (1 - P))
+        law = bon_type_law(DEMO_PHI, demo_q, m, 1)
+        values = -(law.counts @ demo_q.log_probs) / m
+        for i, t in enumerate(DEFAULT_GRID):
+            # no class value near an edge, so float rounding moves no trial
+            # across the window
+            for edge in (t - DEFAULT_EPS, t + DEFAULT_EPS):
+                assert np.min(np.abs(values - edge)) >= 1e-9
+            prob = math.exp(window_log_prob(law, demo_q, t, DEFAULT_EPS))
+            rng = np.random.default_rng(2000 + i)
+            hits = deviation_hit_count(DEMO_PHI, demo_q, t, DEFAULT_EPS, m, trials, rng)
+            assert abs(hits - trials * prob) <= 5.0 * math.sqrt(trials * prob * (1.0 - prob))
 
 
 def _levels(values: np.ndarray) -> np.ndarray:

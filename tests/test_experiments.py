@@ -120,6 +120,11 @@ class TestTernaryFigure:
         report = run_ternary_figure(ExperimentConfig("ternary_figure", delta=0.0))
         assert report.results["l1_reference_to_phi"] == 0.0
         assert report.passed
+        # best-of-1 is p (--n 1), and a 1e-300 budget's phi rounds to p
+        # (--delta 1e-300): nothing is closer to phi than p, and phi = p
+        # leaves no ray from p to trace the contour along
+        for fields in ({"n": 1}, {"delta": 1e-300}):
+            assert run_ternary_figure(ExperimentConfig("ternary_figure", **fields)).passed
 
     @pytest.mark.parametrize("delta", [1e-4, 0.11, 0.7, 3.0])
     def test_array_contour_matches_per_ray_bisection(self, delta):
