@@ -28,8 +28,9 @@ from .distributions import (
     symbols_from_uniforms,
     type_counts_matrix,
 )
-from .errors import AlphabetMismatch, InvalidN, LengthMismatch, SizeOverflow
+from .errors import InvalidN, LengthMismatch, SizeOverflow
 from .logspace import cumulative_log_probs, log_power_diff
+from .metrics import _check_same_alphabet
 
 REWARD_TIE_TOL = 1e-12
 ORACLE_TUPLE_CAP = 10_000_000
@@ -143,8 +144,7 @@ def bon_type_law(
     masses, so it may be any int or float in [1, exp(``MAX_LOG_N``)], such as
     exp(m * delta); N = 1 gives the law of p^m itself.
     """
-    if p.K != q.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
+    _check_same_alphabet(p, q)
     if isinstance(N, bool) or not isinstance(N, (int, float, np.integer)) or not (
         1 <= N <= math.exp(MAX_LOG_N)
     ):
@@ -192,8 +192,7 @@ def bon_enumeration_oracle(
     instances; cost is (K^m)^N, and more than ``ORACLE_TUPLE_CAP`` tuples
     raises SizeOverflow.
     """
-    if p.K != q.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
+    _check_same_alphabet(p, q)
     _check_n(N)
     M = p.K**m
     n_tuples = M**N
@@ -233,8 +232,7 @@ def bon_winners(
     them uniformly.  Returns the (T, m) winning symbols; one seeded draw is
     ``bon_winners(p, q, m, N, default_rng(seed).random((1, N*m + 1)))[0]``.
     """
-    if p.K != q.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {p.K} vs {q.K}")
+    _check_same_alphabet(p, q)
     _check_n(N)
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != N * m + 1:
@@ -259,15 +257,13 @@ def bon_expected_type(law: TypeLaw) -> np.ndarray:
 def bon_kl_to_reference(law: TypeLaw, p: CategoricalDistribution) -> float:
     """Exact D(law || p^m) by type-class summation, for any product target p^m
     (the reference, or a tilt such as phi_delta)."""
-    if law.K != p.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {law.K} vs {p.K}")
+    _check_same_alphabet(law, p)
     ref_lp = law.counts @ p.log_probs
     return float(np.sum(law.class_masses() * (law.per_seq_log_probs - ref_lp)))
 
 
 def expected_reward_rate(law: TypeLaw, q: CategoricalDistribution) -> float:
     """Per-symbol expected reward (1/m) E[log q^m(Y)] under a sequence law."""
-    if law.K != q.K:
-        raise AlphabetMismatch(f"alphabet sizes differ: {law.K} vs {q.K}")
+    _check_same_alphabet(law, q)
     rewards = law.counts @ q.log_probs
     return float(np.sum(law.class_masses() * rewards)) / law.m

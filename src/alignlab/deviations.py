@@ -8,8 +8,10 @@ to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it.
 A window probability is exact over the type classes of any sequence law,
-best-of-N included, or counted by Monte Carlo under phi^m, with the trials
-reading one caller-given NumPy generator in order.
+best-of-N included, or counted by Monte Carlo under phi^m.  The window
+statistic depends on a sequence only through its type, which is
+Multinomial(m, phi) under phi^m, so a Monte Carlo trial draws the K type
+counts, not the m symbols, from one caller-given NumPy generator in order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bestofn import TypeLaw, bon_type_law
-from .distributions import CategoricalDistribution, symbols_from_uniforms
+from .distributions import CategoricalDistribution
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import kl_divergence, renyi_cross_entropy
@@ -28,9 +30,9 @@ from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward
 
 LEGENDRE_BRACKET_TOL = 1e-9
 LEGENDRE_GRID = 41
-# Uniforms drawn per array pass of a Monte Carlo hit count: bounds its
-# buffers to a few hundred kB whatever the trial count.
-CHUNK_UNIFORMS = 2**14
+# Type counts (trials x K cells) drawn per array pass of a Monte Carlo hit
+# count: bounds its buffers to a few hundred kB whatever the trial count.
+CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -125,20 +127,21 @@ def deviation_hit_count(
 ) -> int:
     """Number of samples of phi^m whose per-symbol value lands in the window.
 
-    Trial j draws its m symbols from the next m uniforms of ``rng``, so the
-    trials read one stream in order.  They are processed in chunks of at
-    most ``CHUNK_UNIFORMS`` uniforms (and at least one trial), which bounds
-    memory; ``Generator.random`` takes one stream word per double whatever
-    the call shape, so the count does not depend on the chunking.
+    Trial j draws its type, the symbol counts of a length-m sample, as the
+    next ``rng.multinomial(m, phi)`` row, so a trial costs O(K) whatever m.
+    Chunks of at most ``CHUNK_CELLS`` counts (and at least one trial) bound
+    memory; ``multinomial`` fills its rows one after another from the
+    stream, so the count does not depend on the chunking, and a second call
+    on the same generator continues where the first stopped.
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
-    per_chunk = max(1, min(trials, CHUNK_UNIFORMS // m))
-    buffer = np.empty((per_chunk, m))
+    probs = phi.probs()
+    per_chunk = max(1, min(trials, CHUNK_CELLS // phi.K))
     hits = 0
     for start in range(0, trials, per_chunk):
-        u = rng.random(out=buffer[: min(per_chunk, trials - start)])
-        values = -q.log_probs[symbols_from_uniforms(phi, u)].sum(axis=1) / m
+        counts = rng.multinomial(m, probs, size=min(per_chunk, trials - start))
+        values = counts @ -q.log_probs / m
         hits += int(np.count_nonzero(np.abs(values - t) < eps))
     return hits
 

@@ -2,14 +2,13 @@
 
 Probabilities are stored as natural-log values throughout; combining them goes
 through :mod:`alignlab.logspace`.  All values are immutable after construction
-and safe to share across threads.
+and safe to share across threads.  Sequences are sampled by inverse CDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,23 +49,6 @@ class CategoricalDistribution:
     def probs(self) -> np.ndarray:
         """Linear-domain probability vector (fresh copy)."""
         return np.exp(self.log_probs)
-
-    @cached_property
-    def _guide_table(self) -> tuple[np.ndarray, int, np.ndarray, int]:
-        """Inverse-CDF lookup table of :func:`symbols_from_uniforms`: the CDF,
-        the bucket count G, each bucket's first symbol and the step passes.
-
-        Built on the first draw, so distributions that never sample skip it.
-        """
-        cdf = np.cumsum(np.exp(self.log_probs))
-        cdf[-1] = 1.0  # guard the last bin against rounding
-        K = cdf.size
-        G = 1 << (4 * K - 1).bit_length()  # smallest power of two >= 4K
-        edges = np.searchsorted(cdf, np.arange(G + 1) / G, side="right")
-        passes = int(np.max(np.minimum(edges[1:], K - 1) - edges[:-1]))
-        cdf.setflags(write=False)
-        edges.setflags(write=False)
-        return cdf, G, edges, passes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CategoricalDistribution):
@@ -146,19 +128,12 @@ def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
 def symbols_from_uniforms(dist: CategoricalDistribution, u: np.ndarray) -> np.ndarray:
     """Symbols of ``dist`` for uniforms in [0, 1) of any shape, by inverse CDF.
 
-    The symbol of u is the number of CDF steps at or below it, found by
-    guide-table lookup (Chen & Asau, 1974): bucket floor(u*G) of G equal
-    buckets holds the first symbol any of its u can take, and each pass
-    steps s while u >= cdf[s].  G is a power of two, so u*G is exact and the
-    bucket bounds the symbol from both sides; ``passes`` steps cover the most
-    CDF steps any bucket holds, and a pass past the symbol leaves it as is.
-    Uniforms outside [0, 1), and NaN, raise ValueError.
+    The symbol of u is the number of CDF steps at or below it.  Uniforms
+    outside [0, 1), and NaN, raise ValueError.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
-    cdf, G, edges, passes = dist._guide_table
-    s = edges.take((u * G).astype(np.intp))
-    for _ in range(passes):
-        s += u >= cdf.take(s)
-    return s.astype(np.int64, copy=False)
+    cdf = np.cumsum(dist.probs())
+    cdf[-1] = 1.0  # guard the last bin against rounding
+    return np.searchsorted(cdf, u, side="right")

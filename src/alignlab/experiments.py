@@ -251,6 +251,13 @@ def _check_law_size(m: int, K: int, n: int | None = None, delta: float | None = 
         raise ValueError(f"n must be <= exp({MAX_LOG_N}), got {n}")
 
 
+def _matched_n(m: int, K: int, n: int | None, delta: float) -> int:
+    """N = n, or the budget-matched round(exp(m * delta)) when n is unset,
+    within the limits of ``bon_type_law`` at length m over K symbols."""
+    _check_law_size(m, K, n=n, delta=None if n else delta)
+    return n or round(math.exp(m * delta))
+
+
 def _finish(config: ExperimentConfig, started: float, results, checks, csvs) -> ExperimentReport:
     """The run's report; with an output directory, written after its CSVs."""
     report = ExperimentReport(config.experiment, config.seed, config.echo(), results, checks)
@@ -411,15 +418,17 @@ def _derive_ternary_figure(config: ExperimentConfig) -> tuple:
     if lo == hi:
         # no reward chord crosses the simplex, whatever the budget
         raise ValueError("uniform alignment target: the family is the single point p")
-    _check_law_size(config.get("m"), p.K, n=config.get("n"))
-    return p, q, _solve_tilt(p, q, config.get("delta"))
+    # the tilt first: an unspendable budget is reported as such, not as log N
+    tilt = _solve_tilt(p, q, config.get("delta"))
+    n = _matched_n(config.get("m"), p.K, config.get("n"), config.get("delta"))
+    return p, q, tilt, n
 
 
 def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     """KL contour, reward chord, tilted-family curve, and best-of-N expected type."""
     started = time.perf_counter()
-    p, q, sol = config.derived
-    delta, m, n = config.get("delta"), config.get("m"), config.get("n")
+    p, q, sol, n = config.derived
+    delta, m = config.get("delta"), config.get("m")
 
     phi_probs = sol.phi.probs()
     p_probs = p.probs()
@@ -736,9 +745,7 @@ def _derive_ldp_probe(config: ExperimentConfig) -> tuple:
     if n is not None and not config.get("conjecture"):
         raise ValueError(f"n is read only with conjecture, got n={n!r}")
     if config.get("conjecture"):
-        # the conjecture's N: n, or round(exp(m * delta)) when unset
-        _check_law_size(m, p.K, n=n, delta=None if n else delta)
-        n = n or round(math.exp(m * delta))
+        n = _matched_n(m, p.K, n, delta)
     tilt = _solve_tilt(p, q, delta)
     # the grid centre is the mean per-symbol -log q under phi
     grid = config.get("t_grid") or default_probe_grid(-tilt.expected_reward, config.get("eps"))
@@ -819,7 +826,7 @@ EXPERIMENTS = {
     "example1": Experiment(
         {"p": TERNARY_REFERENCE, "q": TERNARY_TARGET, "m": 2, "n": 2}, _derive_example1
     ),
-    "ternary_figure": Experiment({**_DEMO, "m": 10, "n": 3}, _derive_ternary_figure),
+    "ternary_figure": Experiment({**_DEMO, "m": 10, "n": None}, _derive_ternary_figure),
     "equivalence_scan": Experiment(
         {**_DEMO, "m_grid": (5, 10, 20, 40, 80, 160)}, _derive_equivalence_scan
     ),

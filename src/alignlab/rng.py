@@ -2,7 +2,7 @@
 
 :func:`spawn_generator` is the package's one recipe for a seeded stream:
 random-alphabet and closeness-bound take one per random instance, and
-ldp-probe takes one per probe point, whose trials read it in order.
+ldp-probe one per probe point, whose trials draw their types from it in order.
 """
 
 from __future__ import annotations

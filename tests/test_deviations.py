@@ -28,10 +28,10 @@ from alignlab import (
     window_log_prob,
 )
 
-from alignlab.deviations import CHUNK_UNIFORMS
-from alignlab.experiments import ExperimentConfig
+from alignlab.deviations import CHUNK_CELLS
+from alignlab.experiments import ExperimentConfig, default_probe_grid
 
-from .conftest import TERNARY_P, TERNARY_Q, loop_symbols, random_pair
+from .conftest import TERNARY_P, TERNARY_Q, random_pair
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
 # the demo pair's tilted source at the demo budget 0.11
@@ -41,15 +41,16 @@ _PROBE = ExperimentConfig("ldp_probe")
 DEFAULT_GRID, DEFAULT_EPS = _PROBE.derived[3], _PROBE.get("eps")
 
 
-def _loop_values(draw, q, m, trials, seed) -> np.ndarray:
-    """Per-symbol -log q^m(Y) / m trial by trial, all read in order from one stream."""
+def _loop_values(phi, q, m, trials, seed) -> np.ndarray:
+    """Per-symbol -log q^m(Y) / m trial by trial, each trial's type drawn in
+    order from one stream."""
     rng = np.random.default_rng(seed)
-    return np.array([-float(np.sum(q.log_probs[draw(rng)])) / m for _ in range(trials)])
+    return np.array([rng.multinomial(m, phi.probs()) @ -q.log_probs / m for _ in range(trials)])
 
 
-def _trial_count(width, where):
-    """1, or one below, at, or above the trials of one chunk of this width."""
-    chunk = CHUNK_UNIFORMS // width
+def _trial_count(K, where):
+    """1, or one below, at, or above the trials of one chunk over K symbols."""
+    chunk = CHUNK_CELLS // K
     return {"one": 1, "below": chunk - 1, "at": chunk, "above": chunk + 1}[where]
 
 
@@ -191,15 +192,20 @@ class TestEmpiricalDeviationRate:
         assert rate == pytest.approx(-math.log(hits / 400) / 60, abs=1e-15)
 
     def test_batching_independent_hit_count(self, demo_p, demo_q):
-        # the trials read one stream in order, m uniforms each: trials
-        # [200, 400) are the stream advanced by 200 m, and the two halves'
-        # counts add up to the single-pass count (whose chunks split at 273)
+        # the trials read one stream in order: a second call on the same
+        # generator continues it, so two counts of 200 trials add up to the
+        # count of 400 from a fresh generator
         t, eps, m, seed = 1.19, 0.08, 60, 13
         whole = deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 400, np.random.default_rng(seed))
-        first = deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 200, np.random.default_rng(seed))
-        rest = np.random.default_rng(seed)
-        rest.bit_generator.advance(200 * m)
-        assert first + deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 200, rest) == whole
+        rng = np.random.default_rng(seed)
+        first = deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 200, rng)
+        assert first + deviation_hit_count(DEMO_PHI, demo_q, t, eps, m, 200, rng) == whole
+
+    def test_cost_does_not_grow_with_m(self, demo_q):
+        # a trial draws K counts, not m symbols, so m = 10^11 needs no
+        # (trials, m) buffer
+        hits = deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 10**11, 3, np.random.default_rng(1))
+        assert isinstance(hits, int) and 0 <= hits <= 3
 
 
 class TestBatchedHitCounts:
@@ -218,9 +224,9 @@ class TestBatchedHitCounts:
     )
     def test_deviation_count_matches_loop(self, seed, m, target, quantile, eps, where):
         p, q = make_distribution(TERNARY_P), make_distribution(TARGETS[target])
-        trials = _trial_count(m, where)
+        trials = _trial_count(q.K, where)
         phi = solve_alpha_for_kl(q, p, 0.11).phi
-        values = _loop_values(lambda rng: loop_symbols(phi, m, rng), q, m, trials, seed)
+        values = _loop_values(phi, q, m, trials, seed)
         t = float(np.quantile(values, quantile))
         expected = int(np.count_nonzero(np.abs(values - t) < eps))
         rng = np.random.default_rng(seed)
@@ -242,19 +248,33 @@ class TestBatchedHitCounts:
 class TestHitCountAgainstExactLaw:
     """The Monte Carlo count against the exact window probability of phi^m."""
 
-    @pytest.mark.parametrize("m, trials", [(40, 20_000), (400, 5_000)])
-    def test_within_five_sigma(self, demo_q, m, trials):
+    # the demo pair at ldp-probe's default probe points, and a random K = 5
+    # pair at its own, which runs multinomial's binomial chain past 3 symbols
+    @pytest.mark.parametrize(
+        "K, m, trials",
+        [
+            pytest.param(3, 40, 20_000, id="40-20000"),
+            pytest.param(3, 400, 5_000, id="400-5000"),
+            pytest.param(5, 40, 20_000, id="K5-40-20000"),
+        ],
+    )
+    def test_within_five_sigma(self, demo_q, K, m, trials):
         # threshold fixed in advance: |hits - n P| <= 5 sqrt(n P (1 - P))
-        law = bon_type_law(DEMO_PHI, demo_q, m, 1)
-        values = -(law.counts @ demo_q.log_probs) / m
-        for i, t in enumerate(DEFAULT_GRID):
+        phi, q, grid = DEMO_PHI, demo_q, DEFAULT_GRID
+        if K != 3:
+            p, q = random_pair(np.random.default_rng(70), K)
+            phi = solve_alpha_for_kl(q, p, 0.11).phi
+            grid = default_probe_grid(cross_entropy(phi, q), DEFAULT_EPS)
+        law = bon_type_law(phi, q, m, 1)
+        values = -(law.counts @ q.log_probs) / m
+        for i, t in enumerate(grid):
             # no class value near an edge, so float rounding moves no trial
             # across the window
             for edge in (t - DEFAULT_EPS, t + DEFAULT_EPS):
                 assert np.min(np.abs(values - edge)) >= 1e-9
-            prob = math.exp(window_log_prob(law, demo_q, t, DEFAULT_EPS))
+            prob = math.exp(window_log_prob(law, q, t, DEFAULT_EPS))
             rng = np.random.default_rng(2000 + i)
-            hits = deviation_hit_count(DEMO_PHI, demo_q, t, DEFAULT_EPS, m, trials, rng)
+            hits = deviation_hit_count(phi, q, t, DEFAULT_EPS, m, trials, rng)
             assert abs(hits - trials * prob) <= 5.0 * math.sqrt(trials * prob * (1.0 - prob))
 
 

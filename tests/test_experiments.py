@@ -126,6 +126,12 @@ class TestTernaryFigure:
         for fields in ({"n": 1}, {"delta": 1e-300}):
             assert run_ternary_figure(ExperimentConfig("ternary_figure", **fields)).passed
 
+    @pytest.mark.parametrize("delta", [0.001, 0.3])
+    def test_n_defaults_to_the_budget_matched_n(self, delta):
+        # n = round(exp(m delta)) compares best-of-N with the tilt its budget
+        # matches; a fixed best-of-3 is farther from phi than p at 0.001
+        assert run_ternary_figure(ExperimentConfig("ternary_figure", delta=delta)).passed
+
     @pytest.mark.parametrize("delta", [1e-4, 0.11, 0.7, 3.0])
     def test_array_contour_matches_per_ray_bisection(self, delta):
         # every ray is bisected to the same midpoints as it was alone, so the
