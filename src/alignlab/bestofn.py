@@ -12,6 +12,9 @@ outcome's reward level.  Over sequence spaces the reward and the reference
 probability depend on a sequence only through its type, so the same formula
 applies per type class; N enters only as a multiplier of log masses, which
 admits the N = exp(m * delta) regime where N is far too large to enumerate.
+The levels do not depend on N either, so a grid of N is grouped once and
+evaluated as one row per N (``bon_exact_pmf_grid``); one N is the one-row
+case.
 """
 
 from __future__ import annotations
@@ -96,18 +99,22 @@ def group_reward_levels(
 
 
 def _winner_log_probs(
-    log_probs: np.ndarray, rewards: np.ndarray, n_eff: float
+    log_probs: np.ndarray, rewards: np.ndarray, ns
 ) -> np.ndarray:
-    """Per-outcome log probability under best-of-N with uniform tie-breaking.
+    """Per-outcome log probability under best-of-N with uniform tie-breaking,
+    one row per N of the 1-D ``ns``; the outcomes are grouped into levels once.
 
     Each level's pick mass log(S_le^N - S_lt^N) uses the stored cumulatives
     (pinned to exactly log 1 at the top), not a re-accumulated running sum:
     N amplifies any error in log S near the top by a factor of N.
     """
+    n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
     order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
     picks = log_power_diff(n_eff, cums[:-1], cums[1:], level_lps)
-    out = np.empty(order.size)
-    out[order] = log_probs[order] - np.repeat(level_lps, sizes) + np.repeat(picks, sizes)
+    base = log_probs[order] - np.repeat(level_lps, sizes)
+    out = np.empty((n_eff.size, order.size))
+    for row, level_picks in zip(out, np.repeat(picks, sizes, axis=1)):
+        row[order] = base + level_picks
     return out
 
 
@@ -120,14 +127,26 @@ def bon_exact_pmf(
     outcome_probs: CategoricalDistribution, rewards, N: int
 ) -> CategoricalDistribution:
     """Exact best-of-N PMF over a flat outcome space."""
+    return bon_exact_pmf_grid(outcome_probs, rewards, [N])[0]
+
+
+def bon_exact_pmf_grid(
+    outcome_probs: CategoricalDistribution, rewards, ns
+) -> list[CategoricalDistribution]:
+    """``bon_exact_pmf`` at each N of ``ns``, with the outcomes grouped into
+    reward levels once; N = 1 gives ``outcome_probs`` itself."""
     rw = np.asarray(rewards, dtype=np.float64)
     if rw.shape != (outcome_probs.K,):
         raise LengthMismatch(f"{outcome_probs.K} outcomes vs {rw.size} rewards")
-    _check_n(N)
-    if N == 1:
-        return outcome_probs
-    log_pi = _winner_log_probs(outcome_probs.log_probs, rw, float(N))
-    return from_log_weights(log_pi)
+    for N in ns:
+        _check_n(N)
+    pmfs = [outcome_probs] * len(ns)
+    drawn = [i for i, N in enumerate(ns) if N != 1]
+    if drawn:
+        log_pi = _winner_log_probs(outcome_probs.log_probs, rw, [float(ns[i]) for i in drawn])
+        for i, row in zip(drawn, log_pi):
+            pmfs[i] = from_log_weights(row)
+    return pmfs
 
 
 def bon_type_law(
@@ -157,7 +176,7 @@ def bon_type_law(
         seq_lp = ref_lp
     else:
         class_log_mass = sizes + ref_lp
-        seq_lp = _winner_log_probs(class_log_mass, rewards, float(N))
+        seq_lp = _winner_log_probs(class_log_mass, rewards, [float(N)])[0]
         # _winner_log_probs reshapes whole-class masses; per-sequence values
         # divide the class mass back out
         seq_lp = seq_lp - sizes

@@ -150,9 +150,11 @@ def rate_from_hits(hits: int, trials: int, m: int) -> float | None:
     """Monte Carlo rate estimate -(1/m) log(hits / trials) of a window hit count.
 
     None when no trial hit the window (an honest zero-hit outcome, never
-    substituted by infinity).
+    substituted by infinity), and +0.0 when every trial did.
     """
-    return None if hits == 0 else -math.log(hits / trials) / m
+    if hits == 0:
+        return None
+    return 0.0 if hits == trials else -math.log(hits / trials) / m
 
 
 def legendre_oracle(

@@ -89,9 +89,15 @@ def from_log_weights(log_weights) -> CategoricalDistribution:
 
 
 def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
-    """The log probabilities ``from_log_weights`` stores, without validation."""
-    shifted = arr - np.max(arr)
-    return shifted - math.log(float(np.sum(np.exp(shifted))))
+    """The log probabilities ``from_log_weights`` stores, without validation;
+    row by row for a 2-D array.
+
+    Each row's normalizer is ``math.log`` of its total: ``np.log`` rounds a
+    few floats differently, and a row must get the bits of the 1-D call.
+    """
+    shifted = arr - arr.max(axis=-1, keepdims=True)
+    totals = np.exp(shifted).sum(axis=-1, keepdims=True)
+    return shifted - np.array([math.log(t) for t in totals.flat]).reshape(totals.shape)
 
 
 def type_counts_matrix(m: int, K: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .bestofn import (
     ORACLE_TUPLE_CAP,
     bon_enumeration_oracle,
     bon_exact_pmf,
+    bon_exact_pmf_grid,
     bon_expected_type,
     bon_kl_to_reference,
     bon_type_law,
@@ -50,6 +51,7 @@ from .tilting import (
     mismatched_tilt,
     reward_target_range,
     solve_alpha_for_kl,
+    solve_alpha_for_kl_grid,
 )
 
 # Ternary demo pair used across the curve/scan experiments.
@@ -585,7 +587,8 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
 
     For each random pair the tilt is solved at the budget best-of-N actually
     spent, delta = D(pi_N || p); budgets that reach the family's numerical
-    boundary are clamped just inside it (counted in the report).
+    boundary are clamped just inside it (counted in the report).  A pair's
+    whole N grid is one best-of-N grid call and one tilt grid solve.
     """
     started = time.perf_counter()
     K, n_seeds, n_grid = config.get("K"), config.get("seeds"), config.get("n_grid")
@@ -599,22 +602,18 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
         rng = spawn_generator(config.seed, s)
         p = make_distribution(_dirichlet_interior(rng, K))
         q = make_distribution(_dirichlet_interior(rng, K))
-        boundary = max_achievable_kl(q, p)
-        for n in n_grid:
-            pi = bon_exact_pmf(p, q.log_probs, int(n))
-            delta = kl_divergence(pi, p)
+        cap = max_achievable_kl(q, p) - 2 * FEASIBILITY_MARGIN
+        pis = bon_exact_pmf_grid(p, q.log_probs, [int(n) for n in n_grid])
+        deltas = [kl_divergence(pi, p) for pi in pis]
+        tilts = solve_alpha_for_kl_grid(q, p, [min(delta, cap) for delta in deltas])
+        for n, pi, delta, tilt in zip(n_grid, pis, deltas, tilts):
             max_kl_bound_excess = max(max_kl_bound_excess, delta - math.log(n))
             max_kl_bound_log_n_minus_excess = max(
                 max_kl_bound_log_n_minus_excess, delta - (math.log(n) - (n - 1) / n)
             )
-            target = delta
-            clamped = False
-            if target >= boundary - 2 * FEASIBILITY_MARGIN:
-                target = boundary - 2 * FEASIBILITY_MARGIN
-                clamped = True
-                clamp_count += 1
-            phi = solve_alpha_for_kl(q, p, target).phi
-            d = kl_divergence(pi, phi)
+            clamped = delta >= cap
+            clamp_count += clamped
+            d = kl_divergence(pi, tilt.phi)
             max_d = max(max_d, d)
             rows.append((s, int(n), delta, d, clamped))
 

@@ -38,36 +38,44 @@ def log1mexp(u: np.ndarray) -> np.ndarray:
 
 
 def log_power_diff(
-    n_eff: float, cum_lt: np.ndarray, cum_le: np.ndarray, level_log_prob: np.ndarray
+    n_eff: np.ndarray, cum_lt: np.ndarray, cum_le: np.ndarray, level_log_prob: np.ndarray
 ) -> np.ndarray:
-    """log(S_le**N - S_lt**N) per reward level, elementwise.
+    """log(S_le**N - S_lt**N) per N and reward level: one row per N.
 
-    The difference is taken as N log S_le + log(1 - exp(-N d)), with
-    d = log S_le - log S_lt.  ``cum_le`` is the stored log S_le: pinned to 0 at
-    the top and formed from the small tail above it near the top, so N log S_le
-    has no cancellation even where N d is huge.  The gap d is derived from the
-    level's own log mass rather than from ``cum_le - cum_lt``, which keeps
-    deep-tail levels (d below the float resolution of the cumulative) exact to
-    first order.  ``cum_lt`` is -inf at the bottom level, where d is infinite.
+    ``n_eff`` is a column of N values, shape (n, 1); the level arrays are 1-D
+    and the result has shape (n, levels).  The difference is taken as
+    N log S_le + log(1 - exp(-N d)), with d = log S_le - log S_lt.
+    ``cum_le`` is the stored log S_le: pinned to 0 at the top and formed from
+    the small tail above it near the top, so N log S_le has no cancellation
+    even where N d is huge.  The gap d = log(1 + exp(r)), with r the level's
+    own log mass over S_lt, is derived from that mass rather than from
+    ``cum_le - cum_lt``, which keeps deep-tail levels (d below the float
+    resolution of the cumulative) exact to first order; it does not depend
+    on N, so it is formed once for all rows.  ``cum_lt`` is -inf at the
+    bottom level, where d is infinite.  Where N d rounds to 0 the first-order
+    form N S_lt^(N-1) * mass is used, evaluated only at those cells.
     """
     cum_lt, cum_le, lvl = np.broadcast_arrays(
         np.asarray(cum_lt, dtype=np.float64),
         np.asarray(cum_le, dtype=np.float64),
         np.asarray(level_log_prob, dtype=np.float64),
     )
-    inner = cum_lt != -math.inf
-    r = lvl[inner] - cum_lt[inner]
+    n_eff = np.asarray(n_eff, dtype=np.float64)
+    # r and so u are +inf at the bottom level, where log1mexp adds exactly 0
+    r = lvl - cum_lt
     # a log mass below -DBL_MAX is a mass of exactly 0, so -inf is the right value
     with np.errstate(over="ignore"):
         out = n_eff * cum_le
         u = n_eff * np.logaddexp(0.0, r)
-        tiny = u == 0.0
+    tiny = u == 0.0
+    far = ~tiny
+    out[far] += log1mexp(u[far])
+    if tiny.any():
         # level mass below float resolution: S_le^N - S_lt^N ~ N * S_lt^(N-1) * mass
-        deep = n_eff * cum_lt[inner][tiny] + math.log(n_eff) + r[tiny]
-    res = out[inner]
-    res[~tiny] += log1mexp(u[~tiny])
-    res[tiny] = deep
-    out[inner] = res
+        rows, cols = np.nonzero(tiny)
+        log_n = np.array([math.log(n) for n in n_eff[:, 0]])
+        with np.errstate(over="ignore"):
+            out[rows, cols] = n_eff[rows, 0] * cum_lt[cols] + log_n[rows] + r[cols]
     return out
 
 

@@ -12,6 +12,13 @@ inside it on a warped value that is close to linear in the parameter; a step
 that would leave the bracket, or that follows a Newton step which did not
 halve the residual, is a bisection.  Only the returned tilt is built as a
 validated distribution.
+
+A solve is a lane: a generator that yields the parameter it needs next and
+is sent that parameter's point.  ``_lockstep`` advances every unfinished
+lane by one step per round, with one row-wise ``_tilt_moments`` call over
+all their parameters, so a grid of budgets costs one kernel evaluation per
+round instead of one per budget per round.  Each lane's arithmetic is the
+one-lane solve's, so the results do not depend on the company a budget keeps.
 """
 
 from __future__ import annotations
@@ -65,27 +72,32 @@ def mismatched_tilt(
     if alpha == 0.0:
         return p
     lq = q.log_probs
-    return CategoricalDistribution(_tilt_log_probs(p.log_probs, lq - np.max(lq), alpha))
+    return CategoricalDistribution(_tilt_log_probs(p.log_probs, lq - np.max(lq), [alpha])[0])
 
 
-def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alpha: float) -> np.ndarray:
-    """Log-probs of T(q, p, alpha) from ``lq_top = log q - max log q``: the
-    weights round at the scale of alpha times the spread of log q, not of
-    alpha * |log q| (alpha reaches 1e4-1e7 for nearly uniform q)."""
-    return lp if alpha == 0.0 else normalized_log_weights(lp + alpha * lq_top)
+def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndarray:
+    """Log-probs of T(q, p, alpha), one row per alpha of the list ``alphas``,
+    from ``lq_top = log q - max log q``: the weights round at the scale of
+    alpha times the spread of log q, not of alpha * |log q| (alpha reaches
+    1e4-1e7 for nearly uniform q).  A zero alpha's row is ``lp`` itself."""
+    if 0.0 not in alphas:
+        return normalized_log_weights(lp + np.array(alphas)[:, None] * lq_top)
+    return np.array([lp if a == 0.0 else normalized_log_weights(lp + a * lq_top) for a in alphas])
 
 
-def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alpha: float):
-    """Log-probs and probabilities of T(q, p, alpha), and the mean and
-    variance of log q under it; ``lq_top`` is ``lq - max(lq)``.
+def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alphas: list):
+    """Log-probs and probabilities of T(q, p, alpha) per alpha of the list
+    ``alphas``, one row each, and the mean and variance of log q under each
+    tilt; ``lq_top`` is ``lq - max(lq)``.
 
-    The log-probs are those of ``mismatched_tilt(q, p, alpha)``, bit for bit,
-    so sums over them give the same numbers as the metrics on that tilt.
+    Row i's log-probs are those of ``mismatched_tilt(q, p, alphas[i])``, bit
+    for bit, and the row sums give the same numbers as the metrics on that
+    tilt.
     """
-    log_phi = _tilt_log_probs(lp, lq_top, alpha)
+    log_phi = _tilt_log_probs(lp, lq_top, alphas)
     w = np.exp(log_phi)
-    mean = float(np.sum(w * lq))
-    return log_phi, w, mean, float(np.sum(w * np.square(lq - mean)))
+    mean = (w * lq).sum(axis=1)
+    return log_phi, w, mean, (w * np.square(lq - mean[:, None])).sum(axis=1)
 
 
 def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) -> float:
@@ -96,11 +108,40 @@ def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) ->
     return -logsumexp(p.log_probs[maximizers])
 
 
-def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing, error):
-    """Safeguarded Newton for a monotone value bracketed by [lo, hi].
+def _lockstep(evaluate, lanes: list) -> list:
+    """Run solver lanes in lockstep and return each lane's result.
 
-    ``evaluate(x)`` returns ``(x, value, slope, log_phi)``, and ``start`` is
-    one such point at an end of the bracket.  The step is Newton's on
+    A lane is a generator that yields the next parameter it needs, is sent
+    that parameter's point, and returns its result.  Each round evaluates
+    the parameters of every live lane with one call ``evaluate(params)``, a
+    list in, one point per parameter out, so n lanes cost one kernel
+    call per round instead of n.  A lane that raises ends the run with its
+    error.
+    """
+    results = [None] * len(lanes)
+    points = [None] * len(lanes)  # what each lane is sent next; None starts it
+    live = range(len(lanes))
+    while live:
+        params, asking = [], []
+        for i in live:
+            try:
+                params.append(lanes[i].send(points[i]))
+                asking.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if asking:
+            for i, point in zip(asking, evaluate(params)):
+                points[i] = point
+        live = asking
+    return results
+
+
+def _newton_in_bracket(lo, hi, start, target, warp, increasing, error):
+    """Safeguarded Newton for a monotone value bracketed by [lo, hi], as a
+    lane of :func:`_lockstep`.
+
+    Each point, ``start`` included, is ``(x, value, slope, log_phi)``, and
+    ``start`` lies at an end of the bracket.  The step is Newton's on
     ``warp(value)``, a monotone map that returns the warped value and its
     derivative (or None outside its domain) and makes the value nearly linear
     in x.  A step that would leave the bracket, or that follows a Newton step
@@ -128,7 +169,7 @@ def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing, error)
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 break
-        point = evaluate(nxt)
+        point = yield nxt
         stalled = newton and abs(point[1] - target) > 0.5 * abs(r)
         if abs(point[1] - target) < abs(best[1] - target):
             best = point
@@ -146,6 +187,29 @@ def _newton_in_bracket(evaluate, lo, hi, start, target, warp, increasing, error)
     return best, best[1] - target, steps
 
 
+def _alpha_lane(delta: float, var: float, warp):
+    """One budget's KL solve as a lane: bracket doubling, then Newton.
+
+    The doubling starts from the small-budget root of D ~ alpha^2 Var_p(log q)
+    / 2, but from no further out than 1: the estimate overshoots by orders of
+    magnitude when p puts little mass on the argmax of q, and Var_p(log q)
+    can round to 0.  ``var`` is Var_p(log q).
+    """
+    lo, hi = 0.0, math.sqrt(2.0 * delta / var) if 2.0 * delta < var else 1.0
+    below = None
+    for _ in range(MAX_DOUBLINGS):
+        point = yield hi
+        if point[1] >= delta - BISECTION_RESIDUAL:
+            break
+        below, lo, hi = point, hi, 2.0 * hi
+    else:
+        raise InfeasibleBudget(f"could not bracket delta={delta!r}")
+    # start Newton from the bracket end nearer the budget
+    if below is not None and delta - below[1] < point[1] - delta:
+        point = below
+    return (yield from _newton_in_bracket(lo, hi, point, delta, warp, True, InfeasibleBudget))
+
+
 def solve_alpha_for_kl(
     q: CategoricalDistribution, p: CategoricalDistribution, delta: float
 ) -> TiltSolution:
@@ -154,25 +218,36 @@ def solve_alpha_for_kl(
     KL is strictly increasing in alpha for non-uniform q, so the root is
     unique.  Budgets within ``FEASIBILITY_MARGIN`` of the supremum, and
     budgets that are negative or not finite, are rejected (alpha diverges at
-    the boundary).
+    the boundary).  A zero budget gives alpha = 0 and p itself.
+    """
+    return solve_alpha_for_kl_grid(q, p, [delta])[0]
+
+
+def solve_alpha_for_kl_grid(
+    q: CategoricalDistribution, p: CategoricalDistribution, deltas
+) -> list[TiltSolution]:
+    """``solve_alpha_for_kl`` at each budget of ``deltas``, the budgets
+    solved in lockstep: each round of bracket doubling or Newton steps
+    evaluates the tilt of every unfinished budget in one kernel call.  Each
+    solution is bit for bit the one-budget solve's; a budget that one solve
+    would reject raises the same error here.
     """
     _check_same_alphabet(p, q)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise InfeasibleBudget(f"KL budget must be nonnegative and finite, got {delta!r}")
-    if delta == 0.0:
-        return TiltSolution(0.0, p, 0.0, -cross_entropy(p, q))
-    if float(np.ptp(q.log_probs)) <= _UNIFORM_LOGPROB_SPREAD:
-        raise DegenerateFamily("uniform alignment target: the family is the single point p")
-    max_kl = max_achievable_kl(q, p)
-    if delta >= max_kl - FEASIBILITY_MARGIN:
-        raise InfeasibleBudget(f"delta={delta!r} >= achievable supremum {max_kl!r}")
     lp, lq = p.log_probs, q.log_probs
     lq_top = lq - np.max(lq)
-
-    def evaluate(alpha: float):
-        # the same sum kl_divergence(mismatched_tilt(q, p, alpha), p) takes
-        log_phi, w, _, var = _tilt_moments(lp, lq, lq_top, alpha)
-        return alpha, float(np.sum(w * (log_phi - lp))), alpha * var, log_phi
+    max_kl = var = None
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise InfeasibleBudget(f"KL budget must be nonnegative and finite, got {delta!r}")
+        if delta == 0.0:
+            continue
+        if max_kl is None:
+            if float(np.ptp(lq)) <= _UNIFORM_LOGPROB_SPREAD:
+                raise DegenerateFamily("uniform alignment target: the family is the single point p")
+            max_kl = max_achievable_kl(q, p)
+            var = float(_tilt_moments(lp, lq, lq_top, [0.0])[3][0])
+        if delta >= max_kl - FEASIBILITY_MARGIN:
+            raise InfeasibleBudget(f"delta={delta!r} >= achievable supremum {max_kl!r}")
 
     def warp(kl: float):
         # -log(1 - sqrt(D / D_max)) grows like alpha both where D ~ alpha^2
@@ -182,35 +257,48 @@ def solve_alpha_for_kl(
         s = math.sqrt(kl / max_kl)
         return -math.log1p(-s), 0.5 / ((1.0 - s) * math.sqrt(kl * max_kl))
 
-    # double from the small-budget root of D ~ alpha^2 Var_p(log q) / 2, but
-    # from no further out than 1: the estimate overshoots by orders of
-    # magnitude when p puts little mass on the argmax of q, and Var_p(log q)
-    # can round to 0
-    var = _tilt_moments(lp, lq, lq_top, 0.0)[3]
-    lo, hi = 0.0, math.sqrt(2.0 * delta / var) if 2.0 * delta < var else 1.0
-    below = None
-    for _ in range(MAX_DOUBLINGS):
-        point = evaluate(hi)
-        if point[1] >= delta - BISECTION_RESIDUAL:
-            break
-        below, lo, hi = point, hi, 2.0 * hi
-    else:
-        raise InfeasibleBudget(f"could not bracket delta={delta!r}")
-    # start Newton from the bracket end nearer the budget
-    if below is not None and delta - below[1] < point[1] - delta:
-        point = below
-    (alpha, _, _, log_phi), residual, steps = _newton_in_bracket(
-        evaluate, lo, hi, point, delta, warp, True, InfeasibleBudget
-    )
-    phi = CategoricalDistribution(log_phi)
-    return TiltSolution(
-        alpha, phi, kl_divergence(phi, p), -cross_entropy(phi, q), steps, residual
-    )
+    def evaluate(alphas: list):
+        # the same sums kl_divergence(mismatched_tilt(q, p, alpha), p) takes
+        log_phi, w, _, variances = _tilt_moments(lp, lq, lq_top, alphas)
+        kls = (w * (log_phi - lp)).sum(axis=1).tolist()
+        slopes = [alpha * v for alpha, v in zip(alphas, variances.tolist())]
+        return zip(alphas, kls, slopes, log_phi)
+
+    live = [i for i, delta in enumerate(deltas) if delta != 0.0]
+    found = _lockstep(evaluate, [_alpha_lane(deltas[i], var, warp) for i in live])
+    zero = TiltSolution(0.0, p, 0.0, -cross_entropy(p, q)) if len(live) < len(deltas) else None
+    solutions = [zero] * len(deltas)
+    for i, ((alpha, _, _, log_phi), residual, steps) in zip(live, found):
+        phi = CategoricalDistribution(log_phi)
+        solutions[i] = TiltSolution(
+            alpha, phi, kl_divergence(phi, p), -cross_entropy(phi, q), steps, residual
+        )
+    return solutions
 
 
 def reward_target_range(q: CategoricalDistribution) -> tuple[float, float]:
     """Open interval of reachable per-symbol cross entropies H(T(q,p,b) || q)."""
     return (-float(np.max(q.log_probs)), -float(np.min(q.log_probs)))
+
+
+def _beta_lane(t: float, warp):
+    """One reward target's solve as a lane: double the bracket [-1, 1] up,
+    then down, then Newton."""
+    lo, hi = -1.0, 1.0
+    for _ in range(MAX_DOUBLINGS):
+        if (yield hi)[1] <= t:
+            break
+        lo, hi = hi, 2.0 * abs(hi)
+    else:
+        raise TargetOutOfRange(f"t={t!r} unreachable (upper bracket)")
+    for _ in range(MAX_DOUBLINGS):
+        point = yield lo
+        if point[1] >= t:
+            break
+        hi, lo = lo, -2.0 * abs(lo)
+    else:
+        raise TargetOutOfRange(f"t={t!r} unreachable (lower bracket)")
+    return (yield from _newton_in_bracket(lo, hi, point, t, warp, False, TargetOutOfRange))
 
 
 def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float):
@@ -222,10 +310,10 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float
     lp, lq = p.log_probs, q.log_probs
     lq_top = lq - np.max(lq)
 
-    def evaluate(beta: float):
+    def evaluate(betas: list):
         # H(T(q, p, beta) || q) is minus the mean of log q under the tilt
-        log_phi, _, mean, var = _tilt_moments(lp, lq, lq_top, beta)
-        return beta, -mean, -var, log_phi
+        log_phi, _, mean, var = _tilt_moments(lp, lq, lq_top, betas)
+        return zip(betas, (-mean).tolist(), (-var).tolist(), log_phi)
 
     def warp(h: float):
         # the logit of H on its range grows like beta at both ends
@@ -233,23 +321,7 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float
             return None
         return math.log(h - lo_t) - math.log(hi_t - h), 1.0 / (h - lo_t) + 1.0 / (hi_t - h)
 
-    lo, hi = -1.0, 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if evaluate(hi)[1] <= t:
-            break
-        lo, hi = hi, 2.0 * abs(hi)
-    else:
-        raise TargetOutOfRange(f"t={t!r} unreachable (upper bracket)")
-    for _ in range(MAX_DOUBLINGS):
-        point = evaluate(lo)
-        if point[1] >= t:
-            break
-        hi, lo = lo, -2.0 * abs(lo)
-    else:
-        raise TargetOutOfRange(f"t={t!r} unreachable (lower bracket)")
-    (beta, _, _, _), residual, steps = _newton_in_bracket(
-        evaluate, lo, hi, point, t, warp, False, TargetOutOfRange
-    )
+    [((beta, _, _, _), residual, steps)] = _lockstep(evaluate, [_beta_lane(t, warp)])
     return beta, steps, residual
 
 

@@ -17,6 +17,7 @@ from alignlab import (
     SizeOverflow,
     bon_enumeration_oracle,
     bon_exact_pmf,
+    bon_exact_pmf_grid,
     bon_expected_type,
     bon_kl_to_reference,
     bon_type_law,
@@ -338,7 +339,7 @@ class TestArrayKernel:
     def test_matches_loop_reference(self, instance, n_eff):
         log_probs, rewards = instance
         ref, scale = _loop_winner_log_probs(log_probs, rewards, n_eff)
-        got = _winner_log_probs(log_probs, rewards, n_eff)
+        got = _winner_log_probs(log_probs, rewards, [n_eff])[0]
         live = ref > -700.0
         tol = 1e-12 + 32 * _EPS * scale[live]
         assert np.all(np.abs(got[live] - ref[live]) <= tol)
@@ -348,7 +349,7 @@ class TestArrayKernel:
     def test_matches_50_digit_kernel(self, instance, n_eff):
         log_probs, rewards = instance
         exact = _mp_winner_log_probs(log_probs, rewards, n_eff)
-        got = _winner_log_probs(log_probs, rewards, n_eff)
+        got = _winner_log_probs(log_probs, rewards, [n_eff])[0]
         live = exact > -700.0
         assert np.max(np.abs(got[live] - exact[live]), initial=0.0) <= 1e-12
 
@@ -395,12 +396,12 @@ class TestArrayKernel:
             mass = [mpmath.exp(mpmath.mpf(x)) for x in level]
             cum_le = np.array([float(mpmath.log(a + b)) for a, b in zip(s_lt, mass)])
             for n_eff in (2.0, 7.0, 1e3, 1e9, math.exp(40.0)):
-                got = log_power_diff(n_eff, cum_lt, cum_le, level)
+                got = log_power_diff([[n_eff]], cum_lt, cum_le, level)[0]
                 n = mpmath.mpf(n_eff)
                 for g, a, b in zip(got, s_lt, mass):
                     exact = float(n * mpmath.log(a) + mpmath.log(mpmath.expm1(n * mpmath.log1p(b / a))))
                     assert abs(g - exact) <= 1e-12 * max(1.0, abs(exact))
-                bottom = log_power_diff(n_eff, [-math.inf], [math.log(0.25)], [math.log(0.25)])
+                bottom = log_power_diff([[n_eff]], [-math.inf], [math.log(0.25)], [math.log(0.25)])[0]
                 assert bottom[0] == pytest.approx(float(n * mpmath.log(0.25)), rel=1e-15)
 
     def test_type_law_50_digits(self, demo_p):
@@ -702,3 +703,57 @@ class TestExpectedTypeAndKl:
         law = bon_type_law(demo_p, demo_q, 2, 2)
         with pytest.raises(AlphabetMismatch):
             bon_kl_to_reference(law, make_distribution((1, 1)))
+
+
+@st.composite
+def _grid_instances(draw):
+    """A flat pair for ``bon_exact_pmf_grid``: rewards random, or tied in
+    groups whose members differ by less than ``REWARD_TIE_TOL``; log weights
+    that may reach 800 nats down, where a level's mass is below the float
+    resolution of the mass beneath it at any N (the deep branch)."""
+    K = draw(st.integers(2, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.sampled_from([5.0, 800.0]))
+    log_w = -depth * rng.random(K)
+    if draw(st.booleans()):
+        rewards = rng.integers(0, 4, K) + 0.4 * REWARD_TIE_TOL * rng.random(K)
+    else:
+        rewards = rng.standard_normal(K)
+    return from_log_weights(log_w), rewards
+
+
+_GRID_NS = st.lists(
+    st.one_of(st.sampled_from([1, 2, 10**9]), st.integers(1, 10**6)), min_size=1, max_size=12
+).map(lambda ns: ns + [1, 10**9])
+
+
+class TestExactPmfGrid:
+    @given(_grid_instances(), _GRID_NS)
+    @settings(max_examples=120)
+    def test_rows_match_one_n_calls(self, instance, ns):
+        dist, rewards = instance
+        grid = bon_exact_pmf_grid(dist, rewards, ns)
+        assert len(grid) == len(ns)
+        for N, row in zip(ns, grid):
+            alone = bon_exact_pmf(dist, rewards, N)
+            assert row.log_probs.tobytes() == alone.log_probs.tobytes()
+            if N == 1:
+                assert row is dist
+
+    def test_deep_branch_is_reached(self):
+        # one outcome 800 nats below the rest: at N = 1e9 its level's mass is
+        # below the resolution of S_lt, and the first-order form gives it
+        # log N + (N - 1) log S_lt + log mass
+        log_w = np.array([-800.0, 0.0, -1.0])
+        dist = from_log_weights(log_w)
+        rewards = np.array([1.0, 0.0, 2.0])
+        n = 10**9
+        [pi] = bon_exact_pmf_grid(dist, rewards, [n])
+        s_lt = math.log(float(np.exp(dist.log_probs[1])))
+        deep = math.log(n) + (n - 1) * s_lt + dist.log_probs[0]
+        assert pi.log_probs[0] == pytest.approx(deep, rel=1e-12)
+
+    def test_invalid_n_anywhere_raises(self, demo_p, demo_q):
+        with pytest.raises(InvalidN):
+            bon_exact_pmf_grid(demo_p, demo_q.log_probs, [2, 0, 3])
+        assert bon_exact_pmf_grid(demo_p, demo_q.log_probs, []) == []

@@ -182,6 +182,10 @@ class TestEmpiricalDeviationRate:
         assert rate is None
         assert rate_from_hits(0, 50, 200) is None
 
+    def test_all_hits_is_positive_zero(self):
+        # -log(3/3) / m is -0.0, which the CSV would write as "-0.0"
+        assert math.copysign(1.0, rate_from_hits(3, 3, 10)) == 1.0
+
     def test_deterministic(self, demo_p, demo_q):
         args = (demo_p, demo_q, 0.11, 1.25, 0.05, 50, 300, 11)
         assert _deviation_rate(*args) == _deviation_rate(*args)

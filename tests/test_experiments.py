@@ -215,6 +215,23 @@ class TestRandomAlphabet:
     def test_default_grid(self):
         assert default_n_grid() == (1, 2, 4, 7, 12, 23, 43, 81, 152, 285, 534, 1000)
 
+    def test_one_grouping_and_one_solve_per_pair(self, monkeypatch):
+        # a pair's whole N grid groups its rewards once and runs one tilt
+        # solve (every solve, one budget or a grid, is one _lockstep run)
+        from alignlab import bestofn, tilting
+
+        calls = {"group_reward_levels": 0, "_lockstep": 0}
+        for module, name in ((bestofn, "group_reward_levels"), (tilting, "_lockstep")):
+            real = getattr(module, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        run_random_alphabet(ExperimentConfig("random_alphabet", K=16, seeds=2))
+        assert calls == {"group_reward_levels": 2, "_lockstep": 2}
+
     def test_reproducible(self):
         config = ExperimentConfig("random_alphabet", K=8, seeds=2, n_grid=(1, 7, 43), seed=21)
         a = run_random_alphabet(config)

@@ -19,12 +19,13 @@ from alignlab import (
     mismatched_tilt,
     reward_target_range,
     solve_alpha_for_kl,
+    solve_alpha_for_kl_grid,
     solve_beta_for_reward,
     tilt_compose_check,
 )
 from alignlab import tilting
 from alignlab.distributions import from_log_weights
-from alignlab.tilting import MAX_STEPS, _solve_beta, _tilt_moments
+from alignlab.tilting import FEASIBILITY_MARGIN, MAX_STEPS, _solve_beta, _tilt_moments
 
 from .conftest import (
     TERNARY_P,
@@ -365,14 +366,17 @@ class TestNewtonSolvers:
 
     def test_kernel_moments(self, demo_p, demo_q):
         lq = demo_q.log_probs
-        log_phi, w, mean, var = _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), 0.7)
+        [log_phi], _, [mean], [var] = _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), [0.7])
         tilt = mismatched_tilt(demo_q, demo_p, 0.7)
         assert np.array_equal(log_phi, tilt.log_probs)
         assert mean == -cross_entropy(tilt, demo_q)
         direct = np.array(_direct_tilt(TERNARY_P, TERNARY_Q, 0.7))
         lq = np.log(TERNARY_Q)
         assert var == pytest.approx(float(direct @ lq**2 - (direct @ lq) ** 2), abs=1e-14)
-        assert _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), 0.0)[0] is demo_p.log_probs
+        # a zero alpha's row is p's log-probs themselves, not renormalized
+        rows = _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), [0.7, 0.0])[0]
+        assert rows[1].tobytes() == demo_p.log_probs.tobytes()
+        assert rows[0].tobytes() == log_phi.tobytes()
 
     def test_zero_budget_takes_no_steps(self, demo_p, demo_q):
         sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
@@ -442,3 +446,102 @@ class TestNewtonSolvers:
     def test_non_finite_reward(self, demo_p, demo_q, t):
         with pytest.raises(TargetOutOfRange):
             solve_beta_for_reward(demo_q, demo_p, t)
+
+
+@st.composite
+def lockstep_pairs(draw):
+    """(p, q) at K 2-64 with q random, tie-heavy (a few distinct values) or
+    near-uniform (log-q spread 0.3)."""
+    kind = draw(st.sampled_from(["random", "tie_heavy", "near_uniform"]))
+    K = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = make_distribution(interior_dirichlet(rng, K))
+    if kind == "random":
+        w = interior_dirichlet(rng, K)
+    elif kind == "tie_heavy":
+        w = rng.integers(1, 4, K).astype(float)
+        w[:2] = (1.0, 3.0)  # not uniform
+    else:
+        w = np.exp(NEAR_UNIFORM_SPREAD * rng.standard_normal(K))
+    return p, make_distribution(w)
+
+
+@st.composite
+def budget_grids(draw, p, q):
+    """Budgets in the feasible range, with 0, a duplicate and the clamp
+    max_achievable_kl - 2 * FEASIBILITY_MARGIN among them, in drawn order."""
+    cap = max_achievable_kl(q, p) - 2 * FEASIBILITY_MARGIN
+    fracs = draw(st.lists(_FRACTIONS, min_size=1, max_size=8))
+    budgets = [f * cap for f in fracs]
+    budgets += [0.0, budgets[0], cap]
+    return draw(st.permutations(budgets))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestLockstep:
+    @given(lockstep_pairs(), st.data())
+    @settings(max_examples=80)
+    def test_lanes_match_one_budget_solves(self, pair, data):
+        p, q = pair
+        deltas = data.draw(budget_grids(p, q))
+        grid = solve_alpha_for_kl_grid(q, p, deltas)
+        assert len(grid) == len(deltas)
+        for delta, lane in zip(deltas, grid):
+            alone = solve_alpha_for_kl(q, p, delta)
+            assert _bits(lane.alpha) == _bits(alone.alpha)
+            assert _bits(lane.phi.log_probs) == _bits(alone.phi.log_probs)
+            assert lane.iterations == alone.iterations
+            assert _bits(lane.residual) == _bits(alone.residual)
+            assert _bits(lane.achieved_kl) == _bits(alone.achieved_kl)
+            assert _bits(lane.expected_reward) == _bits(alone.expected_reward)
+
+    def test_zero_budget_lane_is_the_reference(self, demo_p, demo_q):
+        zero, spent = solve_alpha_for_kl_grid(demo_q, demo_p, [0.0, 0.11])
+        assert zero.alpha == 0.0 and zero.phi is demo_p
+        assert (zero.iterations, zero.residual) == (0, 0.0)
+        assert spent.alpha == pytest.approx(DEMO_ALPHA_011, rel=1e-12)
+
+    def test_one_kernel_call_per_round(self, demo_p, demo_q, monkeypatch):
+        # alone, each budget takes one variance call plus its rounds; in a
+        # grid the lanes share the variance call and every round's call
+        calls = []
+        real = tilting._tilt_moments
+
+        def counting(lp, lq, lq_top, alphas):
+            calls.append(len(alphas))
+            return real(lp, lq, lq_top, alphas)
+
+        monkeypatch.setattr(tilting, "_tilt_moments", counting)
+        deltas = [0.01, 0.11, 0.5, 1.2, 1.6]
+        rounds = []
+        for delta in deltas:
+            calls.clear()
+            solve_alpha_for_kl(demo_q, demo_p, delta)
+            rounds.append(len(calls) - 1)
+        calls.clear()
+        solve_alpha_for_kl_grid(demo_q, demo_p, deltas)
+        assert len(calls) == 1 + max(rounds)
+        assert sum(calls) == 1 + sum(rounds)
+
+    def test_empty_grid(self, demo_p, demo_q):
+        assert solve_alpha_for_kl_grid(demo_q, demo_p, []) == []
+
+    def test_unconverged_lane_raises(self, demo_p, demo_q, monkeypatch):
+        monkeypatch.setattr(tilting, "MAX_STEPS", 1)
+        with pytest.raises(InfeasibleBudget, match="after 1 steps"):
+            solve_alpha_for_kl_grid(demo_q, demo_p, [0.0, 0.11])
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 5.0])
+    def test_one_bad_budget_raises(self, demo_p, demo_q, bad):
+        # 5.0 is past the demo pair's supremum log(1 / 0.2)
+        with pytest.raises(InfeasibleBudget):
+            solve_alpha_for_kl_grid(demo_q, demo_p, [0.05, bad, 0.11])
+
+    def test_uniform_target_raises_only_for_a_spent_budget(self, demo_p):
+        u = make_distribution((1, 1, 1))
+        assert solve_alpha_for_kl_grid(u, demo_p, [0.0])[0].phi is demo_p
+        with pytest.raises(DegenerateFamily):
+            solve_alpha_for_kl_grid(u, demo_p, [0.0, 0.1])
