@@ -6,7 +6,9 @@ rate at a point t is the KL divergence from the reward-matched tilt at t back
 to phi.  The scaled cumulants of the reward are Renyi cross entropies of phi
 to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
-budget, so a caller solves the budget's tilt phi_delta once and passes it.
+budget, so a caller solves the budget's tilt phi_delta once and passes it;
+``rate_function_grid`` solves the reward-matched tilts of several levels in
+one lockstep run.
 A window probability is exact over the type classes of any sequence law,
 best-of-N included, or counted by Monte Carlo under phi^m.  The window
 statistic depends on a sequence only through its type, which is
@@ -26,7 +28,7 @@ from .distributions import CategoricalDistribution
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import kl_divergence, renyi_cross_entropy
-from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward
+from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward_grid
 
 LEGENDRE_BRACKET_TOL = 1e-9
 LEGENDRE_GRID = 41
@@ -65,9 +67,22 @@ def rate_function(
     beta equals alpha, and the rounding of the two tilts can leave a KL of
     about -1e-16.
     """
-    beta = solve_beta_for_reward(q, p, t)
-    rate = max(0.0, kl_divergence(mismatched_tilt(q, p, beta), phi))
-    return RatePoint(t=t, beta=beta, rate=rate)
+    return rate_function_grid(p, q, phi, [t])[0]
+
+
+def rate_function_grid(
+    p: CategoricalDistribution,
+    q: CategoricalDistribution,
+    phi: CategoricalDistribution,
+    ts,
+) -> list[RatePoint]:
+    """``rate_function`` at each level of ``ts``, with the reward-matched
+    tilts' betas solved in lockstep; each point is bit for bit the one-level
+    call's."""
+    return [
+        RatePoint(t=t, beta=beta, rate=max(0.0, kl_divergence(mismatched_tilt(q, p, beta), phi)))
+        for t, beta in zip(ts, solve_beta_for_reward_grid(q, p, ts))
+    ]
 
 
 def scaled_cumulant(

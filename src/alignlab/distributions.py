@@ -95,8 +95,8 @@ def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
     Each row's normalizer is ``math.log`` of its total: ``np.log`` rounds a
     few floats differently, and a row must get the bits of the 1-D call.
     """
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    totals = np.exp(shifted).sum(axis=-1, keepdims=True)
+    shifted = arr - np.maximum.reduce(arr, axis=-1, keepdims=True)
+    totals = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     return shifted - np.array([math.log(t) for t in totals.flat]).reshape(totals.shape)
 
 

@@ -39,7 +39,7 @@ from .deviations import (
     deviation_hit_count,
     legendre_oracle,
     rate_from_hits,
-    rate_function,
+    rate_function_grid,
     window_log_prob,
 )
 from .errors import AlignlabError
@@ -774,8 +774,8 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     max_oracle_dev = 0.0
     max_band_dev = 0.0
     undefined_shallow = 0
-    for i, t in enumerate(t_grid):
-        point = rate_function(p, q, phi, float(t))
+    points = rate_function_grid(p, q, phi, [float(t) for t in t_grid])
+    for i, (t, point) in enumerate(zip(t_grid, points)):
         oracle = legendre_oracle(phi, q, float(t))
         max_oracle_dev = max(max_oracle_dev, abs(point.rate - oracle))
         hits = deviation_hit_count(

@@ -16,9 +16,10 @@ validated distribution.
 A solve is a lane: a generator that yields the parameter it needs next and
 is sent that parameter's point.  ``_lockstep`` advances every unfinished
 lane by one step per round, with one row-wise ``_tilt_moments`` call over
-all their parameters, so a grid of budgets costs one kernel evaluation per
-round instead of one per budget per round.  Each lane's arithmetic is the
-one-lane solve's, so the results do not depend on the company a budget keeps.
+all their parameters, so a grid of budgets or reward targets costs one
+kernel evaluation per round instead of one per target per round.  Each
+lane's arithmetic is the one-lane solve's, so the results do not depend on
+the company a target keeps.
 """
 
 from __future__ import annotations
@@ -79,10 +80,12 @@ def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndar
     """Log-probs of T(q, p, alpha), one row per alpha of the list ``alphas``,
     from ``lq_top = log q - max log q``: the weights round at the scale of
     alpha times the spread of log q, not of alpha * |log q| (alpha reaches
-    1e4-1e7 for nearly uniform q).  A zero alpha's row is ``lp`` itself."""
-    if 0.0 not in alphas:
-        return normalized_log_weights(lp + np.array(alphas)[:, None] * lq_top)
-    return np.array([lp if a == 0.0 else normalized_log_weights(lp + a * lq_top) for a in alphas])
+    1e4-1e7 for nearly uniform q).  A zero alpha's row is a copy of ``lp``."""
+    rows = normalized_log_weights(lp + np.multiply.outer(alphas, lq_top))
+    for i, alpha in enumerate(alphas):
+        if alpha == 0.0:
+            rows[i] = lp
+    return rows
 
 
 def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alphas: list):
@@ -96,8 +99,8 @@ def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alphas: li
     """
     log_phi = _tilt_log_probs(lp, lq_top, alphas)
     w = np.exp(log_phi)
-    mean = (w * lq).sum(axis=1)
-    return log_phi, w, mean, (w * np.square(lq - mean[:, None])).sum(axis=1)
+    mean = np.add.reduce(w * lq, axis=1)
+    return log_phi, w, mean, np.add.reduce(w * np.square(lq - mean[:, None]), axis=1)
 
 
 def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) -> float:
@@ -260,7 +263,7 @@ def solve_alpha_for_kl_grid(
     def evaluate(alphas: list):
         # the same sums kl_divergence(mismatched_tilt(q, p, alpha), p) takes
         log_phi, w, _, variances = _tilt_moments(lp, lq, lq_top, alphas)
-        kls = (w * (log_phi - lp)).sum(axis=1).tolist()
+        kls = np.add.reduce(w * (log_phi - lp), axis=1).tolist()
         slopes = [alpha * v for alpha, v in zip(alphas, variances.tolist())]
         return zip(alphas, kls, slopes, log_phi)
 
@@ -301,12 +304,14 @@ def _beta_lane(t: float, warp):
     return (yield from _newton_in_bracket(lo, hi, point, t, warp, False, TargetOutOfRange))
 
 
-def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float):
-    """``solve_beta_for_reward`` with its diagnostics: (beta, steps, residual)."""
+def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, ts) -> list:
+    """``solve_beta_for_reward`` at each target of ``ts``, the targets solved
+    in lockstep, with diagnostics: one (beta, steps, residual) per target."""
     _check_same_alphabet(p, q)
     lo_t, hi_t = reward_target_range(q)
-    if not (math.isfinite(t) and lo_t < t < hi_t):
-        raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
+    for t in ts:
+        if not (math.isfinite(t) and lo_t < t < hi_t):
+            raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
     lp, lq = p.log_probs, q.log_probs
     lq_top = lq - np.max(lq)
 
@@ -321,8 +326,8 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, t: float
             return None
         return math.log(h - lo_t) - math.log(hi_t - h), 1.0 / (h - lo_t) + 1.0 / (hi_t - h)
 
-    [((beta, _, _, _), residual, steps)] = _lockstep(evaluate, [_beta_lane(t, warp)])
-    return beta, steps, residual
+    found = _lockstep(evaluate, [_beta_lane(t, warp) for t in ts])
+    return [(beta, steps, residual) for (beta, _, _, _), residual, steps in found]
 
 
 def solve_beta_for_reward(
@@ -333,7 +338,16 @@ def solve_beta_for_reward(
     H is strictly decreasing in beta for non-uniform q; t must lie strictly
     inside ``reward_target_range(q)``.
     """
-    return _solve_beta(q, p, t)[0]
+    return solve_beta_for_reward_grid(q, p, [t])[0]
+
+
+def solve_beta_for_reward_grid(
+    q: CategoricalDistribution, p: CategoricalDistribution, ts
+) -> list[float]:
+    """``solve_beta_for_reward`` at each target of ``ts``, the targets solved
+    in lockstep; each beta is bit for bit the one-target solve's, and a
+    target that one solve would reject raises the same error here."""
+    return [beta for beta, _, _ in _solve_beta(q, p, ts)]
 
 
 def tilt_compose_check(

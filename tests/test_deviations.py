@@ -20,6 +20,7 @@ from alignlab import (
     max_achievable_kl,
     rate_from_hits,
     rate_function,
+    rate_function_grid,
     renyi_cross_entropy,
     reward_target_range,
     scaled_cumulant,
@@ -86,6 +87,11 @@ class TestRateFunction:
         # used to leave a rate of -1e-16
         for t in DEFAULT_GRID:
             assert rate_function(demo_p, demo_q, DEMO_PHI, t).rate >= 0.0
+
+    def test_grid_points_are_the_one_level_points(self, demo_p, demo_q):
+        ts = [float(t) for t in DEFAULT_GRID]
+        grid = rate_function_grid(demo_p, demo_q, DEMO_PHI, ts)
+        assert grid == [rate_function(demo_p, demo_q, DEMO_PHI, t) for t in ts]
 
     def test_consistency_tilted_base_vs_budget(self, demo_p, demo_q):
         # rate under the tilted base at budget 0 equals the budgeted rate,

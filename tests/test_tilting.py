@@ -21,6 +21,7 @@ from alignlab import (
     solve_alpha_for_kl,
     solve_alpha_for_kl_grid,
     solve_beta_for_reward,
+    solve_beta_for_reward_grid,
     tilt_compose_check,
 )
 from alignlab import tilting
@@ -327,7 +328,7 @@ class TestNewtonSolvers:
     def test_beta_meets_reward_in_few_steps(self, pair, frac):
         p, q = pair
         t = _reward_target(q, frac)
-        beta, steps, residual = _solve_beta(q, p, t)
+        [(beta, steps, residual)] = _solve_beta(q, p, [t])
         tilt = mismatched_tilt(q, p, beta)
         assert residual == cross_entropy(tilt, q) - t
         assert abs(residual) <= 1e-12
@@ -545,3 +546,28 @@ class TestLockstep:
         assert solve_alpha_for_kl_grid(u, demo_p, [0.0])[0].phi is demo_p
         with pytest.raises(DegenerateFamily):
             solve_alpha_for_kl_grid(u, demo_p, [0.0, 0.1])
+
+    @given(lockstep_pairs(), st.lists(_FRACTIONS, min_size=1, max_size=8))
+    @settings(max_examples=60)
+    def test_beta_lanes_match_one_target_solves(self, pair, fracs):
+        p, q = pair
+        ts = [_reward_target(q, f) for f in fracs]
+        ts.append(ts[0])  # a duplicate
+        grid = _solve_beta(q, p, ts)
+        assert solve_beta_for_reward_grid(q, p, ts) == [beta for beta, _, _ in grid]
+        for t, (beta, steps, residual) in zip(ts, grid):
+            [(alone, alone_steps, alone_residual)] = _solve_beta(q, p, [t])
+            assert _bits(beta) == _bits(alone)
+            assert steps == alone_steps
+            assert _bits(residual) == _bits(alone_residual)
+
+    def test_unconverged_beta_lane_raises(self, demo_p, demo_q, monkeypatch):
+        monkeypatch.setattr(tilting, "MAX_STEPS", 1)
+        ts = [_reward_target(demo_q, 0.5), _reward_target(demo_q, 0.3)]
+        with pytest.raises(TargetOutOfRange, match="after 1 steps"):
+            solve_beta_for_reward_grid(demo_q, demo_p, ts)
+
+    def test_one_bad_target_raises(self, demo_p, demo_q):
+        lo, _ = reward_target_range(demo_q)
+        with pytest.raises(TargetOutOfRange):
+            solve_beta_for_reward_grid(demo_q, demo_p, [_reward_target(demo_q, 0.5), lo])
