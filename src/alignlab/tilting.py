@@ -81,7 +81,7 @@ def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndar
     from ``lq_top = log q - max log q``: the weights round at the scale of
     alpha times the spread of log q, not of alpha * |log q| (alpha reaches
     1e4-1e7 for nearly uniform q).  A zero alpha's row is a copy of ``lp``."""
-    rows = normalized_log_weights(lp + np.multiply.outer(alphas, lq_top))
+    rows = normalized_log_weights(lp + np.array(alphas)[:, None] * lq_top)
     for i, alpha in enumerate(alphas):
         if alpha == 0.0:
             rows[i] = lp
@@ -98,9 +98,15 @@ def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alphas: li
     tilt.
     """
     log_phi = _tilt_log_probs(lp, lq_top, alphas)
+    return (log_phi, *_log_q_moments(log_phi, lq))
+
+
+def _log_q_moments(log_phi: np.ndarray, lq: np.ndarray):
+    """Probabilities of ``log_phi`` (one row each if it is 2-D) and the mean
+    and variance of log q under them; a row gets the bits of the 1-D call."""
     w = np.exp(log_phi)
-    mean = np.add.reduce(w * lq, axis=1)
-    return log_phi, w, mean, np.add.reduce(w * np.square(lq - mean[:, None]), axis=1)
+    mean = np.add.reduce(w * lq, axis=-1)
+    return w, mean, np.add.reduce(w * np.square(lq - mean[..., None]), axis=-1)
 
 
 def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) -> float:
@@ -248,7 +254,7 @@ def solve_alpha_for_kl_grid(
             if float(np.ptp(lq)) <= _UNIFORM_LOGPROB_SPREAD:
                 raise DegenerateFamily("uniform alignment target: the family is the single point p")
             max_kl = max_achievable_kl(q, p)
-            var = float(_tilt_moments(lp, lq, lq_top, [0.0])[3][0])
+            var = float(_log_q_moments(lp, lq)[2])
         if delta >= max_kl - FEASIBILITY_MARGIN:
             raise InfeasibleBudget(f"delta={delta!r} >= achievable supremum {max_kl!r}")
 

@@ -506,8 +506,8 @@ class TestLockstep:
         assert spent.alpha == pytest.approx(DEMO_ALPHA_011, rel=1e-12)
 
     def test_one_kernel_call_per_round(self, demo_p, demo_q, monkeypatch):
-        # alone, each budget takes one variance call plus its rounds; in a
-        # grid the lanes share the variance call and every round's call
+        # alone, each budget takes one kernel call per round; in a grid the
+        # lanes share every round's call
         calls = []
         real = tilting._tilt_moments
 
@@ -521,11 +521,11 @@ class TestLockstep:
         for delta in deltas:
             calls.clear()
             solve_alpha_for_kl(demo_q, demo_p, delta)
-            rounds.append(len(calls) - 1)
+            rounds.append(len(calls))
         calls.clear()
         solve_alpha_for_kl_grid(demo_q, demo_p, deltas)
-        assert len(calls) == 1 + max(rounds)
-        assert sum(calls) == 1 + sum(rounds)
+        assert len(calls) == max(rounds)
+        assert sum(calls) == sum(rounds)
 
     def test_empty_grid(self, demo_p, demo_q):
         assert solve_alpha_for_kl_grid(demo_q, demo_p, []) == []
