@@ -28,7 +28,6 @@ from .distributions import (
     CategoricalDistribution,
     from_log_weights,
     log_class_sizes,
-    symbols_from_uniforms,
     type_counts_matrix,
 )
 from .errors import InvalidN, LengthMismatch, SizeOverflow
@@ -46,9 +45,9 @@ MAX_LOG_N = 690.0
 class TypeLaw:
     """An exact sequence-level PMF represented on type classes.
 
-    Row i of ``counts`` is one type class; ``per_seq_log_probs[i]`` is the log
-    probability of each sequence in it and ``class_log_sizes[i]`` the log of
-    its multinomial size.  The per-sequence value is constant within a class:
+    Row i of ``counts`` is one type class; ``class_log_masses[i]`` is the log
+    probability of the whole class and ``class_log_sizes[i]`` the log of its
+    multinomial size.  Every sequence in a class has the same probability:
     under memoryless references and additive rewards both the reward and the
     reference probability of a sequence depend on it only through its type.
     The arrays are made read-only.
@@ -56,11 +55,11 @@ class TypeLaw:
 
     m: int
     counts: np.ndarray = field(repr=False)
-    per_seq_log_probs: np.ndarray = field(repr=False)
+    class_log_masses: np.ndarray = field(repr=False)
     class_log_sizes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.counts, self.per_seq_log_probs, self.class_log_sizes):
+        for arr in (self.counts, self.class_log_masses, self.class_log_sizes):
             arr.setflags(write=False)
 
     @property
@@ -69,7 +68,7 @@ class TypeLaw:
 
     def class_masses(self) -> np.ndarray:
         """Total probability of each type class."""
-        return np.exp(self.class_log_sizes + self.per_seq_log_probs)
+        return np.exp(self.class_log_masses)
 
 
 def group_reward_levels(
@@ -113,8 +112,7 @@ def _winner_log_probs(
     picks = log_power_diff(n_eff, cums[:-1], cums[1:], level_lps)
     base = log_probs[order] - np.repeat(level_lps, sizes)
     out = np.empty((n_eff.size, order.size))
-    for row, level_picks in zip(out, np.repeat(picks, sizes, axis=1)):
-        row[order] = base + level_picks
+    out[:, order] = base + np.repeat(picks, sizes, axis=1)
     return out
 
 
@@ -157,10 +155,10 @@ def bon_type_law(
 ) -> TypeLaw:
     """Exact best-of-N law over length-m sequences, per type class.
 
-    Class reward is sum_k counts_k log q_k and the reference per-sequence log
-    probability is sum_k counts_k log p_k; the level formula then assigns one
-    per-sequence value to each class.  N enters only as a multiplier of log
-    masses, so it may be any int or float in [1, exp(``MAX_LOG_N``)], such as
+    Class reward is sum_k counts_k log q_k and the reference class log mass
+    is the log class size plus sum_k counts_k log p_k; the level formula
+    reshapes the class masses.  N enters only as a multiplier of log masses,
+    so it may be any int or float in [1, exp(``MAX_LOG_N``)], such as
     exp(m * delta); N = 1 gives the law of p^m itself.
     """
     _check_same_alphabet(p, q)
@@ -170,17 +168,10 @@ def bon_type_law(
         raise InvalidN(f"N must be a number in [1, exp({MAX_LOG_N})], got {N!r}")
     counts = type_counts_matrix(m, p.K)
     sizes = log_class_sizes(counts)
-    ref_lp = counts @ p.log_probs
-    rewards = counts @ q.log_probs
-    if N == 1:
-        seq_lp = ref_lp
-    else:
-        class_log_mass = sizes + ref_lp
-        seq_lp = _winner_log_probs(class_log_mass, rewards, [float(N)])[0]
-        # _winner_log_probs reshapes whole-class masses; per-sequence values
-        # divide the class mass back out
-        seq_lp = seq_lp - sizes
-    return TypeLaw(m, counts, seq_lp, sizes)
+    masses = sizes + counts @ p.log_probs
+    if N != 1:
+        masses = _winner_log_probs(masses, counts @ q.log_probs, [float(N)])[0]
+    return TypeLaw(m, counts, masses, sizes)
 
 
 def sequence_space_log_probs(
@@ -235,37 +226,6 @@ def bon_enumeration_oracle(
     return out
 
 
-def bon_winners(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    m: int,
-    N: int,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Best-of-N winners of a batch of trials, one row of uniforms per trial.
-
-    Row i of ``u`` (shape (T, N*m + 1)) is trial i's stream: N*m uniforms for
-    the N length-m candidates drawn from p, one candidate after another, then
-    one tie-break variate.  Candidates whose q log likelihood is within
-    ``REWARD_TIE_TOL`` of the row's best tie, and the variate picks one of
-    them uniformly.  Returns the (T, m) winning symbols; one seeded draw is
-    ``bon_winners(p, q, m, N, default_rng(seed).random((1, N*m + 1)))[0]``.
-    """
-    _check_same_alphabet(p, q)
-    _check_n(N)
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != N * m + 1:
-        raise LengthMismatch(f"uniforms of shape {u.shape}, expected (T, {N * m + 1})")
-    T = u.shape[0]
-    symbols = symbols_from_uniforms(p, u[:, :-1]).reshape(T, N, m)
-    rewards = q.log_probs[symbols].sum(axis=2)
-    winners = rewards >= rewards.max(axis=1, keepdims=True) - REWARD_TIE_TOL
-    n_win = winners.sum(axis=1)
-    rank = np.minimum((u[:, -1] * n_win).astype(np.int64), n_win - 1)
-    pick = np.argmax(np.cumsum(winners, axis=1) > rank[:, None], axis=1)
-    return symbols[np.arange(T), pick]
-
-
 def bon_expected_type(law: TypeLaw) -> np.ndarray:
     """Expected type under a sequence-level law: a point on the simplex."""
     masses = law.class_masses()
@@ -277,8 +237,8 @@ def bon_kl_to_reference(law: TypeLaw, p: CategoricalDistribution) -> float:
     """Exact D(law || p^m) by type-class summation, for any product target p^m
     (the reference, or a tilt such as phi_delta)."""
     _check_same_alphabet(law, p)
-    ref_lp = law.counts @ p.log_probs
-    return float(np.sum(law.class_masses() * (law.per_seq_log_probs - ref_lp)))
+    ref_masses = law.class_log_sizes + law.counts @ p.log_probs
+    return float(np.sum(law.class_masses() * (law.class_log_masses - ref_masses)))
 
 
 def expected_reward_rate(law: TypeLaw, q: CategoricalDistribution) -> float:

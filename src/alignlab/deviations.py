@@ -8,7 +8,7 @@ to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it;
 ``rate_function_grid`` solves the reward-matched tilts of several levels in
-one lockstep run.
+one lockstep run and reads each rate off the solved tilt.
 A window probability is exact over the type classes of any sequence law,
 best-of-N included, or counted by Monte Carlo under phi^m.  The window
 statistic depends on a sequence only through its type, which is
@@ -28,7 +28,7 @@ from .distributions import CategoricalDistribution
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import kl_divergence, renyi_cross_entropy
-from .tilting import mismatched_tilt, reward_target_range, solve_beta_for_reward_grid
+from .tilting import reward_target_range, solve_beta_for_reward_grid
 
 LEGENDRE_BRACKET_TOL = 1e-9
 LEGENDRE_GRID = 41
@@ -80,8 +80,8 @@ def rate_function_grid(
     tilts' betas solved in lockstep; each point is bit for bit the one-level
     call's."""
     return [
-        RatePoint(t=t, beta=beta, rate=max(0.0, kl_divergence(mismatched_tilt(q, p, beta), phi)))
-        for t, beta in zip(ts, solve_beta_for_reward_grid(q, p, ts))
+        RatePoint(t=t, beta=sol.alpha, rate=max(0.0, kl_divergence(sol.phi, phi)))
+        for t, sol in zip(ts, solve_beta_for_reward_grid(q, p, ts))
     ]
 
 
@@ -114,8 +114,7 @@ def finite_m_cumulant_check(
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho!r}")
     law = bon_type_law(phi, q, m, 1)
-    log_terms = law.class_log_sizes + law.per_seq_log_probs + rho * (law.counts @ q.log_probs)
-    lhs = logsumexp(log_terms) / (m * rho)
+    lhs = logsumexp(law.class_log_masses + rho * (law.counts @ q.log_probs)) / (m * rho)
     rhs = -renyi_cross_entropy(phi, q, 1.0 + rho)
     return lhs, rhs
 
@@ -128,7 +127,7 @@ def window_log_prob(law: TypeLaw, q: CategoricalDistribution, t: float, eps: flo
     """
     values = -(law.counts @ q.log_probs) / law.m
     inside = np.abs(values - t) < eps
-    return logsumexp((law.class_log_sizes + law.per_seq_log_probs)[inside])
+    return logsumexp(law.class_log_masses[inside])
 
 
 def deviation_hit_count(

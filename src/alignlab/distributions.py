@@ -2,7 +2,7 @@
 
 Probabilities are stored as natural-log values throughout; combining them goes
 through :mod:`alignlab.logspace`.  All values are immutable after construction
-and safe to share across threads.  Sequences are sampled by inverse CDF.
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -129,17 +129,3 @@ def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
     m = int(counts_matrix[0].sum())
     log_factorials = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
     return math.lgamma(m + 1.0) - log_factorials[counts_matrix].sum(axis=1)
-
-
-def symbols_from_uniforms(dist: CategoricalDistribution, u: np.ndarray) -> np.ndarray:
-    """Symbols of ``dist`` for uniforms in [0, 1) of any shape, by inverse CDF.
-
-    The symbol of u is the number of CDF steps at or below it.  Uniforms
-    outside [0, 1), and NaN, raise ValueError.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError("uniforms must lie in [0, 1)")
-    cdf = np.cumsum(dist.probs())
-    cdf[-1] = 1.0  # guard the last bin against rounding
-    return np.searchsorted(cdf, u, side="right")

@@ -47,8 +47,8 @@ from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
 from .rng import spawn_generator
 from .tilting import (
     FEASIBILITY_MARGIN,
+    _tilt_log_probs,
     max_achievable_kl,
-    mismatched_tilt,
     reward_target_range,
     solve_alpha_for_kl,
     solve_alpha_for_kl_grid,
@@ -436,7 +436,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     p_probs = p.probs()
     # 0 when phi = p, at delta = 0 or when a tiny budget's phi rounds to p
     l1_ref = float(np.abs(p_probs - phi_probs).sum())
-    reward_level = cross_entropy(sol.phi, q)
+    reward_level = -sol.expected_reward
 
     checks: list[dict] = []
     csvs: dict = {}
@@ -478,11 +478,12 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
 
     max_kl = max_achievable_kl(q, p)
     alpha_hi = solve_alpha_for_kl(q, p, 0.98 * max_kl).alpha
-    family_rows = []
-    for alpha in np.linspace(0.0, alpha_hi, 200):
-        probs = mismatched_tilt(q, p, float(alpha)).probs()
-        family_rows.append((probs[0], probs[1], probs[2], "aligned_family"))
-    csvs["aligned_family"] = (["x_bary1", "x_bary2", "x_bary3", "curve_tag"], family_rows)
+    lq = q.log_probs
+    family = np.exp(_tilt_log_probs(p.log_probs, lq - np.max(lq), np.linspace(0.0, alpha_hi, 200)))
+    csvs["aligned_family"] = (
+        ["x_bary1", "x_bary2", "x_bary3", "curve_tag"],
+        [(row[0], row[1], row[2], "aligned_family") for row in family],
+    )
 
     law = bon_type_law(p, q, m, n)
     e_type = bon_expected_type(law)
@@ -706,7 +707,7 @@ def run_closeness_bound(config: ExperimentConfig) -> ExperimentReport:
             degenerate += 1
             continue
         accepted += 1
-        eps = cross_entropy(psi, q) - cross_entropy(sol.phi, q)
+        eps = cross_entropy(psi, q) + sol.expected_reward
         d = kl_divergence(psi, sol.phi)
         excess = d - sol.alpha * eps
         max_excess = max(max_excess, excess)

@@ -4,14 +4,14 @@ scalar inversions that pick a tilt by KL budget or by expected reward.
 The one-parameter family T(q, p, alpha) ~ p_k * q_k^alpha interpolates from
 the reference p (alpha = 0) toward the argmax of q (alpha -> inf).  Both
 inversions are monotone scalar root-finding problems over one array kernel,
-``_tilt_moments``: the tilted log-probs and the mean and variance of log q
-under the tilt.  The variance gives the derivatives, dD/dalpha =
+``_tilt_moments``: the tilted log-probs, D(T || p), and the mean and variance
+of log q under the tilt.  The variance gives the derivatives, dD/dalpha =
 alpha * Var_alpha(log q) for the KL budget and dH/dbeta = -Var_beta(log q)
 for the reward.  Each solver doubles a bracket, then takes Newton steps
 inside it on a warped value that is close to linear in the parameter; a step
 that would leave the bracket, or that follows a Newton step which did not
-halve the residual, is a bisection.  Only the returned tilt is built as a
-validated distribution.
+halve the residual, is a bisection.  Both return a ``TiltSolution`` built from
+the kernel's final point; only its tilt is built as a validated distribution.
 
 A solve is a lane: a generator that yields the parameter it needs next and
 is sent that parameter's point.  ``_lockstep`` advances every unfinished
@@ -37,7 +37,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .logspace import logsumexp
-from .metrics import _check_same_alphabet, cross_entropy, kl_divergence
+from .metrics import _check_same_alphabet
 
 BISECTION_RESIDUAL = 1e-12
 MAX_STEPS = 200
@@ -48,11 +48,14 @@ _UNIFORM_LOGPROB_SPREAD = 1e-12
 
 @dataclass(frozen=True)
 class TiltSolution:
-    """A solved KL-budget tilt: parameter, distribution, and achieved metrics.
+    """A solved tilt T(q, p, alpha): parameter, distribution, and achieved
+    metrics D(phi || p) and E_phi log q.
 
-    ``iterations`` counts the Newton or bisection steps taken after the
-    bracket was found (doubling the bracket adds one evaluation per step),
-    and ``residual`` is the final D(phi || p) - delta the stopping test saw.
+    ``alpha`` is the family parameter: alpha for a KL budget, beta for a
+    reward target.  ``iterations`` counts the Newton or bisection steps taken
+    after the bracket was found (doubling the bracket adds one evaluation per
+    step), and ``residual`` is the final value minus its target that the
+    stopping test saw: D(phi || p) - delta, or H(phi || q) - t.
     """
 
     alpha: float
@@ -77,7 +80,7 @@ def mismatched_tilt(
 
 
 def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndarray:
-    """Log-probs of T(q, p, alpha), one row per alpha of the list ``alphas``,
+    """Log-probs of T(q, p, alpha), one row per alpha of ``alphas``,
     from ``lq_top = log q - max log q``: the weights round at the scale of
     alpha times the spread of log q, not of alpha * |log q| (alpha reaches
     1e4-1e7 for nearly uniform q).  A zero alpha's row is a copy of ``lp``."""
@@ -89,16 +92,17 @@ def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndar
 
 
 def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alphas: list):
-    """Log-probs and probabilities of T(q, p, alpha) per alpha of the list
-    ``alphas``, one row each, and the mean and variance of log q under each
-    tilt; ``lq_top`` is ``lq - max(lq)``.
+    """The point kernel of both solves: per alpha of the list ``alphas``, one
+    row each, the log-probs of T = T(q, p, alpha), D(T || p), and the mean and
+    variance of log q under T; ``lq_top`` is ``lq - max(lq)``.
 
     Row i's log-probs are those of ``mismatched_tilt(q, p, alphas[i])``, bit
-    for bit, and the row sums give the same numbers as the metrics on that
-    tilt.
+    for bit, and its row sums are the numbers ``kl_divergence(T, p)`` and
+    ``-cross_entropy(T, q)`` give on that tilt.
     """
     log_phi = _tilt_log_probs(lp, lq_top, alphas)
-    return (log_phi, *_log_q_moments(log_phi, lq))
+    w, means, variances = _log_q_moments(log_phi, lq)
+    return log_phi, np.add.reduce(w * (log_phi - lp), axis=-1), means, variances
 
 
 def _log_q_moments(log_phi: np.ndarray, lq: np.ndarray):
@@ -149,12 +153,13 @@ def _newton_in_bracket(lo, hi, start, target, warp, increasing, error):
     """Safeguarded Newton for a monotone value bracketed by [lo, hi], as a
     lane of :func:`_lockstep`.
 
-    Each point, ``start`` included, is ``(x, value, slope, log_phi)``, and
-    ``start`` lies at an end of the bracket.  The step is Newton's on
-    ``warp(value)``, a monotone map that returns the warped value and its
-    derivative (or None outside its domain) and makes the value nearly linear
-    in x.  A step that would leave the bracket, or that follows a Newton step
-    which did not halve the residual, is a bisection instead.  Stops at
+    Each point, ``start`` included, is ``(x, value, slope, log_phi, kl,
+    reward)``, of which the lane reads the first three, and ``start`` lies at
+    an end of the bracket.  The step is Newton's on ``warp(value)``, a
+    monotone map that returns the warped value and its derivative (or None
+    outside its domain) and makes the value nearly linear in x.  A step that
+    would leave the bracket, or that follows a Newton step which did not
+    halve the residual, is a bisection instead.  Stops at
     ``|value - target| <= BISECTION_RESIDUAL``, or when no float is left
     strictly inside the bracket (rounding in the value can keep the stop out
     of reach).  Returns the point with the smallest residual, that residual,
@@ -165,7 +170,7 @@ def _newton_in_bracket(lo, hi, start, target, warp, increasing, error):
     point = best = start
     stalled = False
     for steps in range(MAX_STEPS):
-        x, value, slope, _ = point
+        x, value, slope = point[:3]
         r = value - target
         if abs(r) <= BISECTION_RESIDUAL:
             return point, r, steps
@@ -194,6 +199,13 @@ def _newton_in_bracket(lo, hi, start, target, warp, increasing, error):
                 f"bracket [{lo!r}, {hi!r}], best residual {best[1] - target!r}"
             )
     return best, best[1] - target, steps
+
+
+def _solution(found) -> TiltSolution:
+    """The ``TiltSolution`` of a lane's result: its final point, the residual
+    there and the steps taken."""
+    (x, _, _, log_phi, kl, reward), residual, steps = found
+    return TiltSolution(x, CategoricalDistribution(log_phi), kl, reward, steps, residual)
 
 
 def _alpha_lane(delta: float, var: float, warp):
@@ -244,7 +256,8 @@ def solve_alpha_for_kl_grid(
     _check_same_alphabet(p, q)
     lp, lq = p.log_probs, q.log_probs
     lq_top = lq - np.max(lq)
-    max_kl = var = None
+    _, reward, var = _log_q_moments(lp, lq)
+    max_kl = None
     for delta in deltas:
         if not (math.isfinite(delta) and delta >= 0.0):
             raise InfeasibleBudget(f"KL budget must be nonnegative and finite, got {delta!r}")
@@ -254,7 +267,6 @@ def solve_alpha_for_kl_grid(
             if float(np.ptp(lq)) <= _UNIFORM_LOGPROB_SPREAD:
                 raise DegenerateFamily("uniform alignment target: the family is the single point p")
             max_kl = max_achievable_kl(q, p)
-            var = float(_log_q_moments(lp, lq)[2])
         if delta >= max_kl - FEASIBILITY_MARGIN:
             raise InfeasibleBudget(f"delta={delta!r} >= achievable supremum {max_kl!r}")
 
@@ -267,22 +279,15 @@ def solve_alpha_for_kl_grid(
         return -math.log1p(-s), 0.5 / ((1.0 - s) * math.sqrt(kl * max_kl))
 
     def evaluate(alphas: list):
-        # the same sums kl_divergence(mismatched_tilt(q, p, alpha), p) takes
-        log_phi, w, _, variances = _tilt_moments(lp, lq, lq_top, alphas)
-        kls = np.add.reduce(w * (log_phi - lp), axis=1).tolist()
+        log_phi, kls, means, variances = _tilt_moments(lp, lq, lq_top, alphas)
+        kls = kls.tolist()
         slopes = [alpha * v for alpha, v in zip(alphas, variances.tolist())]
-        return zip(alphas, kls, slopes, log_phi)
+        return zip(alphas, kls, slopes, log_phi, kls, means.tolist())
 
-    live = [i for i, delta in enumerate(deltas) if delta != 0.0]
-    found = _lockstep(evaluate, [_alpha_lane(deltas[i], var, warp) for i in live])
-    zero = TiltSolution(0.0, p, 0.0, -cross_entropy(p, q)) if len(live) < len(deltas) else None
-    solutions = [zero] * len(deltas)
-    for i, ((alpha, _, _, log_phi), residual, steps) in zip(live, found):
-        phi = CategoricalDistribution(log_phi)
-        solutions[i] = TiltSolution(
-            alpha, phi, kl_divergence(phi, p), -cross_entropy(phi, q), steps, residual
-        )
-    return solutions
+    lanes = [_alpha_lane(delta, float(var), warp) for delta in deltas if delta != 0.0]
+    found = iter(_lockstep(evaluate, lanes))
+    zero = TiltSolution(0.0, p, 0.0, float(reward))
+    return [zero if delta == 0.0 else _solution(next(found)) for delta in deltas]
 
 
 def reward_target_range(q: CategoricalDistribution) -> tuple[float, float]:
@@ -310,9 +315,25 @@ def _beta_lane(t: float, warp):
     return (yield from _newton_in_bracket(lo, hi, point, t, warp, False, TargetOutOfRange))
 
 
-def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, ts) -> list:
+def solve_beta_for_reward(
+    q: CategoricalDistribution, p: CategoricalDistribution, t: float
+) -> TiltSolution:
+    """Find beta in R with H(T(q,p,beta) || q) = t: the reward-matched tilt,
+    as a ``TiltSolution`` whose ``alpha`` is beta and whose ``residual`` is
+    H - t.
+
+    H is strictly decreasing in beta for non-uniform q; t must lie strictly
+    inside ``reward_target_range(q)``.
+    """
+    return solve_beta_for_reward_grid(q, p, [t])[0]
+
+
+def solve_beta_for_reward_grid(
+    q: CategoricalDistribution, p: CategoricalDistribution, ts
+) -> list[TiltSolution]:
     """``solve_beta_for_reward`` at each target of ``ts``, the targets solved
-    in lockstep, with diagnostics: one (beta, steps, residual) per target."""
+    in lockstep; each solution is bit for bit the one-target solve's, and a
+    target that one solve would reject raises the same error here."""
     _check_same_alphabet(p, q)
     lo_t, hi_t = reward_target_range(q)
     for t in ts:
@@ -323,8 +344,10 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, ts) -> l
 
     def evaluate(betas: list):
         # H(T(q, p, beta) || q) is minus the mean of log q under the tilt
-        log_phi, _, mean, var = _tilt_moments(lp, lq, lq_top, betas)
-        return zip(betas, (-mean).tolist(), (-var).tolist(), log_phi)
+        log_phi, kls, means, variances = _tilt_moments(lp, lq, lq_top, betas)
+        return zip(
+            betas, (-means).tolist(), (-variances).tolist(), log_phi, kls.tolist(), means.tolist()
+        )
 
     def warp(h: float):
         # the logit of H on its range grows like beta at both ends
@@ -332,38 +355,5 @@ def _solve_beta(q: CategoricalDistribution, p: CategoricalDistribution, ts) -> l
             return None
         return math.log(h - lo_t) - math.log(hi_t - h), 1.0 / (h - lo_t) + 1.0 / (hi_t - h)
 
-    found = _lockstep(evaluate, [_beta_lane(t, warp) for t in ts])
-    return [(beta, steps, residual) for (beta, _, _, _), residual, steps in found]
-
-
-def solve_beta_for_reward(
-    q: CategoricalDistribution, p: CategoricalDistribution, t: float
-) -> float:
-    """Find beta in R with H(T(q,p,beta) || q) = t.
-
-    H is strictly decreasing in beta for non-uniform q; t must lie strictly
-    inside ``reward_target_range(q)``.
-    """
-    return solve_beta_for_reward_grid(q, p, [t])[0]
-
-
-def solve_beta_for_reward_grid(
-    q: CategoricalDistribution, p: CategoricalDistribution, ts
-) -> list[float]:
-    """``solve_beta_for_reward`` at each target of ``ts``, the targets solved
-    in lockstep; each beta is bit for bit the one-target solve's, and a
-    target that one solve would reject raises the same error here."""
-    return [beta for beta, _, _ in _solve_beta(q, p, ts)]
-
-
-def tilt_compose_check(
-    q: CategoricalDistribution, p: CategoricalDistribution, alpha: float, beta: float
-) -> float:
-    """L-inf distance between T(q, T(q,p,alpha), beta) and T(q,p,alpha+beta).
-
-    The two are identical by the composition identity; the returned distance
-    is a numerical diagnostic expected to stay below 1e-12.
-    """
-    composed = mismatched_tilt(q, mismatched_tilt(q, p, alpha), beta)
-    direct = mismatched_tilt(q, p, alpha + beta)
-    return float(np.max(np.abs(np.exp(composed.log_probs) - np.exp(direct.log_probs))))
+    lanes = [_beta_lane(t, warp) for t in ts]
+    return [_solution(found) for found in _lockstep(evaluate, lanes)]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alignlab import make_distribution
-from alignlab.bestofn import REWARD_TIE_TOL
+from alignlab import make_distribution, mismatched_tilt
+from alignlab.bestofn import REWARD_TIE_TOL, _check_n
+from alignlab.errors import LengthMismatch
+from alignlab.metrics import _check_same_alphabet
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # does not depend on the run; no example database is written.
@@ -55,6 +57,56 @@ def loop_bon_sample(p, q, m: int, n: int, rng: np.random.Generator) -> np.ndarra
     u = rng.random()
     return symbols[winners[min(int(u * winners.size), winners.size - 1)]]
 
+
+def symbols_from_uniforms(dist, u: np.ndarray) -> np.ndarray:
+    """Symbols of ``dist`` for uniforms in [0, 1) of any shape, by inverse CDF.
+
+    The symbol of u is the number of CDF steps at or below it.  Uniforms
+    outside [0, 1), and NaN, raise ValueError.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniforms must lie in [0, 1)")
+    cdf = np.cumsum(dist.probs())
+    cdf[-1] = 1.0  # guard the last bin against rounding
+    return np.searchsorted(cdf, u, side="right")
+
+
+def bon_winners(p, q, m: int, N: int, u: np.ndarray) -> np.ndarray:
+    """Best-of-N winners of a batch of trials, one row of uniforms per trial:
+    the Monte Carlo reference for the exact best-of-N laws.
+
+    Row i of ``u`` (shape (T, N*m + 1)) is trial i's stream: N*m uniforms for
+    the N length-m candidates drawn from p, one candidate after another, then
+    one tie-break variate.  Candidates whose q log likelihood is within
+    ``REWARD_TIE_TOL`` of the row's best tie, and the variate picks one of
+    them uniformly.  Returns the (T, m) winning symbols; one seeded draw is
+    ``bon_winners(p, q, m, N, default_rng(seed).random((1, N*m + 1)))[0]``.
+    """
+    _check_same_alphabet(p, q)
+    _check_n(N)
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != N * m + 1:
+        raise LengthMismatch(f"uniforms of shape {u.shape}, expected (T, {N * m + 1})")
+    T = u.shape[0]
+    symbols = symbols_from_uniforms(p, u[:, :-1]).reshape(T, N, m)
+    rewards = q.log_probs[symbols].sum(axis=2)
+    winners = rewards >= rewards.max(axis=1, keepdims=True) - REWARD_TIE_TOL
+    n_win = winners.sum(axis=1)
+    rank = np.minimum((u[:, -1] * n_win).astype(np.int64), n_win - 1)
+    pick = np.argmax(np.cumsum(winners, axis=1) > rank[:, None], axis=1)
+    return symbols[np.arange(T), pick]
+
+
+def tilt_compose_check(q, p, alpha: float, beta: float) -> float:
+    """L-inf distance between T(q, T(q,p,alpha), beta) and T(q,p,alpha+beta).
+
+    The two are identical by the composition identity; the returned distance
+    is a numerical diagnostic expected to stay below 1e-12.
+    """
+    composed = mismatched_tilt(q, mismatched_tilt(q, p, alpha), beta)
+    direct = mismatched_tilt(q, p, alpha + beta)
+    return float(np.max(np.abs(np.exp(composed.log_probs) - np.exp(direct.log_probs))))
 
 
 def bisect_monotone(f, lo: float, hi: float, increasing: bool) -> float:

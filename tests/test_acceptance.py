@@ -31,7 +31,6 @@ from alignlab import (
     reward_target_range,
     sequence_space_log_probs,
     solve_alpha_for_kl,
-    tilt_compose_check,
 )
 from alignlab.experiments import (
     run_equivalence_scan,
@@ -42,7 +41,7 @@ from alignlab.experiments import (
     run_ternary_figure,
 )
 
-from .conftest import random_pair
+from .conftest import random_pair, tilt_compose_check
 
 _DEMO_P = (0.2, 0.3, 0.5)
 _DEMO_Q = (2.0 / 3.0, 1.0 / 9.0, 2.0 / 9.0)
@@ -100,7 +99,7 @@ def test_criterion_03_oracle_equivalence():
         ).probs()
         worst = max(worst, float(np.max(np.abs(flat - oracle))))
         law = bon_type_law(p, q, m, n)
-        classes = zip(law.counts, law.per_seq_log_probs)
+        classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
         by_class = {tuple(c): math.exp(lp) for c, lp in classes}
         for idx in range(K**m):
             digits = [(idx // K ** (m - 1 - pos)) % K for pos in range(m)]

@@ -21,7 +21,6 @@ from alignlab import (
     bon_expected_type,
     bon_kl_to_reference,
     bon_type_law,
-    bon_winners,
     group_reward_levels,
     kl_divergence,
     make_distribution,
@@ -33,7 +32,7 @@ from alignlab import (
 from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
 from alignlab.logspace import log_power_diff, logsumexp
 
-from .conftest import TERNARY_P, TERNARY_Q, loop_bon_sample, random_pair
+from .conftest import TERNARY_P, TERNARY_Q, bon_winners, loop_bon_sample, random_pair
 
 # Exact best-of-2 joint over symbol pairs for the ternary demo pair.
 PAIR_JOINT = {
@@ -74,9 +73,10 @@ class TestBonTypeLawN:
     def test_effective_n(self, demo_p, demo_q):
         by_int = bon_type_law(demo_p, demo_q, 3, 7)
         by_float = bon_type_law(demo_p, demo_q, 3, 7.0)
-        assert np.array_equal(by_int.per_seq_log_probs, by_float.per_seq_log_probs)
+        assert np.array_equal(by_int.class_log_masses, by_float.class_log_masses)
         single = bon_type_law(demo_p, demo_q, 3, math.exp(0.0))
-        assert np.array_equal(single.per_seq_log_probs, single.counts @ demo_p.log_probs)
+        product = single.class_log_sizes + single.counts @ demo_p.log_probs
+        assert np.array_equal(single.class_log_masses, product)
         # fractional N (log N = log 2.5) and the largest N are valid multipliers
         for N in (2.5, math.exp(2.0), math.exp(MAX_LOG_N)):
             law = bon_type_law(demo_p, demo_q, 3, N)
@@ -152,14 +152,16 @@ class TestBonTypeLaw:
 
     def test_single_draw_equals_product_law(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 4, 1)
-        assert np.array_equal(law.per_seq_log_probs, law.counts @ demo_p.log_probs)
+        product = law.class_log_sizes + law.counts @ demo_p.log_probs
+        assert np.array_equal(law.class_log_masses, product)
 
     def test_matches_enumeration_oracle_per_sequence(self, demo_p, demo_q):
         p2 = make_distribution((0.35, 0.65))
         q2 = make_distribution((0.8, 0.2))
         law = bon_type_law(p2, q2, 3, 3)
         oracle = bon_enumeration_oracle(p2, q2, 3, 3)
-        by_class = dict(zip(map(tuple, law.counts), law.per_seq_log_probs))
+        per_seq = law.class_log_masses - law.class_log_sizes
+        by_class = dict(zip(map(tuple, law.counts), per_seq))
         for idx in range(8):
             seq = [(idx >> (2 - pos)) & 1 for pos in range(3)]
             counts = (seq.count(0), seq.count(1))
@@ -193,7 +195,7 @@ class TestBonTypeLaw:
         assert abs(2 * q.log_probs[0] - (q.log_probs[1] + q.log_probs[2])) < 1e-12
         law = bon_type_law(demo_p, q, 2, 3)
         oracle = bon_enumeration_oracle(demo_p, q, 2, 3)
-        classes = zip(law.counts, law.per_seq_log_probs)
+        classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
         by_class = {tuple(c): math.exp(lp) for c, lp in classes}
         for idx in range(9):
             digits = [idx // 3, idx % 3]
@@ -203,7 +205,7 @@ class TestBonTypeLaw:
     def test_log_n_matches_integer_n(self, demo_p, demo_q):
         by_int = bon_type_law(demo_p, demo_q, 6, 5)
         by_log = bon_type_law(demo_p, demo_q, 6, math.exp(math.log(5.0)))
-        assert np.max(np.abs(by_int.per_seq_log_probs - by_log.per_seq_log_probs)) <= 1e-9
+        assert np.max(np.abs(by_int.class_log_masses - by_log.class_log_masses)) <= 1e-9
 
 
 _LN2 = math.log(2.0)
@@ -372,8 +374,11 @@ class TestArrayKernel:
             return
         counts = law.counts
         class_lp = law.class_log_sizes + counts @ p.log_probs
+        got = law.class_log_masses
+        # the law is the kernel's row over the class masses, as it came out
+        row = _winner_log_probs(class_lp, counts @ q.log_probs, [float(N)])[0]
+        assert got.tobytes() == row.tobytes()
         ref, scale = _loop_winner_log_probs(class_lp, counts @ q.log_probs, float(N))
-        got = law.per_seq_log_probs + law.class_log_sizes
         live = ref > -700.0
         tol = 1e-12 + 32 * _EPS * scale[live]
         assert np.all(np.abs(got[live] - ref[live]) <= tol)
@@ -412,7 +417,7 @@ class TestArrayKernel:
             counts = law.counts
             class_lp = law.class_log_sizes + counts @ p.log_probs
             exact = _mp_winner_log_probs(class_lp, counts @ q.log_probs, float(N))
-            got = law.per_seq_log_probs + law.class_log_sizes
+            got = law.class_log_masses
             live = exact > -700.0
             assert np.max(np.abs(got[live] - exact[live])) <= 1e-12
 
@@ -450,7 +455,7 @@ class TestEnumerationOracle:
             flat = bon_exact_pmf(probs, rewards, N).probs()
             assert np.max(np.abs(flat - oracle)) <= 1e-12
             law = bon_type_law(p, q, m, N)
-            classes = zip(law.counts, law.per_seq_log_probs)
+            classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
             by_class = {tuple(c): math.exp(lp) for c, lp in classes}
             for idx in range(K**m):
                 digits = [(idx // K ** (m - 1 - pos)) % K for pos in range(m)]

@@ -11,13 +11,14 @@ from alignlab import (
     TargetOutOfRange,
     bon_enumeration_oracle,
     bon_type_law,
-    bon_winners,
     cross_entropy,
     deviation_hit_count,
     finite_m_cumulant_check,
+    kl_divergence,
     legendre_oracle,
     make_distribution,
     max_achievable_kl,
+    mismatched_tilt,
     rate_from_hits,
     rate_function,
     rate_function_grid,
@@ -29,10 +30,11 @@ from alignlab import (
     window_log_prob,
 )
 
+from alignlab import deviations, tilting
 from alignlab.deviations import CHUNK_CELLS
 from alignlab.experiments import ExperimentConfig, default_probe_grid
 
-from .conftest import TERNARY_P, TERNARY_Q, random_pair
+from .conftest import TERNARY_P, TERNARY_Q, bon_winners, random_pair
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
 # the demo pair's tilted source at the demo budget 0.11
@@ -88,10 +90,20 @@ class TestRateFunction:
         for t in DEFAULT_GRID:
             assert rate_function(demo_p, demo_q, DEMO_PHI, t).rate >= 0.0
 
-    def test_grid_points_are_the_one_level_points(self, demo_p, demo_q):
+    def test_grid_points_are_the_one_level_points(self, demo_p, demo_q, monkeypatch):
         ts = [float(t) for t in DEFAULT_GRID]
+        # each rate is read off the solved reward-matched tilt, not re-tilted
+        calls = []
+        for module in (tilting, deviations):
+            if hasattr(module, "mismatched_tilt"):
+                monkeypatch.setattr(module, "mismatched_tilt", lambda *a: calls.append(a))
         grid = rate_function_grid(demo_p, demo_q, DEMO_PHI, ts)
+        assert calls == []
+        monkeypatch.undo()
         assert grid == [rate_function(demo_p, demo_q, DEMO_PHI, t) for t in ts]
+        for point in grid:
+            tilt = mismatched_tilt(demo_q, demo_p, point.beta)
+            assert point.rate == max(0.0, kl_divergence(tilt, DEMO_PHI))
 
     def test_consistency_tilted_base_vs_budget(self, demo_p, demo_q):
         # rate under the tilted base at budget 0 equals the budgeted rate,

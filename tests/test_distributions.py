@@ -18,11 +18,10 @@ from alignlab import (
 )
 from alignlab.distributions import (
     log_class_sizes,
-    symbols_from_uniforms,
     type_counts_matrix,
 )
 
-from .conftest import random_pair
+from .conftest import random_pair, symbols_from_uniforms
 
 
 class TestMakeDistribution:

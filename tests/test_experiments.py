@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from alignlab import ExperimentConfig, run_experiment
+from alignlab import (
+    ExperimentConfig,
+    make_distribution,
+    max_achievable_kl,
+    mismatched_tilt,
+    run_experiment,
+    solve_alpha_for_kl,
+)
 from alignlab.experiments import (
     COMMON_FIELDS,
     EXPERIMENTS,
@@ -26,22 +33,22 @@ from alignlab.experiments import (
 from .conftest import loop_radial_contour_point
 
 
-def _count_solves(monkeypatch) -> list:
-    """Wrap solve_alpha_for_kl in every module that binds it; the calls land
-    in the returned list."""
+def _count_solves(monkeypatch, name: str = "solve_alpha_for_kl") -> list:
+    """Wrap the tilting function ``name`` in every module that binds it; the
+    calls land in the returned list."""
     import alignlab
     from alignlab import deviations, experiments, tilting
 
     calls = []
-    real = tilting.solve_alpha_for_kl
+    real = getattr(tilting, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in (alignlab, tilting, deviations, experiments):
-        if hasattr(module, "solve_alpha_for_kl"):
-            monkeypatch.setattr(module, "solve_alpha_for_kl", counting)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -99,6 +106,21 @@ class TestTernaryFigure:
             for line in lines[1:3]:
                 x1, x2, x3, _tag = line.split(",")
                 assert abs(float(x1) + float(x2) + float(x3) - 1.0) <= 1e-9
+
+    def test_aligned_family_is_one_row_call(self, tmp_path, monkeypatch):
+        # the 200 family points come from one kernel call, bit for bit the
+        # per-alpha tilts of an even alpha grid up to 98% of the budget range
+        calls = _count_solves(monkeypatch, "mismatched_tilt")
+        run_ternary_figure(ExperimentConfig("ternary_figure", output_dir=str(tmp_path)))
+        assert calls == []
+        monkeypatch.undo()
+        p, q = make_distribution((0.2, 0.3, 0.5)), make_distribution((2 / 3, 1 / 9, 2 / 9))
+        alpha_hi = solve_alpha_for_kl(q, p, 0.98 * max_achievable_kl(q, p)).alpha
+        expected = []
+        for alpha in np.linspace(0.0, alpha_hi, 200):
+            probs = mismatched_tilt(q, p, float(alpha)).probs()
+            expected.append(",".join([*(repr(float(x)) for x in probs), "aligned_family"]))
+        assert (tmp_path / "aligned_family.csv").read_text().splitlines()[1:] == expected
 
     def test_contour_is_closed_and_on_level(self, tmp_path):
         report = run_ternary_figure(ExperimentConfig("ternary_figure", output_dir=str(tmp_path)))

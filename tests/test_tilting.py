@@ -22,11 +22,10 @@ from alignlab import (
     solve_alpha_for_kl_grid,
     solve_beta_for_reward,
     solve_beta_for_reward_grid,
-    tilt_compose_check,
 )
 from alignlab import tilting
 from alignlab.distributions import from_log_weights
-from alignlab.tilting import FEASIBILITY_MARGIN, MAX_STEPS, _solve_beta, _tilt_moments
+from alignlab.tilting import FEASIBILITY_MARGIN, MAX_STEPS, _tilt_moments
 
 from .conftest import (
     TERNARY_P,
@@ -35,6 +34,7 @@ from .conftest import (
     bisection_beta_for_reward,
     interior_dirichlet,
     random_pair,
+    tilt_compose_check,
 )
 
 # Independent bisection oracle at 1e-14 residual froze this tilt parameter
@@ -171,27 +171,26 @@ class TestSolveAlphaForKl:
 
 class TestSolveBetaForReward:
     def test_reference_reward_gives_zero(self, demo_p, demo_q):
-        beta = solve_beta_for_reward(demo_q, demo_p, cross_entropy(demo_p, demo_q))
+        beta = solve_beta_for_reward(demo_q, demo_p, cross_entropy(demo_p, demo_q)).alpha
         assert abs(beta) <= 1e-9
 
     def test_consistent_with_budget_solver(self, demo_p, demo_q):
         sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
-        beta = solve_beta_for_reward(demo_q, demo_p, cross_entropy(sol.phi, demo_q))
+        beta = solve_beta_for_reward(demo_q, demo_p, cross_entropy(sol.phi, demo_q)).alpha
         assert beta == pytest.approx(sol.alpha, abs=1e-8)
 
     def test_divergence_toward_endpoint(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         near_low = lo + 1e-6 * (hi - lo)
-        beta = solve_beta_for_reward(demo_q, demo_p, near_low)
-        assert beta > 5.0
+        assert solve_beta_for_reward(demo_q, demo_p, near_low).alpha > 5.0
         near_high = hi - 1e-6 * (hi - lo)
-        assert solve_beta_for_reward(demo_q, demo_p, near_high) < -5.0
+        assert solve_beta_for_reward(demo_q, demo_p, near_high).alpha < -5.0
 
     def test_residual(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         for frac in (0.1, 0.35, 0.6, 0.9):
             t = lo + frac * (hi - lo)
-            beta = solve_beta_for_reward(demo_q, demo_p, t)
+            beta = solve_beta_for_reward(demo_q, demo_p, t).alpha
             achieved = cross_entropy(mismatched_tilt(demo_q, demo_p, beta), demo_q)
             assert abs(achieved - t) <= 1e-10
 
@@ -328,12 +327,16 @@ class TestNewtonSolvers:
     def test_beta_meets_reward_in_few_steps(self, pair, frac):
         p, q = pair
         t = _reward_target(q, frac)
-        [(beta, steps, residual)] = _solve_beta(q, p, [t])
+        sol = solve_beta_for_reward(q, p, t)
+        beta, residual = sol.alpha, sol.residual
         tilt = mismatched_tilt(q, p, beta)
+        # the solution is the kernel's final point: its tilt, KL and reward
+        assert _bits(sol.phi.log_probs) == _bits(tilt.log_probs)
+        assert _bits(sol.achieved_kl) == _bits(kl_divergence(tilt, p))
+        assert _bits(residual) == _bits(-sol.expected_reward - t)
         assert residual == cross_entropy(tilt, q) - t
         assert abs(residual) <= 1e-12
-        assert steps <= MAX_NEWTON_STEPS
-        assert solve_beta_for_reward(q, p, t) == beta
+        assert sol.iterations <= MAX_NEWTON_STEPS
         ref = bisection_beta_for_reward(q, p, t)
         ref_tilt = mismatched_tilt(q, p, ref)
         ref_residual = cross_entropy(ref_tilt, q) - t
@@ -358,7 +361,7 @@ class TestNewtonSolvers:
     def test_beta_reward_in_50_digits(self, pair, frac):
         p, q = pair
         t = _reward_target(q, frac)
-        beta = solve_beta_for_reward(q, p, t)
+        beta = solve_beta_for_reward(q, p, t).alpha
         with mpmath.workdps(50):
             log_phi, _, lq = _mp_tilt(p, q, beta)
             h = -mpmath.fsum(mpmath.exp(a) * b for a, b in zip(log_phi, lq))
@@ -367,9 +370,10 @@ class TestNewtonSolvers:
 
     def test_kernel_moments(self, demo_p, demo_q):
         lq = demo_q.log_probs
-        [log_phi], _, [mean], [var] = _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), [0.7])
+        [log_phi], [kl], [mean], [var] = _tilt_moments(demo_p.log_probs, lq, lq - lq.max(), [0.7])
         tilt = mismatched_tilt(demo_q, demo_p, 0.7)
         assert np.array_equal(log_phi, tilt.log_probs)
+        assert kl == kl_divergence(tilt, demo_p)
         assert mean == -cross_entropy(tilt, demo_q)
         direct = np.array(_direct_tilt(TERNARY_P, TERNARY_Q, 0.7))
         lq = np.log(TERNARY_Q)
@@ -553,13 +557,16 @@ class TestLockstep:
         p, q = pair
         ts = [_reward_target(q, f) for f in fracs]
         ts.append(ts[0])  # a duplicate
-        grid = _solve_beta(q, p, ts)
-        assert solve_beta_for_reward_grid(q, p, ts) == [beta for beta, _, _ in grid]
-        for t, (beta, steps, residual) in zip(ts, grid):
-            [(alone, alone_steps, alone_residual)] = _solve_beta(q, p, [t])
-            assert _bits(beta) == _bits(alone)
-            assert steps == alone_steps
-            assert _bits(residual) == _bits(alone_residual)
+        grid = solve_beta_for_reward_grid(q, p, ts)
+        assert len(grid) == len(ts)
+        for t, lane in zip(ts, grid):
+            alone = solve_beta_for_reward(q, p, t)
+            assert _bits(lane.alpha) == _bits(alone.alpha)
+            assert _bits(lane.phi.log_probs) == _bits(alone.phi.log_probs)
+            assert lane.iterations == alone.iterations
+            assert _bits(lane.residual) == _bits(alone.residual)
+            assert _bits(lane.achieved_kl) == _bits(alone.achieved_kl)
+            assert _bits(lane.expected_reward) == _bits(alone.expected_reward)
 
     def test_unconverged_beta_lane_raises(self, demo_p, demo_q, monkeypatch):
         monkeypatch.setattr(tilting, "MAX_STEPS", 1)
