@@ -13,13 +13,14 @@ probability depend on a sequence only through its type, so the same formula
 applies per type class; N enters only as a multiplier of log masses, which
 admits the N = exp(m * delta) regime where N is far too large to enumerate.
 The levels do not depend on N either, so a grid of N is grouped once and
-evaluated as one row per N (``bon_exact_pmf_grid``); one N is the one-row
+evaluated as one row per N (``bon_exact_pmf``); one N is the one-row
 case.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,22 +118,28 @@ def _winner_log_probs(
 
 
 def _check_n(N) -> None:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise InvalidN(f"N must be a positive integer, got {N!r}")
+    """N is a positive integer that converts to a finite float: the kernels
+    multiply log masses by float(N)."""
+    integer = isinstance(N, (int, np.integer)) and not isinstance(N, bool)
+    if not (integer and 1 <= N <= sys.float_info.max):
+        raise InvalidN(f"N must be a positive integer that converts to a finite float, got {N!r}")
+
+
+def _check_oracle_size(K: int, m: int, N: int) -> None:
+    """Raise SizeOverflow when the oracle's (K^m)^N tuples exceed
+    ``ORACLE_TUPLE_CAP``, without forming the count: K >= 2, so K^e is over
+    the cap once e reaches the cap's bit length, and the exponent is capped
+    there."""
+    if K ** min(m * N, ORACLE_TUPLE_CAP.bit_length()) > ORACLE_TUPLE_CAP:
+        raise SizeOverflow(f"(K^m)^n must be <= {ORACLE_TUPLE_CAP}, got K={K}, m={m}, n={N}")
 
 
 def bon_exact_pmf(
-    outcome_probs: CategoricalDistribution, rewards, N: int
-) -> CategoricalDistribution:
-    """Exact best-of-N PMF over a flat outcome space."""
-    return bon_exact_pmf_grid(outcome_probs, rewards, [N])[0]
-
-
-def bon_exact_pmf_grid(
     outcome_probs: CategoricalDistribution, rewards, ns
 ) -> list[CategoricalDistribution]:
-    """``bon_exact_pmf`` at each N of ``ns``, with the outcomes grouped into
-    reward levels once; N = 1 gives ``outcome_probs`` itself."""
+    """Exact best-of-N PMF over a flat outcome space at each N of ``ns``,
+    with the outcomes grouped into reward levels once; N = 1 gives
+    ``outcome_probs`` itself."""
     rw = np.asarray(rewards, dtype=np.float64)
     if rw.shape != (outcome_probs.K,):
         raise LengthMismatch(f"{outcome_probs.K} outcomes vs {rw.size} rewards")
@@ -204,10 +211,9 @@ def bon_enumeration_oracle(
     """
     _check_same_alphabet(p, q)
     _check_n(N)
+    _check_oracle_size(p.K, m, N)
     M = p.K**m
     n_tuples = M**N
-    if n_tuples > ORACLE_TUPLE_CAP:
-        raise SizeOverflow(f"(K^m)^N = {n_tuples} exceeds cap {ORACLE_TUPLE_CAP}")
     seq_lp = sequence_space_log_probs(p, m)
     seq_rw = sequence_space_log_probs(q, m)
     out = np.zeros(M)

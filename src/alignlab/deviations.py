@@ -7,7 +7,7 @@ to phi.  The scaled cumulants of the reward are Renyi cross entropies of phi
 to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it;
-``rate_function_grid`` solves the reward-matched tilts of several levels in
+``rate_function`` solves the reward-matched tilts of several levels in
 one lockstep run and reads each rate off the solved tilt.
 A window probability is exact over the type classes of any sequence law,
 best-of-N included, or counted by Monte Carlo under phi^m.  The window
@@ -28,13 +28,15 @@ from .distributions import CategoricalDistribution
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
 from .metrics import kl_divergence, renyi_cross_entropy
-from .tilting import reward_target_range, solve_beta_for_reward_grid
+from .tilting import reward_target_range, solve_beta_for_reward
 
 LEGENDRE_BRACKET_TOL = 1e-9
 LEGENDRE_GRID = 41
 # Type counts (trials x K cells) drawn per array pass of a Monte Carlo hit
 # count: bounds its buffers to a few hundred kB whatever the trial count.
 CHUNK_CELLS = 2**14
+# The largest m of a Monte Carlo trial: its type counts are int64.
+MAX_TRIAL_M = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -58,30 +60,20 @@ def rate_function(
     p: CategoricalDistribution,
     q: CategoricalDistribution,
     phi: CategoricalDistribution,
-    t: float,
-) -> RatePoint:
-    """Rate of P(|per-symbol -log q^m(Y) - t| small) under the source phi^m.
+    ts,
+) -> list[RatePoint]:
+    """Rate of P(|per-symbol -log q^m(Y) - t| small) under the source phi^m,
+    one ``RatePoint`` per level t of ``ts``, with the reward-matched tilts'
+    betas solved in lockstep.
 
     phi is a tilt T(q, p, alpha) of the reference p; phi = p gives the rate
     under the reference itself.  The rate is clamped at 0: at phi's own mean
     beta equals alpha, and the rounding of the two tilts can leave a KL of
     about -1e-16.
     """
-    return rate_function_grid(p, q, phi, [t])[0]
-
-
-def rate_function_grid(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    phi: CategoricalDistribution,
-    ts,
-) -> list[RatePoint]:
-    """``rate_function`` at each level of ``ts``, with the reward-matched
-    tilts' betas solved in lockstep; each point is bit for bit the one-level
-    call's."""
     return [
         RatePoint(t=t, beta=sol.alpha, rate=max(0.0, kl_divergence(sol.phi, phi)))
-        for t, sol in zip(ts, solve_beta_for_reward_grid(q, p, ts))
+        for t, sol in zip(ts, solve_beta_for_reward(q, p, ts))
     ]
 
 
@@ -150,6 +142,8 @@ def deviation_hit_count(
     """
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
+    if m > MAX_TRIAL_M:
+        raise ValueError(f"m must be <= {MAX_TRIAL_M}, got {m!r}")
     probs = phi.probs()
     per_chunk = max(1, min(trials, CHUNK_CELLS // phi.K))
     hits = 0

@@ -19,10 +19,10 @@ import numpy as np
 
 from .bestofn import (
     MAX_LOG_N,
-    ORACLE_TUPLE_CAP,
+    _check_n,
+    _check_oracle_size,
     bon_enumeration_oracle,
     bon_exact_pmf,
-    bon_exact_pmf_grid,
     bon_expected_type,
     bon_kl_to_reference,
     bon_type_law,
@@ -36,22 +36,23 @@ from .distributions import (
     make_distribution,
 )
 from .deviations import (
+    MAX_TRIAL_M,
     deviation_hit_count,
     legendre_oracle,
     rate_from_hits,
-    rate_function_grid,
+    rate_function,
     window_log_prob,
 )
-from .errors import AlignlabError
+from .errors import AlignlabError, InvalidN
 from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
 from .rng import spawn_generator
 from .tilting import (
     FEASIBILITY_MARGIN,
+    _is_uniform,
     _tilt_log_probs,
     max_achievable_kl,
     reward_target_range,
     solve_alpha_for_kl,
-    solve_alpha_for_kl_grid,
 )
 
 # Ternary demo pair used across the curve/scan experiments.
@@ -114,7 +115,8 @@ class ExperimentConfig:
     reads, with their defaults; :meth:`get` gives a field left ``None`` its
     default.  Construction is the one check of the inputs: it raises
     ValueError for a set field the experiment does not read and for any value
-    its runner could not use (AlignlabError for an unknown experiment).  What
+    its runner could not use, an AlignlabError that ``derive`` raises
+    included (AlignlabError for an unknown experiment).  What
     the experiment's ``derive`` returns is kept as ``derived``: not a field,
     so neither settable nor echoed, and frozen with the fields.
     """
@@ -149,7 +151,11 @@ class ExperimentConfig:
         for name, (holds, requirement) in _FIELD_CHECKS.items():
             if name in values and not holds(values[name]):
                 raise ValueError(f"{name} {requirement}, got {values[name]!r}")
-        object.__setattr__(self, "derived", record.derive(self))
+        try:
+            derived = record.derive(self)
+        except AlignlabError as exc:
+            raise ValueError(str(exc)) from None
+        object.__setattr__(self, "derived", derived)
 
     def get(self, name: str):
         """The field's value, or its experiment's default when it is unset."""
@@ -234,14 +240,6 @@ def _pair(config: ExperimentConfig) -> tuple[CategoricalDistribution, Categorica
     return p, q
 
 
-def _solve_tilt(p: CategoricalDistribution, q: CategoricalDistribution, delta: float):
-    """phi_delta = T(q, p, alpha_delta); a budget it cannot spend is a usage error."""
-    try:
-        return solve_alpha_for_kl(q, p, delta)
-    except AlignlabError as exc:
-        raise ValueError(str(exc)) from None
-
-
 def _check_law_size(m: int, K: int, n: int | None = None, delta: float | None = None) -> None:
     """The limits of ``bon_type_law`` at length m over K symbols, with N = n
     or N = exp(m * delta)."""
@@ -278,11 +276,7 @@ def _finish(config: ExperimentConfig, started: float, results, checks, csvs) -> 
 
 def _derive_example1(config: ExperimentConfig) -> tuple:
     p, q = _pair(config)
-    m, n = config.get("m"), config.get("n")
-    # (K^m)^n, exactly: K >= 2, so K^e is over the cap once e reaches the
-    # cap's bit length, and the exponent is capped there
-    if p.K ** min(m * n, ORACLE_TUPLE_CAP.bit_length()) > ORACLE_TUPLE_CAP:
-        raise ValueError(f"(K^m)^n must be <= {ORACLE_TUPLE_CAP}, got K={p.K}, m={m}, n={n}")
+    _check_oracle_size(p.K, config.get("m"), config.get("n"))
     return p, q
 
 
@@ -294,7 +288,8 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     seq_lp = sequence_space_log_probs(p, m)
     seq_rw = sequence_space_log_probs(q, m)
     outcome_dist = from_log_weights(seq_lp)
-    pi = bon_exact_pmf(outcome_dist, seq_rw, n).probs()
+    [pmf] = bon_exact_pmf(outcome_dist, seq_rw, [n])
+    pi = pmf.probs()
     K = p.K
     joint = pi.reshape((K,) * m)
     marginal_first = joint.reshape(K, -1).sum(axis=1)
@@ -416,12 +411,11 @@ def _derive_ternary_figure(config: ExperimentConfig) -> tuple:
     p, q = _pair(config)
     if p.K != 3:
         raise ValueError(f"ternary_figure needs 3 weights in p and q, got {p.K}")
-    lo, hi = reward_target_range(q)
-    if lo == hi:
-        # no reward chord crosses the simplex, whatever the budget
+    if _is_uniform(q):
+        # the solver's uniform target: whatever the budget, the family is p alone
         raise ValueError("uniform alignment target: the family is the single point p")
     # the tilt first: an unspendable budget is reported as such, not as log N
-    tilt = _solve_tilt(p, q, config.get("delta"))
+    [tilt] = solve_alpha_for_kl(q, p, [config.get("delta")])
     n = _matched_n(config.get("m"), p.K, config.get("n"), config.get("delta"))
     return p, q, tilt, n
 
@@ -476,10 +470,9 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
         [(row[0], row[1], row[2], "reward_contour") for row in segment],
     )
 
-    max_kl = max_achievable_kl(q, p)
-    alpha_hi = solve_alpha_for_kl(q, p, 0.98 * max_kl).alpha
+    [far] = solve_alpha_for_kl(q, p, [0.98 * max_achievable_kl(q, p)])
     lq = q.log_probs
-    family = np.exp(_tilt_log_probs(p.log_probs, lq - np.max(lq), np.linspace(0.0, alpha_hi, 200)))
+    family = np.exp(_tilt_log_probs(p.log_probs, lq - np.max(lq), np.linspace(0.0, far.alpha, 200)))
     csvs["aligned_family"] = (
         ["x_bary1", "x_bary2", "x_bary3", "curve_tag"],
         [(row[0], row[1], row[2], "aligned_family") for row in family],
@@ -516,7 +509,8 @@ def _derive_equivalence_scan(config: ExperimentConfig) -> tuple:
         raise ValueError(f"m_grid must be strictly increasing, got {m_grid!r}")
     # the largest m, so the largest type law and N = exp(m * delta)
     _check_law_size(m_grid[-1], p.K, delta=delta)
-    return p, q, _solve_tilt(p, q, delta)
+    [tilt] = solve_alpha_for_kl(q, p, [delta])
+    return p, q, tilt
 
 
 def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
@@ -583,6 +577,15 @@ def _dirichlet_interior(rng: np.random.Generator, K: int) -> np.ndarray:
             return draw
 
 
+def _derive_random_alphabet(config: ExperimentConfig) -> tuple:
+    try:
+        for n in config.get("n_grid"):
+            _check_n(n)
+    except InvalidN as exc:
+        raise ValueError(f"n_grid: {exc}") from None
+    return ()
+
+
 def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
     """Divergence of exact flat best-of-N from the budget-matched tilt.
 
@@ -604,9 +607,9 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
         p = make_distribution(_dirichlet_interior(rng, K))
         q = make_distribution(_dirichlet_interior(rng, K))
         cap = max_achievable_kl(q, p) - 2 * FEASIBILITY_MARGIN
-        pis = bon_exact_pmf_grid(p, q.log_probs, [int(n) for n in n_grid])
+        pis = bon_exact_pmf(p, q.log_probs, [int(n) for n in n_grid])
         deltas = [kl_divergence(pi, p) for pi in pis]
-        tilts = solve_alpha_for_kl_grid(q, p, [min(delta, cap) for delta in deltas])
+        tilts = solve_alpha_for_kl(q, p, [min(delta, cap) for delta in deltas])
         for n, pi, delta, tilt in zip(n_grid, pis, deltas, tilts):
             max_kl_bound_excess = max(max_kl_bound_excess, delta - math.log(n))
             max_kl_bound_log_n_minus_excess = max(
@@ -689,7 +692,7 @@ def run_closeness_bound(config: ExperimentConfig) -> ExperimentReport:
         if delta <= 0.0:
             skipped += 1
             continue
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         target_point = _dirichlet_interior(rng, K)
         lam = 1.0
         psi = None
@@ -742,11 +745,13 @@ def default_probe_grid(mean_t: float, eps: float) -> tuple[float, ...]:
 def _derive_ldp_probe(config: ExperimentConfig) -> tuple:
     p, q = _pair(config)
     m, delta, n = config.get("m"), config.get("delta"), config.get("n")
+    if m > MAX_TRIAL_M:
+        raise ValueError(f"m must be <= {MAX_TRIAL_M}, got {m!r}")
     if n is not None and not config.get("conjecture"):
         raise ValueError(f"n is read only with conjecture, got n={n!r}")
     if config.get("conjecture"):
         n = _matched_n(m, p.K, n, delta)
-    tilt = _solve_tilt(p, q, delta)
+    [tilt] = solve_alpha_for_kl(q, p, [delta])
     # the grid centre is the mean per-symbol -log q under phi
     grid = config.get("t_grid") or default_probe_grid(-tilt.expected_reward, config.get("eps"))
     lo, hi = reward_target_range(q)
@@ -775,7 +780,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     max_oracle_dev = 0.0
     max_band_dev = 0.0
     undefined_shallow = 0
-    points = rate_function_grid(p, q, phi, [float(t) for t in t_grid])
+    points = rate_function(p, q, phi, [float(t) for t in t_grid])
     for i, (t, point) in enumerate(zip(t_grid, points)):
         oracle = legendre_oracle(phi, q, float(t))
         max_oracle_dev = max(max_oracle_dev, abs(point.rate - oracle))
@@ -830,7 +835,9 @@ EXPERIMENTS = {
     "equivalence_scan": Experiment(
         {**_DEMO, "m_grid": (5, 10, 20, 40, 80, 160)}, _derive_equivalence_scan
     ),
-    "random_alphabet": Experiment({"K": 1024, "seeds": 20, "n_grid": default_n_grid()}),
+    "random_alphabet": Experiment(
+        {"K": 1024, "seeds": 20, "n_grid": default_n_grid()}, _derive_random_alphabet
+    ),
     "closeness_bound": Experiment({"trials": 1000}),
     "ldp_probe": Experiment(
         {

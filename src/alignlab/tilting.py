@@ -113,6 +113,12 @@ def _log_q_moments(log_phi: np.ndarray, lq: np.ndarray):
     return w, mean, np.add.reduce(w * np.square(lq - mean[..., None]), axis=-1)
 
 
+def _is_uniform(q: CategoricalDistribution) -> bool:
+    """Whether q is uniform to within ``_UNIFORM_LOGPROB_SPREAD`` in log q,
+    where the tilted family is the single point p."""
+    return float(np.ptp(q.log_probs)) <= _UNIFORM_LOGPROB_SPREAD
+
+
 def max_achievable_kl(q: CategoricalDistribution, p: CategoricalDistribution) -> float:
     """Supremum of D(T(q,p,alpha) || p) over alpha >= 0: log 1/p(argmax q)."""
     _check_same_alphabet(p, q)
@@ -232,26 +238,19 @@ def _alpha_lane(delta: float, var: float, warp):
 
 
 def solve_alpha_for_kl(
-    q: CategoricalDistribution, p: CategoricalDistribution, delta: float
-) -> TiltSolution:
-    """Find alpha >= 0 with D(T(q,p,alpha) || p) = delta.
-
-    KL is strictly increasing in alpha for non-uniform q, so the root is
-    unique.  Budgets within ``FEASIBILITY_MARGIN`` of the supremum, and
-    budgets that are negative or not finite, are rejected (alpha diverges at
-    the boundary).  A zero budget gives alpha = 0 and p itself.
-    """
-    return solve_alpha_for_kl_grid(q, p, [delta])[0]
-
-
-def solve_alpha_for_kl_grid(
     q: CategoricalDistribution, p: CategoricalDistribution, deltas
 ) -> list[TiltSolution]:
-    """``solve_alpha_for_kl`` at each budget of ``deltas``, the budgets
-    solved in lockstep: each round of bracket doubling or Newton steps
+    """Find alpha >= 0 with D(T(q,p,alpha) || p) = delta for each budget of
+    ``deltas``, one ``TiltSolution`` per budget.
+
+    KL is strictly increasing in alpha for non-uniform q, so each root is
+    unique.  Budgets within ``FEASIBILITY_MARGIN`` of the supremum, and
+    budgets that are negative or not finite, are rejected (alpha diverges at
+    the boundary).  A zero budget gives alpha = 0 and p itself.  The budgets
+    are solved in lockstep: each round of bracket doubling or Newton steps
     evaluates the tilt of every unfinished budget in one kernel call.  Each
-    solution is bit for bit the one-budget solve's; a budget that one solve
-    would reject raises the same error here.
+    solution is bit for bit the one it gets alone, and a rejected budget
+    fails the whole list.
     """
     _check_same_alphabet(p, q)
     lp, lq = p.log_probs, q.log_probs
@@ -264,7 +263,7 @@ def solve_alpha_for_kl_grid(
         if delta == 0.0:
             continue
         if max_kl is None:
-            if float(np.ptp(lq)) <= _UNIFORM_LOGPROB_SPREAD:
+            if _is_uniform(q):
                 raise DegenerateFamily("uniform alignment target: the family is the single point p")
             max_kl = max_achievable_kl(q, p)
         if delta >= max_kl - FEASIBILITY_MARGIN:
@@ -316,24 +315,17 @@ def _beta_lane(t: float, warp):
 
 
 def solve_beta_for_reward(
-    q: CategoricalDistribution, p: CategoricalDistribution, t: float
-) -> TiltSolution:
-    """Find beta in R with H(T(q,p,beta) || q) = t: the reward-matched tilt,
-    as a ``TiltSolution`` whose ``alpha`` is beta and whose ``residual`` is
-    H - t.
-
-    H is strictly decreasing in beta for non-uniform q; t must lie strictly
-    inside ``reward_target_range(q)``.
-    """
-    return solve_beta_for_reward_grid(q, p, [t])[0]
-
-
-def solve_beta_for_reward_grid(
     q: CategoricalDistribution, p: CategoricalDistribution, ts
 ) -> list[TiltSolution]:
-    """``solve_beta_for_reward`` at each target of ``ts``, the targets solved
-    in lockstep; each solution is bit for bit the one-target solve's, and a
-    target that one solve would reject raises the same error here."""
+    """Find beta in R with H(T(q,p,beta) || q) = t for each target of ``ts``:
+    the reward-matched tilts, as ``TiltSolution``s whose ``alpha`` is beta and
+    whose ``residual`` is H - t.
+
+    H is strictly decreasing in beta for non-uniform q; each t must lie
+    strictly inside ``reward_target_range(q)``.  The targets are solved in
+    lockstep.  Each solution is bit for bit the one it gets alone, and a
+    rejected target fails the whole list.
+    """
     _check_same_alphabet(p, q)
     lo_t, hi_t = reward_target_range(q)
     for t in ts:

@@ -92,11 +92,12 @@ def test_criterion_03_oracle_equivalence():
         checked += 1
         p, q = random_pair(rng, K)
         oracle = bon_enumeration_oracle(p, q, m, n)
-        flat = bon_exact_pmf(
+        [flat] = bon_exact_pmf(
             from_log_weights(sequence_space_log_probs(p, m)),
             sequence_space_log_probs(q, m),
-            n,
-        ).probs()
+            [n],
+        )
+        flat = flat.probs()
         worst = max(worst, float(np.max(np.abs(flat - oracle))))
         law = bon_type_law(p, q, m, n)
         classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
@@ -120,7 +121,7 @@ def test_criterion_04_kl_bound():
         K = int(rng.integers(2, 51))
         n = int(rng.integers(1, 2000))
         p, q = random_pair(rng, K)
-        pi = bon_exact_pmf(p, q.log_probs, n)
+        [pi] = bon_exact_pmf(p, q.log_probs, [n])
         worst_excess = max(worst_excess, kl_divergence(pi, p) - math.log(n))
     for _ in range(40):
         K = int(rng.integers(2, 4))
@@ -152,7 +153,7 @@ def test_criterion_05_tilt_algebra():
         K = 3 if rng.random() < 0.5 else 10
         p, q = random_pair(rng, K)
         delta = float(rng.uniform(0.0, 0.95)) * max_achievable_kl(q, p)
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         worst_residual = max(worst_residual, abs(kl_divergence(sol.phi, p) - delta))
     elapsed = time.perf_counter() - started
     ok = worst_compose <= 1e-12 and worst_residual <= 1e-10 and elapsed < 10.0
@@ -189,7 +190,7 @@ def test_criterion_07_cumulant_identity():
         pairs.append((rp, rq, 0.3 * max_achievable_kl(rq, rp)))
     worst = 0.0
     for pp, qq, delta in pairs:
-        phi = solve_alpha_for_kl(qq, pp, delta).phi
+        phi = solve_alpha_for_kl(qq, pp, [delta])[0].phi
         for m in range(1, 11):
             for rho in (0.25, 0.5, 1.0, 2.0):
                 lhs, rhs = finite_m_cumulant_check(phi, qq, rho, m)
@@ -209,14 +210,14 @@ def test_criterion_08_rate_function_consistency():
     for _ in range(10):
         p, q = random_pair(rng, 3)
         delta = float(rng.uniform(0.1, 0.8)) * max_achievable_kl(q, p)
-        phi = solve_alpha_for_kl(q, p, delta).phi
+        phi = solve_alpha_for_kl(q, p, [delta])[0].phi
         lo, hi = reward_target_range(q)
         for frac in np.linspace(0.05, 0.95, 20):
             t = lo + float(frac) * (hi - lo)
-            exact = rate_function(p, q, phi, t).rate
+            exact = rate_function(p, q, phi, [t])[0].rate
             worst = max(worst, abs(exact - legendre_oracle(phi, q, t)))
         mean_t = float(phi.probs() @ (-q.log_probs))
-        worst_mean = max(worst_mean, rate_function(p, q, phi, mean_t).rate)
+        worst_mean = max(worst_mean, rate_function(p, q, phi, [mean_t])[0].rate)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-5 and worst_mean <= 1e-10 and elapsed < 60.0
     _report(8, ok, f"oracle gap max {worst:.2e}, rate at mean max {worst_mean:.2e}, {elapsed:.1f}s")

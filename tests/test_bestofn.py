@@ -17,7 +17,6 @@ from alignlab import (
     SizeOverflow,
     bon_enumeration_oracle,
     bon_exact_pmf,
-    bon_exact_pmf_grid,
     bon_expected_type,
     bon_kl_to_reference,
     bon_type_law,
@@ -106,11 +105,11 @@ class TestRewardLevels:
 class TestBonExactPmf:
     def test_single_draw_is_reference(self, demo_p, demo_q):
         rewards = demo_q.log_probs
-        assert bon_exact_pmf(demo_p, rewards, 1) is demo_p
+        assert bon_exact_pmf(demo_p, rewards, [1])[0] is demo_p
 
     def test_pair_joint_matches_fractions(self, demo_p, demo_q):
         probs, rewards = _pair_space(demo_p, demo_q)
-        pi = bon_exact_pmf(probs, rewards, 2).probs()
+        pi = bon_exact_pmf(probs, rewards, [2])[0].probs()
         for (y1, y2), frac in PAIR_JOINT.items():
             assert abs(pi[3 * y1 + y2] - float(frac)) <= 1e-12
         marginal = pi.reshape(3, 3).sum(axis=1)
@@ -118,26 +117,26 @@ class TestBonExactPmf:
 
     def test_all_rewards_equal_preserves_reference(self, demo_p):
         for n in (2, 5, 100):
-            pi = bon_exact_pmf(demo_p, np.zeros(3), n)
+            [pi] = bon_exact_pmf(demo_p, np.zeros(3), [n])
             assert np.max(np.abs(pi.probs() - demo_p.probs())) <= 1e-15
 
     def test_hand_enumerated_binary(self):
         # symbol 0 wins any tuple containing it: pi(0) = 1 - 0.6^3
         p = make_distribution((0.4, 0.6))
         rewards = np.log(np.array([0.9, 0.1]))
-        pi = bon_exact_pmf(p, rewards, 3).probs()
+        pi = bon_exact_pmf(p, rewards, [3])[0].probs()
         assert pi[0] == pytest.approx(0.784, abs=1e-12)
 
     def test_errors(self, demo_p):
         with pytest.raises(LengthMismatch):
-            bon_exact_pmf(demo_p, np.zeros(4), 2)
+            bon_exact_pmf(demo_p, np.zeros(4), [2])
         with pytest.raises(InvalidN):
-            bon_exact_pmf(demo_p, np.zeros(3), 0)
+            bon_exact_pmf(demo_p, np.zeros(3), [0])
         with pytest.raises(InvalidN):
-            bon_exact_pmf(demo_p, np.zeros(3), 2.0)
+            bon_exact_pmf(demo_p, np.zeros(3), [2.0])
 
     def test_huge_n_concentrates(self, demo_p, demo_q):
-        pi = bon_exact_pmf(demo_p, demo_q.log_probs, 10**9)
+        [pi] = bon_exact_pmf(demo_p, demo_q.log_probs, [10**9])
         probs = pi.probs()
         assert probs[0] == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.isfinite(pi.log_probs))
@@ -438,6 +437,11 @@ class TestEnumerationOracle:
             # 81^4 = 4.3e7 tuples, over ORACLE_TUPLE_CAP = 1e7
             bon_enumeration_oracle(demo_p, demo_q, 4, 4)
 
+    def test_cap_without_forming_the_count(self, demo_p, demo_q):
+        # (3^10)^1000 has 4,772 digits, past the int-to-str limit of 4,300
+        with pytest.raises(SizeOverflow, match=r"\(K\^m\)\^n must be <= 10000000"):
+            bon_enumeration_oracle(demo_p, demo_q, 10, 1000)
+
     def test_closed_forms_match_oracle(self):
         rng = np.random.default_rng(40)
         checked = 0
@@ -452,7 +456,7 @@ class TestEnumerationOracle:
             oracle = bon_enumeration_oracle(p, q, m, N)
             probs = from_log_weights(sequence_space_log_probs(p, m))
             rewards = sequence_space_log_probs(q, m)
-            flat = bon_exact_pmf(probs, rewards, N).probs()
+            flat = bon_exact_pmf(probs, rewards, [N])[0].probs()
             assert np.max(np.abs(flat - oracle)) <= 1e-12
             law = bon_type_law(p, q, m, N)
             classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
@@ -471,13 +475,13 @@ class TestExchangeability:
             n = int(rng.integers(1, 6))
             probs = from_log_weights(sequence_space_log_probs(p, 2))
             rewards = sequence_space_log_probs(q, 2)
-            joint = bon_exact_pmf(probs, rewards, n).probs().reshape(3, 3)
+            joint = bon_exact_pmf(probs, rewards, [n])[0].probs().reshape(3, 3)
             assert np.max(np.abs(joint - joint.T)) <= 1e-15
 
     def test_non_product_witness(self, demo_p, demo_q):
         assert PAIR_JOINT[(0, 0)] != MARGINAL_0 * MARGINAL_0
         probs, rewards = _pair_space(demo_p, demo_q)
-        pi = bon_exact_pmf(probs, rewards, 2).probs()
+        pi = bon_exact_pmf(probs, rewards, [2])[0].probs()
         marginal0 = float(pi.reshape(3, 3).sum(axis=1)[0])
         assert pi[0] != marginal0 * marginal0
 
@@ -619,7 +623,7 @@ class TestExpectedTypeAndKl:
 
     def test_pair_expected_type_matches_joint(self, demo_p, demo_q):
         probs, rewards = _pair_space(demo_p, demo_q)
-        joint = bon_exact_pmf(probs, rewards, 2).probs().reshape(3, 3)
+        joint = bon_exact_pmf(probs, rewards, [2])[0].probs().reshape(3, 3)
         direct = np.zeros(3)
         for y1 in range(3):
             for y2 in range(3):
@@ -632,7 +636,7 @@ class TestExpectedTypeAndKl:
         law = bon_type_law(demo_p, demo_q, 10, 3)
         etype = bon_expected_type(law)
         assert np.max(np.abs(etype - np.array(ETYPE_M10_N3))) <= 1e-12
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi.probs()
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi.probs()
         assert np.abs(etype - phi).sum() < np.abs(demo_p.probs() - phi).sum()
 
     def test_kl_to_reference_single_draw(self, demo_p, demo_q):
@@ -669,7 +673,7 @@ class TestExpectedTypeAndKl:
         # tighter than log N, over random and tie-heavy rewards
         log_probs, rewards = instance
         p = CategoricalDistribution(log_probs)
-        pi = bon_exact_pmf(p, rewards, n)
+        [pi] = bon_exact_pmf(p, rewards, [n])
         assert kl_divergence(pi, p) <= math.log(n) - (n - 1) / n + 1e-9
 
     def test_kl_to_optimal_bound_demo(self, demo_p, demo_q):
@@ -680,7 +684,7 @@ class TestExpectedTypeAndKl:
     def _kl_rate(p, q, m, delta):
         """Per-symbol D(pi_N^m || phi_delta^m) / m at N = exp(m delta), as
         equivalence-scan forms it."""
-        phi = solve_alpha_for_kl(q, p, delta).phi
+        phi = solve_alpha_for_kl(q, p, [delta])[0].phi
         return bon_kl_to_reference(bon_type_law(p, q, m, math.exp(m * delta)), phi) / m
 
     def test_kl_rate_zero_budget(self, demo_p, demo_q):
@@ -692,7 +696,7 @@ class TestExpectedTypeAndKl:
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
     def test_type_and_reward_convergence(self, demo_p, demo_q):
-        phi_sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
+        [phi_sol] = solve_alpha_for_kl(demo_q, demo_p, [0.11])
         phi = phi_sol.phi.probs()
         l1s, gaps = [], []
         for m in (5, 10, 20, 40, 80):
@@ -712,7 +716,7 @@ class TestExpectedTypeAndKl:
 
 @st.composite
 def _grid_instances(draw):
-    """A flat pair for ``bon_exact_pmf_grid``: rewards random, or tied in
+    """A flat pair for ``bon_exact_pmf``: rewards random, or tied in
     groups whose members differ by less than ``REWARD_TIE_TOL``; log weights
     that may reach 800 nats down, where a level's mass is below the float
     resolution of the mass beneath it at any N (the deep branch)."""
@@ -737,10 +741,10 @@ class TestExactPmfGrid:
     @settings(max_examples=120)
     def test_rows_match_one_n_calls(self, instance, ns):
         dist, rewards = instance
-        grid = bon_exact_pmf_grid(dist, rewards, ns)
+        grid = bon_exact_pmf(dist, rewards, ns)
         assert len(grid) == len(ns)
         for N, row in zip(ns, grid):
-            alone = bon_exact_pmf(dist, rewards, N)
+            [alone] = bon_exact_pmf(dist, rewards, [N])
             assert row.log_probs.tobytes() == alone.log_probs.tobytes()
             if N == 1:
                 assert row is dist
@@ -753,12 +757,17 @@ class TestExactPmfGrid:
         dist = from_log_weights(log_w)
         rewards = np.array([1.0, 0.0, 2.0])
         n = 10**9
-        [pi] = bon_exact_pmf_grid(dist, rewards, [n])
+        [pi] = bon_exact_pmf(dist, rewards, [n])
         s_lt = math.log(float(np.exp(dist.log_probs[1])))
         deep = math.log(n) + (n - 1) * s_lt + dist.log_probs[0]
         assert pi.log_probs[0] == pytest.approx(deep, rel=1e-12)
 
+    def test_n_beyond_float_range_raises(self, demo_p, demo_q):
+        # 10^400 has no finite float, and the kernels multiply log masses by float(N)
+        with pytest.raises(InvalidN, match="converts to a finite float"):
+            bon_exact_pmf(demo_p, demo_q.log_probs, [2, 10**400])
+
     def test_invalid_n_anywhere_raises(self, demo_p, demo_q):
         with pytest.raises(InvalidN):
-            bon_exact_pmf_grid(demo_p, demo_q.log_probs, [2, 0, 3])
-        assert bon_exact_pmf_grid(demo_p, demo_q.log_probs, []) == []
+            bon_exact_pmf(demo_p, demo_q.log_probs, [2, 0, 3])
+        assert bon_exact_pmf(demo_p, demo_q.log_probs, []) == []

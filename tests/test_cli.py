@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from alignlab import InfeasibleBudget
 from alignlab.cli import _HELP, cli_dispatch, load_config_file, parse_value
 from alignlab import experiments
 from alignlab.experiments import COMMON_FIELDS, EXPERIMENTS, ExperimentConfig
@@ -98,6 +99,16 @@ class TestDispatch:
         assert cli_dispatch(["example1", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_error_during_run_exits_one(self, tmp_path, monkeypatch, capsys):
+        def infeasible(config):
+            raise InfeasibleBudget("delta=1.0 >= achievable supremum 0.5")
+
+        monkeypatch.setattr(experiments, "run_example1", infeasible)
+        code = cli_dispatch(["example1", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: delta=1.0 >= achievable supremum 0.5\n"
+
     def test_env_default_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ALIGN_OUT_DIR", str(tmp_path / "from-env"))
         code = cli_dispatch(["example1"])
@@ -114,6 +125,9 @@ class TestLdpProbeValidation:
             ("--eps", "0", "eps must be positive and finite"),
             ("--eps", "nan", "eps must be positive and finite"),
             ("--n", "0", "n must be >= 1"),
+            # a trial's type counts are int64
+            ("--m", str(2**63), f"m must be <= {2**63 - 1}"),
+            ("--m", "1" + "0" * 20, f"m must be <= {2**63 - 1}"),
         ],
     )
     def test_invalid_input_is_usage_error(self, tmp_path, capsys, flag, value, message):
@@ -185,6 +199,14 @@ class TestConfigValidation:
             ("ternary-figure", "--m", "5000", TYPE_CAP_ERROR),
             ("example1", "--m", "12", "(K^m)^n must be <= 10000000"),
             ("ternary-figure", "--n", "1" + "0" * 300, "n must be <= exp(690.0)"),
+            # float(N) overflows: 10^400 has no finite float
+            pytest.param(
+                "random-alphabet",
+                "--n-grid",
+                "1" + "0" * 400,
+                "n_grid: N must be a positive integer that converts to a finite float",
+                id="random-alphabet-n-grid-1e400",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, tmp_path, capsys, command, flag, value, message):
@@ -251,6 +273,13 @@ class TestConfigValidation:
             # no reward chord crosses the simplex, even at a zero budget
             (
                 ["ternary-figure", "--q", "1,1,1", "--delta", "0"],
+                None,
+                "uniform alignment target",
+            ),
+            # uniform to the solver: log q spreads by 1e-13, so the largest
+            # budget is 0 and the whole family would be p
+            (
+                ["ternary-figure", "--q", "1,1.0000000000001,1", "--delta", "0"],
                 None,
                 "uniform alignment target",
             ),

@@ -21,7 +21,6 @@ from alignlab import (
     mismatched_tilt,
     rate_from_hits,
     rate_function,
-    rate_function_grid,
     renyi_cross_entropy,
     reward_target_range,
     scaled_cumulant,
@@ -38,7 +37,9 @@ from .conftest import TERNARY_P, TERNARY_Q, bon_winners, random_pair
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
 # the demo pair's tilted source at the demo budget 0.11
-DEMO_PHI = solve_alpha_for_kl(make_distribution(TERNARY_Q), make_distribution(TERNARY_P), 0.11).phi
+DEMO_PHI = solve_alpha_for_kl(
+    make_distribution(TERNARY_Q), make_distribution(TERNARY_P), [0.11]
+)[0].phi
 # ldp-probe's default window and probe points, whose source is DEMO_PHI
 _PROBE = ExperimentConfig("ldp_probe")
 DEFAULT_GRID, DEFAULT_EPS = _PROBE.derived[3], _PROBE.get("eps")
@@ -59,27 +60,28 @@ def _trial_count(K, where):
 
 class TestRateFunction:
     def test_zero_at_reference_mean(self, demo_p, demo_q):
-        point = rate_function(demo_p, demo_q, demo_p, cross_entropy(demo_p, demo_q))
+        [point] = rate_function(demo_p, demo_q, demo_p, [cross_entropy(demo_p, demo_q)])
         assert abs(point.beta) <= 1e-9
         assert point.rate <= 1e-10
 
     def test_zero_at_tilted_mean(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        point = rate_function(demo_p, demo_q, DEMO_PHI, cross_entropy(phi, demo_q))
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
+        [point] = rate_function(demo_p, demo_q, DEMO_PHI, [cross_entropy(phi, demo_q)])
         assert point.rate <= 1e-10
 
     def test_positive_off_mean(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
-        point = rate_function(demo_p, demo_q, demo_p, cross_entropy(phi, demo_q))
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
+        [point] = rate_function(demo_p, demo_q, demo_p, [cross_entropy(phi, demo_q)])
         assert point.rate > 1e-3
         oracle = legendre_oracle(demo_p, demo_q, cross_entropy(phi, demo_q))
         assert abs(point.rate - oracle) <= 1e-5
 
     def test_increases_away_from_mean(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         mean = cross_entropy(phi, demo_q)
-        above = [rate_function(demo_p, demo_q, DEMO_PHI, mean + d).rate for d in (0.1, 0.2, 0.3)]
-        below = [rate_function(demo_p, demo_q, DEMO_PHI, mean - d).rate for d in (0.1, 0.2, 0.3)]
+        ds = (0.1, 0.2, 0.3)
+        above = [pt.rate for pt in rate_function(demo_p, demo_q, DEMO_PHI, [mean + d for d in ds])]
+        below = [pt.rate for pt in rate_function(demo_p, demo_q, DEMO_PHI, [mean - d for d in ds])]
         assert all(b > a for a, b in zip(above, above[1:]))
         assert all(b > a for a, b in zip(below, below[1:]))
         assert all(r >= 0 for r in above + below)
@@ -88,7 +90,7 @@ class TestRateFunction:
         # at the tilted mean beta equals alpha, and the two tilts' rounding
         # used to leave a rate of -1e-16
         for t in DEFAULT_GRID:
-            assert rate_function(demo_p, demo_q, DEMO_PHI, t).rate >= 0.0
+            assert rate_function(demo_p, demo_q, DEMO_PHI, [t])[0].rate >= 0.0
 
     def test_grid_points_are_the_one_level_points(self, demo_p, demo_q, monkeypatch):
         ts = [float(t) for t in DEFAULT_GRID]
@@ -97,10 +99,10 @@ class TestRateFunction:
         for module in (tilting, deviations):
             if hasattr(module, "mismatched_tilt"):
                 monkeypatch.setattr(module, "mismatched_tilt", lambda *a: calls.append(a))
-        grid = rate_function_grid(demo_p, demo_q, DEMO_PHI, ts)
+        grid = rate_function(demo_p, demo_q, DEMO_PHI, ts)
         assert calls == []
         monkeypatch.undo()
-        assert grid == [rate_function(demo_p, demo_q, DEMO_PHI, t) for t in ts]
+        assert grid == [rate_function(demo_p, demo_q, DEMO_PHI, [t])[0] for t in ts]
         for point in grid:
             tilt = mismatched_tilt(demo_q, demo_p, point.beta)
             assert point.rate == max(0.0, kl_divergence(tilt, DEMO_PHI))
@@ -108,17 +110,17 @@ class TestRateFunction:
     def test_consistency_tilted_base_vs_budget(self, demo_p, demo_q):
         # rate under the tilted base at budget 0 equals the budgeted rate,
         # with the family re-anchored through tilt composition
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         mean = cross_entropy(phi, demo_q)
         for t in (mean - 0.2, mean - 0.05, mean + 0.1, mean + 0.4):
-            direct = rate_function(demo_p, demo_q, DEMO_PHI, t).rate
-            reanchored = rate_function(phi, demo_q, phi, t).rate
+            direct = rate_function(demo_p, demo_q, DEMO_PHI, [t])[0].rate
+            reanchored = rate_function(phi, demo_q, phi, [t])[0].rate
             assert direct == pytest.approx(reanchored, abs=1e-9)
 
 
 class TestScaledCumulant:
     def test_zero_order_is_expected_reward(self, demo_p, demo_q):
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.11])
         point = scaled_cumulant(DEMO_PHI, demo_q, 0.0)
         assert point.value == pytest.approx(sol.expected_reward, abs=1e-12)
 
@@ -130,7 +132,7 @@ class TestScaledCumulant:
             )
 
     def test_order_one_direct_sum(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         expected = math.log(float(np.sum(phi.probs() * demo_q.probs())))
         assert scaled_cumulant(DEMO_PHI, demo_q, 1.0).value == pytest.approx(
             expected, abs=1e-12
@@ -150,7 +152,7 @@ class TestScaledCumulant:
 
 class TestFiniteMCumulant:
     def test_m_one_is_definition(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         lhs, rhs = finite_m_cumulant_check(DEMO_PHI, demo_q, 0.7, 1)
         assert lhs == pytest.approx(-renyi_cross_entropy(phi, demo_q, 1.7), abs=1e-12)
         assert abs(lhs - rhs) <= 1e-12
@@ -163,7 +165,7 @@ class TestFiniteMCumulant:
         rng = np.random.default_rng(50)
         for _ in range(5):
             p, q = random_pair(rng, 3)
-            lhs, rhs = finite_m_cumulant_check(solve_alpha_for_kl(q, p, 0.05).phi, q, 2.0, 4)
+            lhs, rhs = finite_m_cumulant_check(solve_alpha_for_kl(q, p, [0.05])[0].phi, q, 2.0, 4)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_rho_must_be_positive(self, demo_p, demo_q):
@@ -172,7 +174,7 @@ class TestFiniteMCumulant:
 
 
 def _deviation_rate(p, q, delta, t, eps, m, trials, seed):
-    phi = solve_alpha_for_kl(q, p, delta).phi
+    phi = solve_alpha_for_kl(q, p, [delta])[0].phi
     hits = deviation_hit_count(phi, q, t, eps, m, trials, np.random.default_rng(seed))
     return rate_from_hits(hits, trials, m)
 
@@ -186,7 +188,7 @@ class TestEmpiricalDeviationRate:
         assert rate == 0.0
 
     def test_near_zero_at_mean(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         rate = _deviation_rate(
             demo_p, demo_q, 0.11, cross_entropy(phi, demo_q), eps=0.1, m=400, trials=500, seed=6
         )
@@ -247,7 +249,7 @@ class TestBatchedHitCounts:
     def test_deviation_count_matches_loop(self, seed, m, target, quantile, eps, where):
         p, q = make_distribution(TERNARY_P), make_distribution(TARGETS[target])
         trials = _trial_count(q.K, where)
-        phi = solve_alpha_for_kl(q, p, 0.11).phi
+        phi = solve_alpha_for_kl(q, p, [0.11])[0].phi
         values = _loop_values(phi, q, m, trials, seed)
         t = float(np.quantile(values, quantile))
         expected = int(np.count_nonzero(np.abs(values - t) < eps))
@@ -285,7 +287,7 @@ class TestHitCountAgainstExactLaw:
         phi, q, grid = DEMO_PHI, demo_q, DEFAULT_GRID
         if K != 3:
             p, q = random_pair(np.random.default_rng(70), K)
-            phi = solve_alpha_for_kl(q, p, 0.11).phi
+            phi = solve_alpha_for_kl(q, p, [0.11])[0].phi
             grid = default_probe_grid(cross_entropy(phi, q), DEFAULT_EPS)
         law = bon_type_law(phi, q, m, 1)
         values = -(law.counts @ q.log_probs) / m
@@ -356,7 +358,7 @@ class TestWindowLogProb:
 
 class TestLegendreOracle:
     def test_zero_at_mean(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         value = legendre_oracle(DEMO_PHI, demo_q, cross_entropy(phi, demo_q))
         assert abs(value) <= 1e-7
 
@@ -368,11 +370,11 @@ class TestLegendreOracle:
             from alignlab import max_achievable_kl
 
             delta = min(boundary_delta, 0.8 * max_achievable_kl(q, p))
-            phi = solve_alpha_for_kl(q, p, delta).phi
+            phi = solve_alpha_for_kl(q, p, [delta])[0].phi
             lo, hi = reward_target_range(q)
             for frac in np.linspace(0.08, 0.92, 12):
                 t = lo + float(frac) * (hi - lo)
-                exact = rate_function(p, q, phi, t).rate
+                exact = rate_function(p, q, phi, [t])[0].rate
                 assert abs(exact - legendre_oracle(phi, q, t)) <= 1e-5
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 0.9), st.floats(0.05, 0.95))
@@ -380,13 +382,13 @@ class TestLegendreOracle:
     def test_matches_rate_function_property(self, seed, K, budget, frac):
         # the Newton solvers behind rate_function against the grid oracle
         p, q = random_pair(np.random.default_rng(seed), K)
-        phi = solve_alpha_for_kl(q, p, budget * max_achievable_kl(q, p)).phi
+        phi = solve_alpha_for_kl(q, p, [budget * max_achievable_kl(q, p)])[0].phi
         lo, hi = reward_target_range(q)
         t = lo + frac * (hi - lo)
-        assert abs(rate_function(p, q, phi, t).rate - legendre_oracle(phi, q, t)) <= 1e-5
+        assert abs(rate_function(p, q, phi, [t])[0].rate - legendre_oracle(phi, q, t)) <= 1e-5
 
     def test_symmetric_points_nonnegative(self, demo_p, demo_q):
-        phi = solve_alpha_for_kl(demo_q, demo_p, 0.11).phi
+        phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         mean = cross_entropy(phi, demo_q)
         for d in (0.15, -0.15):
             assert legendre_oracle(DEMO_PHI, demo_q, mean + d) >= 0.0

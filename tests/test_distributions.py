@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alignlab import (
     AlphabetTooSmall,
+    CategoricalDistribution,
     NonPositiveWeight,
     SizeOverflow,
     from_log_weights,
@@ -80,6 +81,20 @@ class TestMakeDistribution:
             dist = make_distribution(weights)
             assert abs(float(np.exp(dist.log_probs).sum()) - 1.0) <= 1e-12
             assert np.all(np.isfinite(dist.log_probs))
+
+    @pytest.mark.parametrize(
+        "log_probs, error",
+        [
+            ([math.log(0.5), -math.inf], NonPositiveWeight),
+            ([math.log(0.5), math.nan], NonPositiveWeight),
+            ([math.log(0.5), math.log(0.6)], NonPositiveWeight),
+            ([], AlphabetTooSmall),
+        ],
+        ids=["zero-probability", "nan", "unnormalised", "empty"],
+    )
+    def test_direct_construction_rejects(self, log_probs, error):
+        with pytest.raises(error):
+            CategoricalDistribution(np.array(log_probs))
 
     def test_from_log_weights_matches(self):
         rng = np.random.default_rng(2)

@@ -115,7 +115,7 @@ class TestTernaryFigure:
         assert calls == []
         monkeypatch.undo()
         p, q = make_distribution((0.2, 0.3, 0.5)), make_distribution((2 / 3, 1 / 9, 2 / 9))
-        alpha_hi = solve_alpha_for_kl(q, p, 0.98 * max_achievable_kl(q, p)).alpha
+        alpha_hi = solve_alpha_for_kl(q, p, [0.98 * max_achievable_kl(q, p)])[0].alpha
         expected = []
         for alpha in np.linspace(0.0, alpha_hi, 200):
             probs = mismatched_tilt(q, p, float(alpha)).probs()

@@ -26,7 +26,7 @@ class TestNoStreamObjectPerTrial:
         "count",
         [
             lambda p, q, trials, rng: deviation_hit_count(
-                solve_alpha_for_kl(q, p, 0.11).phi, q, 1.2, 0.05, 40, trials, rng
+                solve_alpha_for_kl(q, p, [0.11])[0].phi, q, 1.2, 0.05, 40, trials, rng
             ),
         ],
         ids=["deviation_hit_count"],

@@ -19,9 +19,7 @@ from alignlab import (
     mismatched_tilt,
     reward_target_range,
     solve_alpha_for_kl,
-    solve_alpha_for_kl_grid,
     solve_beta_for_reward,
-    solve_beta_for_reward_grid,
 )
 from alignlab import tilting
 from alignlab.distributions import from_log_weights
@@ -91,37 +89,37 @@ class TestMaxAchievableKl:
 
 class TestSolveAlphaForKl:
     def test_zero_budget(self, demo_p, demo_q):
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.0])
         assert sol.alpha == 0.0
         assert sol.phi is demo_p
         assert sol.achieved_kl == 0.0
         assert sol.expected_reward == pytest.approx(-cross_entropy(demo_p, demo_q), abs=1e-15)
 
     def test_demo_budget_fixture(self, demo_p, demo_q):
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.11])
         assert sol.alpha == pytest.approx(DEMO_ALPHA_011, abs=1e-8)
         assert np.allclose(sol.phi.probs(), DEMO_PHI_011, atol=1e-9)
         assert abs(kl_divergence(sol.phi, demo_p) - 0.11) <= 1e-10
 
     def test_infeasible_budget(self, demo_p, demo_q):
         with pytest.raises(InfeasibleBudget):
-            solve_alpha_for_kl(demo_q, demo_p, 1.7)  # above log 5 ~ 1.609
+            solve_alpha_for_kl(demo_q, demo_p, [1.7])  # above log 5 ~ 1.609
 
     def test_boundary_margin(self, demo_p, demo_q):
         boundary = max_achievable_kl(demo_q, demo_p)
         with pytest.raises(InfeasibleBudget):
-            solve_alpha_for_kl(demo_q, demo_p, boundary - 1e-10)
+            solve_alpha_for_kl(demo_q, demo_p, [boundary - 1e-10])
 
     def test_degenerate_family(self, demo_p):
         u = make_distribution((1, 1, 1))
         with pytest.raises(DegenerateFamily):
-            solve_alpha_for_kl(u, demo_p, 0.1)
-        sol = solve_alpha_for_kl(u, demo_p, 0.0)
+            solve_alpha_for_kl(u, demo_p, [0.1])
+        [sol] = solve_alpha_for_kl(u, demo_p, [0.0])
         assert sol.phi is demo_p
 
     def test_negative_budget(self, demo_p, demo_q):
         with pytest.raises(InfeasibleBudget):
-            solve_alpha_for_kl(demo_q, demo_p, -0.1)
+            solve_alpha_for_kl(demo_q, demo_p, [-0.1])
 
     def test_round_trip_residuals(self):
         rng = np.random.default_rng(20)
@@ -129,7 +127,7 @@ class TestSolveAlphaForKl:
             K = 3 if rng.random() < 0.5 else 10
             p, q = random_pair(rng, K)
             delta = float(rng.uniform(0.0, 0.95)) * max_achievable_kl(q, p)
-            sol = solve_alpha_for_kl(q, p, delta)
+            [sol] = solve_alpha_for_kl(q, p, [delta])
             assert abs(kl_divergence(sol.phi, p) - delta) <= 1e-10
             assert sol.alpha >= 0.0
 
@@ -150,7 +148,7 @@ class TestSolveAlphaForKl:
         # no feasible perturbation beats the solved tilt's expected reward
         rng = np.random.default_rng(22)
         delta = 0.11
-        sol = solve_alpha_for_kl(demo_q, demo_p, delta)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [delta])
         best = cross_entropy(sol.phi, demo_q)
         tried = 0
         while tried < 200:
@@ -163,7 +161,7 @@ class TestSolveAlphaForKl:
     def test_reference_is_feasible_and_bound_holds(self, demo_p, demo_q):
         # the reference itself satisfies the budget; its excess cross entropy
         # epsilon obeys D(p || phi) <= alpha * epsilon
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.11])
         eps = cross_entropy(demo_p, demo_q) - cross_entropy(sol.phi, demo_q)
         assert eps >= 0.0
         assert kl_divergence(demo_p, sol.phi) <= sol.alpha * eps + 1e-9
@@ -171,52 +169,53 @@ class TestSolveAlphaForKl:
 
 class TestSolveBetaForReward:
     def test_reference_reward_gives_zero(self, demo_p, demo_q):
-        beta = solve_beta_for_reward(demo_q, demo_p, cross_entropy(demo_p, demo_q)).alpha
+        beta = solve_beta_for_reward(demo_q, demo_p, [cross_entropy(demo_p, demo_q)])[0].alpha
         assert abs(beta) <= 1e-9
 
     def test_consistent_with_budget_solver(self, demo_p, demo_q):
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.11)
-        beta = solve_beta_for_reward(demo_q, demo_p, cross_entropy(sol.phi, demo_q)).alpha
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.11])
+        beta = solve_beta_for_reward(demo_q, demo_p, [cross_entropy(sol.phi, demo_q)])[0].alpha
         assert beta == pytest.approx(sol.alpha, abs=1e-8)
 
     def test_divergence_toward_endpoint(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         near_low = lo + 1e-6 * (hi - lo)
-        assert solve_beta_for_reward(demo_q, demo_p, near_low).alpha > 5.0
+        assert solve_beta_for_reward(demo_q, demo_p, [near_low])[0].alpha > 5.0
         near_high = hi - 1e-6 * (hi - lo)
-        assert solve_beta_for_reward(demo_q, demo_p, near_high).alpha < -5.0
+        assert solve_beta_for_reward(demo_q, demo_p, [near_high])[0].alpha < -5.0
 
     def test_residual(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         for frac in (0.1, 0.35, 0.6, 0.9):
             t = lo + frac * (hi - lo)
-            beta = solve_beta_for_reward(demo_q, demo_p, t).alpha
+            beta = solve_beta_for_reward(demo_q, demo_p, [t])[0].alpha
             achieved = cross_entropy(mismatched_tilt(demo_q, demo_p, beta), demo_q)
             assert abs(achieved - t) <= 1e-10
 
     def test_out_of_range(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         with pytest.raises(TargetOutOfRange):
-            solve_beta_for_reward(demo_q, demo_p, hi + 0.1)
+            solve_beta_for_reward(demo_q, demo_p, [hi + 0.1])
         with pytest.raises(TargetOutOfRange):
-            solve_beta_for_reward(demo_q, demo_p, lo)
+            solve_beta_for_reward(demo_q, demo_p, [lo])
 
 
 class TestTradeoffCurve:
     """The expected-reward versus KL-budget curve, one budget solve per point."""
 
     def test_single_zero(self, demo_p, demo_q):
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.0])
         assert sol.alpha == 0.0
         assert sol.expected_reward == pytest.approx(-cross_entropy(demo_p, demo_q), abs=1e-15)
 
     def test_monotone_rewards(self, demo_p, demo_q):
         deltas = np.linspace(0.0, 1.5, 20)
-        rewards = [solve_alpha_for_kl(demo_q, demo_p, float(d)).expected_reward for d in deltas]
+        sols = solve_alpha_for_kl(demo_q, demo_p, [float(d) for d in deltas])
+        rewards = [sol.expected_reward for sol in sols]
         assert all(b >= a for a, b in zip(rewards, rewards[1:]))
 
     def test_duplicates_identical(self, demo_p, demo_q):
-        a, b = (solve_alpha_for_kl(demo_q, demo_p, 0.3) for _ in range(2))
+        a, b = (solve_alpha_for_kl(demo_q, demo_p, [0.3])[0] for _ in range(2))
         assert a == b
 
 
@@ -307,7 +306,7 @@ class TestNewtonSolvers:
     def test_alpha_meets_budget_in_few_steps(self, pair, frac):
         p, q = pair
         delta = _budget(p, q, frac)
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         residual = kl_divergence(sol.phi, p) - delta
         assert abs(residual) <= 1e-12
         assert sol.residual == residual == sol.achieved_kl - delta
@@ -327,7 +326,7 @@ class TestNewtonSolvers:
     def test_beta_meets_reward_in_few_steps(self, pair, frac):
         p, q = pair
         t = _reward_target(q, frac)
-        sol = solve_beta_for_reward(q, p, t)
+        [sol] = solve_beta_for_reward(q, p, [t])
         beta, residual = sol.alpha, sol.residual
         tilt = mismatched_tilt(q, p, beta)
         # the solution is the kernel's final point: its tilt, KL and reward
@@ -349,7 +348,7 @@ class TestNewtonSolvers:
     def test_alpha_budget_in_50_digits(self, pair, frac):
         p, q = pair
         delta = _budget(p, q, frac)
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         with mpmath.workdps(50):
             log_phi, lp, _ = _mp_tilt(p, q, sol.alpha)
             kl = mpmath.fsum(mpmath.exp(a) * (a - b) for a, b in zip(log_phi, lp))
@@ -361,7 +360,7 @@ class TestNewtonSolvers:
     def test_beta_reward_in_50_digits(self, pair, frac):
         p, q = pair
         t = _reward_target(q, frac)
-        beta = solve_beta_for_reward(q, p, t).alpha
+        beta = solve_beta_for_reward(q, p, [t])[0].alpha
         with mpmath.workdps(50):
             log_phi, _, lq = _mp_tilt(p, q, beta)
             h = -mpmath.fsum(mpmath.exp(a) * b for a, b in zip(log_phi, lq))
@@ -384,7 +383,7 @@ class TestNewtonSolvers:
         assert rows[0].tobytes() == log_phi.tobytes()
 
     def test_zero_budget_takes_no_steps(self, demo_p, demo_q):
-        sol = solve_alpha_for_kl(demo_q, demo_p, 0.0)
+        [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.0])
         assert (sol.iterations, sol.residual) == (0, 0.0)
 
     def test_resolution_floor(self):
@@ -397,7 +396,7 @@ class TestNewtonSolvers:
         p = make_distribution(interior_dirichlet(rng, 64))
         q = make_distribution(np.exp(1e-4 * rng.standard_normal(64)))
         delta = 0.5 * max_achievable_kl(q, p)
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         assert sol.alpha > 1e4
         assert sol.iterations < MAX_STEPS
         assert sol.residual == sol.achieved_kl - delta
@@ -413,7 +412,7 @@ class TestNewtonSolvers:
         p = make_distribution(interior_dirichlet(rng, 64))
         q = make_distribution(np.exp(spread * rng.standard_normal(64)))
         delta = 0.5 * max_achievable_kl(q, p)
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         assert sol.alpha > 1e3
         assert abs(kl_divergence(sol.phi, p) - delta) <= 1e-12
 
@@ -426,7 +425,7 @@ class TestNewtonSolvers:
         q = make_distribution((0.4, 0.6))
         p = make_distribution((1.0, p_top))
         delta = 30.0 if p_top > 1e-100 else 100.0
-        sol = solve_alpha_for_kl(q, p, delta)
+        [sol] = solve_alpha_for_kl(q, p, [delta])
         assert sol.alpha == pytest.approx(bisection_alpha_for_kl(q, p, delta), rel=1e-12)
         assert sol.iterations < MAX_STEPS
         # alpha ~ 1e3 puts the rounding floor above 1e-12
@@ -435,22 +434,22 @@ class TestNewtonSolvers:
     def test_unconverged_alpha_raises(self, demo_p, demo_q, monkeypatch):
         monkeypatch.setattr(tilting, "MAX_STEPS", 1)
         with pytest.raises(InfeasibleBudget, match="after 1 steps"):
-            solve_alpha_for_kl(demo_q, demo_p, 0.11)
+            solve_alpha_for_kl(demo_q, demo_p, [0.11])
 
     def test_unconverged_beta_raises(self, demo_p, demo_q, monkeypatch):
         monkeypatch.setattr(tilting, "MAX_STEPS", 1)
         with pytest.raises(TargetOutOfRange, match="after 1 steps"):
-            solve_beta_for_reward(demo_q, demo_p, _reward_target(demo_q, 0.3))
+            solve_beta_for_reward(demo_q, demo_p, [_reward_target(demo_q, 0.3)])
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_budget(self, demo_p, demo_q, delta):
         with pytest.raises(InfeasibleBudget):
-            solve_alpha_for_kl(demo_q, demo_p, delta)
+            solve_alpha_for_kl(demo_q, demo_p, [delta])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_reward(self, demo_p, demo_q, t):
         with pytest.raises(TargetOutOfRange):
-            solve_beta_for_reward(demo_q, demo_p, t)
+            solve_beta_for_reward(demo_q, demo_p, [t])
 
 
 @st.composite
@@ -492,10 +491,10 @@ class TestLockstep:
     def test_lanes_match_one_budget_solves(self, pair, data):
         p, q = pair
         deltas = data.draw(budget_grids(p, q))
-        grid = solve_alpha_for_kl_grid(q, p, deltas)
+        grid = solve_alpha_for_kl(q, p, deltas)
         assert len(grid) == len(deltas)
         for delta, lane in zip(deltas, grid):
-            alone = solve_alpha_for_kl(q, p, delta)
+            [alone] = solve_alpha_for_kl(q, p, [delta])
             assert _bits(lane.alpha) == _bits(alone.alpha)
             assert _bits(lane.phi.log_probs) == _bits(alone.phi.log_probs)
             assert lane.iterations == alone.iterations
@@ -504,7 +503,7 @@ class TestLockstep:
             assert _bits(lane.expected_reward) == _bits(alone.expected_reward)
 
     def test_zero_budget_lane_is_the_reference(self, demo_p, demo_q):
-        zero, spent = solve_alpha_for_kl_grid(demo_q, demo_p, [0.0, 0.11])
+        zero, spent = solve_alpha_for_kl(demo_q, demo_p, [0.0, 0.11])
         assert zero.alpha == 0.0 and zero.phi is demo_p
         assert (zero.iterations, zero.residual) == (0, 0.0)
         assert spent.alpha == pytest.approx(DEMO_ALPHA_011, rel=1e-12)
@@ -524,32 +523,32 @@ class TestLockstep:
         rounds = []
         for delta in deltas:
             calls.clear()
-            solve_alpha_for_kl(demo_q, demo_p, delta)
+            solve_alpha_for_kl(demo_q, demo_p, [delta])
             rounds.append(len(calls))
         calls.clear()
-        solve_alpha_for_kl_grid(demo_q, demo_p, deltas)
+        solve_alpha_for_kl(demo_q, demo_p, deltas)
         assert len(calls) == max(rounds)
         assert sum(calls) == sum(rounds)
 
     def test_empty_grid(self, demo_p, demo_q):
-        assert solve_alpha_for_kl_grid(demo_q, demo_p, []) == []
+        assert solve_alpha_for_kl(demo_q, demo_p, []) == []
 
     def test_unconverged_lane_raises(self, demo_p, demo_q, monkeypatch):
         monkeypatch.setattr(tilting, "MAX_STEPS", 1)
         with pytest.raises(InfeasibleBudget, match="after 1 steps"):
-            solve_alpha_for_kl_grid(demo_q, demo_p, [0.0, 0.11])
+            solve_alpha_for_kl(demo_q, demo_p, [0.0, 0.11])
 
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 5.0])
     def test_one_bad_budget_raises(self, demo_p, demo_q, bad):
         # 5.0 is past the demo pair's supremum log(1 / 0.2)
         with pytest.raises(InfeasibleBudget):
-            solve_alpha_for_kl_grid(demo_q, demo_p, [0.05, bad, 0.11])
+            solve_alpha_for_kl(demo_q, demo_p, [0.05, bad, 0.11])
 
     def test_uniform_target_raises_only_for_a_spent_budget(self, demo_p):
         u = make_distribution((1, 1, 1))
-        assert solve_alpha_for_kl_grid(u, demo_p, [0.0])[0].phi is demo_p
+        assert solve_alpha_for_kl(u, demo_p, [0.0])[0].phi is demo_p
         with pytest.raises(DegenerateFamily):
-            solve_alpha_for_kl_grid(u, demo_p, [0.0, 0.1])
+            solve_alpha_for_kl(u, demo_p, [0.0, 0.1])
 
     @given(lockstep_pairs(), st.lists(_FRACTIONS, min_size=1, max_size=8))
     @settings(max_examples=60)
@@ -557,10 +556,10 @@ class TestLockstep:
         p, q = pair
         ts = [_reward_target(q, f) for f in fracs]
         ts.append(ts[0])  # a duplicate
-        grid = solve_beta_for_reward_grid(q, p, ts)
+        grid = solve_beta_for_reward(q, p, ts)
         assert len(grid) == len(ts)
         for t, lane in zip(ts, grid):
-            alone = solve_beta_for_reward(q, p, t)
+            [alone] = solve_beta_for_reward(q, p, [t])
             assert _bits(lane.alpha) == _bits(alone.alpha)
             assert _bits(lane.phi.log_probs) == _bits(alone.phi.log_probs)
             assert lane.iterations == alone.iterations
@@ -572,9 +571,9 @@ class TestLockstep:
         monkeypatch.setattr(tilting, "MAX_STEPS", 1)
         ts = [_reward_target(demo_q, 0.5), _reward_target(demo_q, 0.3)]
         with pytest.raises(TargetOutOfRange, match="after 1 steps"):
-            solve_beta_for_reward_grid(demo_q, demo_p, ts)
+            solve_beta_for_reward(demo_q, demo_p, ts)
 
     def test_one_bad_target_raises(self, demo_p, demo_q):
         lo, _ = reward_target_range(demo_q)
         with pytest.raises(TargetOutOfRange):
-            solve_beta_for_reward_grid(demo_q, demo_p, [_reward_target(demo_q, 0.5), lo])
+            solve_beta_for_reward(demo_q, demo_p, [_reward_target(demo_q, 0.5), lo])
