@@ -27,7 +27,7 @@ from .bestofn import TypeLaw, bon_type_law
 from .distributions import CategoricalDistribution
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
-from .metrics import kl_divergence, renyi_cross_entropy
+from .metrics import _check_same_alphabet, kl_divergence, renyi_cross_entropy
 from .tilting import reward_target_range, solve_beta_for_reward
 
 LEGENDRE_BRACKET_TOL = 1e-9
@@ -117,6 +117,7 @@ def window_log_prob(law: TypeLaw, q: CategoricalDistribution, t: float, eps: flo
     One masked log-sum-exp of the class log masses, over the same open window
     :func:`deviation_hit_count` counts; -inf when no class lies in it.
     """
+    _check_same_alphabet(law, q)
     values = -(law.counts @ q.log_probs) / law.m
     inside = np.abs(values - t) < eps
     return logsumexp(law.class_log_masses[inside])
@@ -140,6 +141,7 @@ def deviation_hit_count(
     stream, so the count does not depend on the chunking, and a second call
     on the same generator continues where the first stopped.
     """
+    _check_same_alphabet(phi, q)
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
     if m > MAX_TRIAL_M:
@@ -176,6 +178,7 @@ def legendre_oracle(
     objective is concave, and its supremum equals the exact rate.  Used as an
     independent numerical cross-check of :func:`rate_function`.
     """
+    _check_same_alphabet(phi, q)
     lo_t, hi_t = reward_target_range(q)
     if not (lo_t < t < hi_t):
         raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")

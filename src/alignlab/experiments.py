@@ -751,6 +751,8 @@ def _derive_ldp_probe(config: ExperimentConfig) -> tuple:
         raise ValueError(f"n is read only with conjecture, got n={n!r}")
     if config.get("conjecture"):
         n = _matched_n(m, p.K, n, delta)
+    if _is_uniform(q):
+        raise ValueError("uniform alignment target: the family is the single point p")
     [tilt] = solve_alpha_for_kl(q, p, [delta])
     # the grid centre is the mean per-symbol -log q under phi
     grid = config.get("t_grid") or default_probe_grid(-tilt.expected_reward, config.get("eps"))

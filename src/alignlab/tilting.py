@@ -7,11 +7,12 @@ inversions are monotone scalar root-finding problems over one array kernel,
 ``_tilt_moments``: the tilted log-probs, D(T || p), and the mean and variance
 of log q under the tilt.  The variance gives the derivatives, dD/dalpha =
 alpha * Var_alpha(log q) for the KL budget and dH/dbeta = -Var_beta(log q)
-for the reward.  Each solver doubles a bracket, then takes Newton steps
-inside it on a warped value that is close to linear in the parameter; a step
-that would leave the bracket, or that follows a Newton step which did not
-halve the residual, is a bisection.  Both return a ``TiltSolution`` built from
-the kernel's final point; only its tilt is built as a validated distribution.
+for the reward.  Each solve doubles a bracket outward from 0 on the root's
+side, then takes Newton steps inside it on a warped value that is close to
+linear in the parameter; a step that would leave the bracket, or that
+follows a Newton step which did not halve the residual, is a bisection.
+Both return a ``TiltSolution`` built from the kernel's final point; only its
+tilt is built as a validated distribution.
 
 A solve is a lane: a generator that yields the parameter it needs next and
 is sent that parameter's point.  ``_lockstep`` advances every unfinished
@@ -155,25 +156,43 @@ def _lockstep(evaluate, lanes: list) -> list:
     return results
 
 
-def _newton_in_bracket(lo, hi, start, target, warp, increasing, error):
-    """Safeguarded Newton for a monotone value bracketed by [lo, hi], as a
-    lane of :func:`_lockstep`.
+def _lane(start: float, target: float, increasing: bool, warp, error):
+    """One target's solve as a lane of :func:`_lockstep`: double ``start``
+    away from 0 until the value passes ``target``, then take safeguarded
+    Newton steps from the bracket end nearer it.
 
-    Each point, ``start`` included, is ``(x, value, slope, log_phi, kl,
-    reward)``, of which the lane reads the first three, and ``start`` lies at
-    an end of the bracket.  The step is Newton's on ``warp(value)``, a
-    monotone map that returns the warped value and its derivative (or None
+    Each point is ``(x, value, slope, log_phi, kl, reward)``, of which the
+    lane reads the first three.  The value is monotone in x, rising if
+    ``increasing``, and the root lies on ``start``'s side of 0; the doubling
+    stops at the first x whose value is past the target or within
+    ``BISECTION_RESIDUAL`` of it.  The step is Newton's on ``warp(value)``,
+    a monotone map that returns the warped value and its derivative (or None
     outside its domain) and makes the value nearly linear in x.  A step that
     would leave the bracket, or that follows a Newton step which did not
-    halve the residual, is a bisection instead.  Stops at
-    ``|value - target| <= BISECTION_RESIDUAL``, or when no float is left
-    strictly inside the bracket (rounding in the value can keep the stop out
-    of reach).  Returns the point with the smallest residual, that residual,
-    and the number of steps taken.  Raises ``error`` if ``MAX_STEPS`` run out
-    with neither stop reached.
+    halve the residual, is a bisection instead.  Stops at ``|value - target|
+    <= BISECTION_RESIDUAL``, or when no float is left strictly inside the
+    bracket (rounding in the value can keep the stop out of reach).  Returns
+    the point with the smallest residual, that residual, and the number of
+    Newton or bisection steps taken.  Raises ``error`` if ``MAX_DOUBLINGS``
+    run out before the bracket closes, or ``MAX_STEPS`` with neither stop
+    reached.
     """
+    # s = +1 where the value rises as x leaves 0; a product with s = +-1 is
+    # exact, so at s = +1 these are the plain comparisons
+    s = 1.0 if (start > 0.0) == increasing else -1.0
+    x, inside = start, None
+    for _ in range(MAX_DOUBLINGS):
+        point = yield x
+        if s * point[1] >= s * target - BISECTION_RESIDUAL:
+            break
+        inside, x = point, 2.0 * x
+    else:
+        raise error(f"could not bracket target {target!r}")
+    lo, hi = sorted((0.0 if inside is None else inside[0], x))
+    if inside is not None and s * (target - inside[1]) < s * (point[1] - target):
+        point = inside
     goal = warp(target)[0]
-    point = best = start
+    best = point
     stalled = False
     for steps in range(MAX_STEPS):
         x, value, slope = point[:3]
@@ -212,29 +231,6 @@ def _solution(found) -> TiltSolution:
     there and the steps taken."""
     (x, _, _, log_phi, kl, reward), residual, steps = found
     return TiltSolution(x, CategoricalDistribution(log_phi), kl, reward, steps, residual)
-
-
-def _alpha_lane(delta: float, var: float, warp):
-    """One budget's KL solve as a lane: bracket doubling, then Newton.
-
-    The doubling starts from the small-budget root of D ~ alpha^2 Var_p(log q)
-    / 2, but from no further out than 1: the estimate overshoots by orders of
-    magnitude when p puts little mass on the argmax of q, and Var_p(log q)
-    can round to 0.  ``var`` is Var_p(log q).
-    """
-    lo, hi = 0.0, math.sqrt(2.0 * delta / var) if 2.0 * delta < var else 1.0
-    below = None
-    for _ in range(MAX_DOUBLINGS):
-        point = yield hi
-        if point[1] >= delta - BISECTION_RESIDUAL:
-            break
-        below, lo, hi = point, hi, 2.0 * hi
-    else:
-        raise InfeasibleBudget(f"could not bracket delta={delta!r}")
-    # start Newton from the bracket end nearer the budget
-    if below is not None and delta - below[1] < point[1] - delta:
-        point = below
-    return (yield from _newton_in_bracket(lo, hi, point, delta, warp, True, InfeasibleBudget))
 
 
 def solve_alpha_for_kl(
@@ -283,7 +279,16 @@ def solve_alpha_for_kl(
         slopes = [alpha * v for alpha, v in zip(alphas, variances.tolist())]
         return zip(alphas, kls, slopes, log_phi, kls, means.tolist())
 
-    lanes = [_alpha_lane(delta, float(var), warp) for delta in deltas if delta != 0.0]
+    # each lane starts from the small-budget root of D ~ alpha^2 Var_p(log q)
+    # / 2, but from no further out than 1: the estimate overshoots by orders
+    # of magnitude when p puts little mass on the argmax of q, and the
+    # variance can round to 0
+    var = float(var)
+    lanes = [
+        _lane(math.sqrt(2.0 * d / var) if 2.0 * d < var else 1.0, d, True, warp, InfeasibleBudget)
+        for d in deltas
+        if d != 0.0
+    ]
     found = iter(_lockstep(evaluate, lanes))
     zero = TiltSolution(0.0, p, 0.0, float(reward))
     return [zero if delta == 0.0 else _solution(next(found)) for delta in deltas]
@@ -292,26 +297,6 @@ def solve_alpha_for_kl(
 def reward_target_range(q: CategoricalDistribution) -> tuple[float, float]:
     """Open interval of reachable per-symbol cross entropies H(T(q,p,b) || q)."""
     return (-float(np.max(q.log_probs)), -float(np.min(q.log_probs)))
-
-
-def _beta_lane(t: float, warp):
-    """One reward target's solve as a lane: double the bracket [-1, 1] up,
-    then down, then Newton."""
-    lo, hi = -1.0, 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if (yield hi)[1] <= t:
-            break
-        lo, hi = hi, 2.0 * abs(hi)
-    else:
-        raise TargetOutOfRange(f"t={t!r} unreachable (upper bracket)")
-    for _ in range(MAX_DOUBLINGS):
-        point = yield lo
-        if point[1] >= t:
-            break
-        hi, lo = lo, -2.0 * abs(lo)
-    else:
-        raise TargetOutOfRange(f"t={t!r} unreachable (lower bracket)")
-    return (yield from _newton_in_bracket(lo, hi, point, t, warp, False, TargetOutOfRange))
 
 
 def solve_beta_for_reward(
@@ -347,5 +332,8 @@ def solve_beta_for_reward(
             return None
         return math.log(h - lo_t) - math.log(hi_t - h), 1.0 / (h - lo_t) + 1.0 / (hi_t - h)
 
-    lanes = [_beta_lane(t, warp) for t in ts]
+    # H falls as beta grows from H(p || q) at beta = 0, so each lane
+    # searches only the root's side of 0
+    h0 = -float(_log_q_moments(lp, lq)[1])
+    lanes = [_lane(1.0 if t < h0 else -1.0, t, False, warp, TargetOutOfRange) for t in ts]
     return [_solution(found) for found in _lockstep(evaluate, lanes)]

@@ -29,7 +29,7 @@ from alignlab import (
 )
 
 from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
-from alignlab.logspace import log_power_diff, logsumexp
+from alignlab.logspace import log1mexp, log_power_diff, logsumexp
 
 from .conftest import TERNARY_P, TERNARY_Q, bon_winners, loop_bon_sample, random_pair
 
@@ -100,6 +100,10 @@ class TestRewardLevels:
         rewards = np.array([0.0, 5e-13, 1.0, 1.0 + 5e-13])
         _, sizes, _, _ = group_reward_levels(dist.log_probs, rewards)
         assert sizes.tolist() == [2, 2]
+
+    def test_length_mismatch(self, demo_p):
+        with pytest.raises(LengthMismatch):
+            group_reward_levels(demo_p.log_probs, np.zeros(4))
 
 
 class TestBonExactPmf:
@@ -381,6 +385,11 @@ class TestArrayKernel:
         live = ref > -700.0
         tol = 1e-12 + 32 * _EPS * scale[live]
         assert np.all(np.abs(got[live] - ref[live]) <= tol)
+
+    @pytest.mark.parametrize("u", [0.0, -1.0])
+    def test_log1mexp_needs_positive_u(self, u):
+        with pytest.raises(ValueError, match="u > 0"):
+            log1mexp(np.array([1.0, u]))
 
     def test_log_power_diff_50_digits(self):
         # (log S_lt, level log mass): the top level, upper levels, a deep

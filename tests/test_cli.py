@@ -283,6 +283,20 @@ class TestConfigValidation:
                 None,
                 "uniform alignment target",
             ),
+            # named as uniform before any t grid is checked against its
+            # one-point reward range
+            (
+                ["ldp-probe", "--q", "1,1,1", "--delta", "0", "--m", "10", "--trials", "10"],
+                None,
+                "uniform alignment target",
+            ),
+            (
+                ["ldp-probe", "--q", "1,1,1", "--delta", "0", "--m", "10", "--trials", "10"]
+                + ["--t-grid", "1.0986"],
+                None,
+                "uniform alignment target",
+            ),
+            (["example1"], "experiment = example1\nm 3\n", "expected 'key = value'"),
         ],
     )
     def test_input_no_runner_reads_is_usage_error(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignlab import (
+    AlphabetMismatch,
     TargetOutOfRange,
     bon_enumeration_oracle,
     bon_type_law,
@@ -30,7 +31,7 @@ from alignlab import (
 )
 
 from alignlab import deviations, tilting
-from alignlab.deviations import CHUNK_CELLS
+from alignlab.deviations import CHUNK_CELLS, MAX_TRIAL_M
 from alignlab.experiments import ExperimentConfig, default_probe_grid
 
 from .conftest import TERNARY_P, TERNARY_Q, bon_winners, random_pair
@@ -43,6 +44,21 @@ DEMO_PHI = solve_alpha_for_kl(
 # ldp-probe's default window and probe points, whose source is DEMO_PHI
 _PROBE = ExperimentConfig("ldp_probe")
 DEFAULT_GRID, DEFAULT_EPS = _PROBE.derived[3], _PROBE.get("eps")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi, q: window_log_prob(bon_type_law(phi, phi, 3, 2), q, 0.6, 0.1),
+        lambda phi, q: deviation_hit_count(phi, q, 0.6, 0.1, 10, 10, np.random.default_rng(0)),
+        lambda phi, q: legendre_oracle(phi, q, 0.6),
+    ],
+    ids=["window_log_prob", "deviation_hit_count", "legendre_oracle"],
+)
+def test_alphabet_mismatch(call):
+    # phi over 3 symbols against q over 2, at a t inside q's reward range
+    with pytest.raises(AlphabetMismatch):
+        call(make_distribution((0.2, 0.3, 0.5)), make_distribution((0.4, 0.6)))
 
 
 def _loop_values(phi, q, m, trials, seed) -> np.ndarray:
@@ -91,6 +107,14 @@ class TestRateFunction:
         # used to leave a rate of -1e-16
         for t in DEFAULT_GRID:
             assert rate_function(demo_p, demo_q, DEMO_PHI, [t])[0].rate >= 0.0
+
+    def test_default_grid_takes_five_kernel_rounds(self, demo_p, demo_q, monkeypatch):
+        # each level's beta lane searches only its root's side of 0
+        calls = []
+        real = tilting._tilt_moments
+        monkeypatch.setattr(tilting, "_tilt_moments", lambda *a: calls.append(a) or real(*a))
+        rate_function(demo_p, demo_q, DEMO_PHI, [float(t) for t in DEFAULT_GRID])
+        assert len(calls) <= 5
 
     def test_grid_points_are_the_one_level_points(self, demo_p, demo_q, monkeypatch):
         ts = [float(t) for t in DEFAULT_GRID]
@@ -267,6 +291,8 @@ class TestBatchedHitCounts:
             deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 0, 10, rng)
         with pytest.raises(ValueError):
             deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, 10, 0, rng)
+        with pytest.raises(ValueError, match="m must be <="):
+            deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, MAX_TRIAL_M + 1, 10, rng)
 
 
 class TestHitCountAgainstExactLaw:

@@ -96,6 +96,20 @@ class TestMakeDistribution:
         with pytest.raises(error):
             CategoricalDistribution(np.array(log_probs))
 
+    @pytest.mark.parametrize(
+        "log_weights, error",
+        [
+            ([], AlphabetTooSmall),
+            ([[0.0, 1.0]], AlphabetTooSmall),
+            ([0.0, math.nan], NonPositiveWeight),
+            ([0.0, -math.inf], NonPositiveWeight),
+        ],
+        ids=["empty", "2-d", "nan", "minus-inf"],
+    )
+    def test_from_log_weights_rejects(self, log_weights, error):
+        with pytest.raises(error):
+            from_log_weights(log_weights)
+
     def test_from_log_weights_matches(self):
         rng = np.random.default_rng(2)
         logw = rng.normal(size=6) - 500.0  # far from linear-domain scale
@@ -182,6 +196,11 @@ class TestEnumerateTypes:
         counts = type_counts_matrix(7, 4)
         assert len({tuple(row) for row in counts}) == math.comb(7 + 4 - 1, 4 - 1)
         assert np.all(counts.sum(axis=1) == 7)
+
+    @pytest.mark.parametrize("m, K", [(0, 3), (3, 1)])
+    def test_too_small(self, m, K):
+        with pytest.raises(AlphabetTooSmall):
+            type_counts_matrix(m, K)
 
     def test_cap(self):
         # C(1005, 5) = 8.5e12 types, over TYPE_CAP = 1e7

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 import types
+from pathlib import Path
 
 import alignlab
 
@@ -20,3 +22,12 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from alignlab import *", namespace)
     assert all(getattr(alignlab, name) is namespace[name] for name in alignlab.__all__)
+
+
+def test_readme_python_blocks_run():
+    # the quick tour documents the public API; an API change must keep it running
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -63,6 +63,11 @@ class TestMismatchedTilt:
         assert np.allclose(tilted.probs(), expected, atol=1e-14)
         assert np.allclose(expected, [0.48, 0.12, 0.4], atol=1e-14)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, demo_p, demo_q, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            mismatched_tilt(demo_q, demo_p, alpha)
+
     def test_negative_alpha_allowed(self, demo_p, demo_q):
         tilted = mismatched_tilt(demo_q, demo_p, -1.5)
         assert abs(float(np.exp(tilted.log_probs).sum()) - 1.0) <= 1e-12
@@ -171,6 +176,18 @@ class TestSolveBetaForReward:
     def test_reference_reward_gives_zero(self, demo_p, demo_q):
         beta = solve_beta_for_reward(demo_q, demo_p, [cross_entropy(demo_p, demo_q)])[0].alpha
         assert abs(beta) <= 1e-9
+
+    @pytest.mark.parametrize("side", [-1.0, 0.0, 1.0])
+    def test_target_next_to_reference_reward(self, demo_p, demo_q, side):
+        # H(p || q) itself and its neighbouring floats: the root beta ~ 0 is
+        # at the inner end of either side's bracket
+        rng = np.random.default_rng(19)
+        for p, q in [(demo_p, demo_q), random_pair(rng, 2), random_pair(rng, 64)]:
+            h0 = cross_entropy(p, q)
+            t = math.nextafter(h0, side * math.inf) if side else h0
+            [sol] = solve_beta_for_reward(q, p, [t])
+            assert abs(sol.residual) <= 1e-12
+            assert abs(sol.alpha) <= 1e-9
 
     def test_consistent_with_budget_solver(self, demo_p, demo_q):
         [sol] = solve_alpha_for_kl(demo_q, demo_p, [0.11])
@@ -566,6 +583,29 @@ class TestLockstep:
             assert _bits(lane.residual) == _bits(alone.residual)
             assert _bits(lane.achieved_kl) == _bits(alone.achieved_kl)
             assert _bits(lane.expected_reward) == _bits(alone.expected_reward)
+
+    @given(lockstep_pairs(), st.lists(_FRACTIONS, min_size=1, max_size=8))
+    @settings(max_examples=60)
+    def test_beta_lanes_search_the_root_side(self, pair, fracs):
+        # H falls from H(p || q) at beta = 0, so the root has the sign of
+        # H(p || q) - t, and a lane asks for no beta on the other side
+        p, q = pair
+        h0 = cross_entropy(p, q)
+        asked = []
+        real = tilting._tilt_moments
+
+        def recording(lp, lq, lq_top, betas):
+            asked.extend(betas)
+            return real(lp, lq, lq_top, betas)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tilting, "_tilt_moments", recording)
+            for t in (_reward_target(q, f) for f in fracs):
+                if t == h0:
+                    continue
+                asked.clear()
+                solve_beta_for_reward(q, p, [t])
+                assert asked and all(b != 0.0 and (b > 0.0) == (t < h0) for b in asked)
 
     def test_unconverged_beta_lane_raises(self, demo_p, demo_q, monkeypatch):
         monkeypatch.setattr(tilting, "MAX_STEPS", 1)
