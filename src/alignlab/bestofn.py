@@ -36,6 +36,10 @@ from .logspace import cumulative_log_probs, log_power_diff
 from .metrics import _check_same_alphabet
 
 REWARD_TIE_TOL = 1e-12
+REWARD_TIE_ULPS = 8
+# reward levels per block of the level passes; the block's temporaries are
+# a few arrays of this many levels (times the number of N rows)
+LEVEL_BLOCK = 4096
 ORACLE_TUPLE_CAP = 10_000_000
 # bon_type_law's N is at most exp(MAX_LOG_N): N multiplies log masses, and
 # class log-probs stay finite up to this bound
@@ -77,25 +81,46 @@ def group_reward_levels(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group outcomes into strictly increasing reward levels.
 
-    Adjacent rewards within ``REWARD_TIE_TOL`` after one stable sort join the same
-    level, so grouping is deterministic.  Returns ``(order, sizes, level_lps,
-    cums)``: the sort order of the outcomes, the member count of each level,
-    each level's log mass, and the n_levels + 1 cumulative log masses, where
-    ``cums[i]`` is log S_lt and ``cums[i + 1]`` is log S_le of level i.
-    ``cums[0]`` is -inf and the top ``cums[-1]`` is pinned to exactly log 1.
+    Adjacent rewards within the tie tolerance after one stable sort join the
+    same level, so grouping is deterministic.  The tolerance is
+    ``REWARD_TIE_TOL`` or ``REWARD_TIE_ULPS`` float spacings of the largest
+    |reward|, whichever is larger: rewards formed as sums of many log
+    probabilities carry rounding at the scale of their magnitude, and near
+    |reward| ~ 1e4 one spacing is already above ``REWARD_TIE_TOL``.  Returns
+    ``(order, sizes, level_lps, cums)``: the sort order of the outcomes, the
+    member count of each level, each level's log mass, and the n_levels + 1
+    cumulative log masses, where ``cums[i]`` is log S_lt and ``cums[i + 1]``
+    is log S_le of level i.  ``cums[0]`` is -inf and the top ``cums[-1]`` is
+    pinned to exactly log 1.  The level masses are reduced ``LEVEL_BLOCK``
+    levels at a time.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     rw = np.asarray(rewards, dtype=np.float64)
     if lp.shape != rw.shape:
         raise LengthMismatch(f"{lp.size} probabilities vs {rw.size} rewards")
     order = np.argsort(rw, kind="stable")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(rw[order]) > REWARD_TIE_TOL) + 1))
-    sizes = np.diff(starts, append=lp.size)
-    sorted_lp = lp[order]
-    hi = np.maximum.reduceat(sorted_lp, starts)
-    level_lps = hi + np.log(np.add.reduceat(np.exp(sorted_lp - np.repeat(hi, sizes)), starts))
-    cums = np.concatenate(([-math.inf], cumulative_log_probs(level_lps)))
-    return order, sizes, level_lps, cums
+    tol = REWARD_TIE_TOL
+    if order.size:
+        scale = max(abs(float(rw[order[0]])), abs(float(rw[order[-1]])))
+        tol = max(tol, REWARD_TIE_ULPS * float(np.spacing(scale)))
+    # the level sizes, from the first outcome of each level and lp.size
+    sizes = np.diff(np.flatnonzero(np.concatenate(([True], np.diff(rw[order]) > tol, [True]))))
+    # lps[0] is an empty level below the lowest, whose cumulative is -inf
+    lps = np.empty(sizes.size + 1)
+    lps[0] = -math.inf
+    stop = 0
+    for lo in range(0, sizes.size, LEVEL_BLOCK):
+        size = sizes[lo : lo + LEVEL_BLOCK]
+        start, stop = stop, stop + int(size.sum())
+        sorted_lp = lp[order[start:stop]]
+        at = np.cumsum(size) - size
+        hi = np.maximum.reduceat(sorted_lp, at)
+        sorted_lp -= np.repeat(hi, size)
+        np.exp(sorted_lp, out=sorted_lp)
+        lps[lo + 1 : lo + 1 + size.size] = hi + np.log(np.add.reduceat(sorted_lp, at))
+    cums = cumulative_log_probs(lps)
+    cums[0] = -math.inf
+    return order, sizes, lps[1:], cums
 
 
 def _winner_log_probs(
@@ -103,18 +128,35 @@ def _winner_log_probs(
 ) -> np.ndarray:
     """Per-outcome log probability under best-of-N with uniform tie-breaking,
     one row per N of the 1-D ``ns``; the outcomes are grouped into levels once.
-
-    Each level's pick mass log(S_le^N - S_lt^N) uses the stored cumulatives
-    (pinned to exactly log 1 at the top), not a re-accumulated running sum:
-    N amplifies any error in log S near the top by a factor of N.
     """
     n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
-    order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
-    picks = log_power_diff(n_eff, cums[:-1], cums[1:], level_lps)
-    base = log_probs[order] - np.repeat(level_lps, sizes)
-    out = np.empty((n_eff.size, order.size))
-    out[:, order] = base + np.repeat(picks, sizes, axis=1)
+    out = np.empty((n_eff.size, np.size(log_probs)))
+    _fill_winner_rows(out, log_probs, group_reward_levels(log_probs, rewards), n_eff)
     return out
+
+
+def _fill_winner_rows(out: np.ndarray, log_probs: np.ndarray, levels, n_eff: np.ndarray) -> None:
+    """Write the best-of-N log probabilities of the outcomes into ``out``, one
+    row per N of the column ``n_eff``, from ``levels``, the result of
+    ``group_reward_levels(log_probs, rewards)``.
+
+    The levels are taken ``LEVEL_BLOCK`` at a time, so the temporaries are
+    per block, not per outcome.  Each level's pick mass log(S_le^N - S_lt^N)
+    uses the stored cumulatives (pinned to exactly log 1 at the top), not a
+    re-accumulated running sum: N amplifies any error in log S near the top
+    by a factor of N.  A block reads its outcomes' log probabilities before
+    it writes their cells, so a one-row ``out`` may be ``log_probs`` itself.
+    """
+    order, sizes, level_lps, cums = levels
+    stop = 0
+    for lo in range(0, sizes.size, LEVEL_BLOCK):
+        hi = min(lo + LEVEL_BLOCK, sizes.size)
+        size, lvl = sizes[lo:hi], level_lps[lo:hi]
+        picks = log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], lvl)
+        start, stop = stop, stop + int(size.sum())
+        members = order[start:stop]
+        base = log_probs[members] - np.repeat(lvl, size)
+        out[:, members] = base + np.repeat(picks, size, axis=1)
 
 
 def _check_n(N) -> None:
@@ -177,7 +219,10 @@ def bon_type_law(
     sizes = log_class_sizes(counts)
     masses = sizes + counts @ p.log_probs
     if N != 1:
-        masses = _winner_log_probs(masses, counts @ q.log_probs, [float(N)])[0]
+        # the class rewards are freed once grouped, and the winner row
+        # overwrites the class masses it is formed from
+        levels = group_reward_levels(masses, counts @ q.log_probs)
+        _fill_winner_rows(masses[None], masses, levels, np.array([[float(N)]]))
     return TypeLaw(m, counts, masses, sizes)
 
 

@@ -97,7 +97,8 @@ def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
     """
     shifted = arr - np.maximum.reduce(arr, axis=-1, keepdims=True)
     totals = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
-    return shifted - np.array([math.log(t) for t in totals.flat]).reshape(totals.shape)
+    shifted -= np.array([math.log(t) for t in totals.flat]).reshape(totals.shape)
+    return shifted
 
 
 def type_counts_matrix(m: int, K: int) -> np.ndarray:
@@ -113,19 +114,59 @@ def type_counts_matrix(m: int, K: int) -> np.ndarray:
     n = math.comb(m + K - 1, K - 1)
     if n > TYPE_CAP:
         raise SizeOverflow(f"{n} types exceeds cap {TYPE_CAP}")
-    rows = np.zeros((1, 0), dtype=np.int64)
+    counts = np.empty((n, K), dtype=np.int64)
+    rows = 1  # partial rows so far, in counts[:rows, :j]
     left = np.array([m], dtype=np.int64)
-    for _ in range(K - 1):
+    for j in range(K - 1):
         reps = left + 1
         first = np.cumsum(reps) - reps  # each partial row's first child
-        part = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(first, reps)
-        rows = np.column_stack([np.repeat(rows, reps, axis=0), part])
-        left = np.repeat(left, reps) - part
-    return np.column_stack([rows, left])
+        total = int(first[-1] + reps[-1])
+        for col in range(j):
+            counts[:total, col] = np.repeat(counts[:rows, col], reps)
+        part = np.arange(total, dtype=np.int64)
+        part -= np.repeat(first, reps)
+        counts[:total, j] = part
+        left = np.repeat(left, reps)
+        left -= part
+        rows = total
+    counts[:, K - 1] = left
+    return counts
 
 
 def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
-    """Row-wise log multinomial coefficients of a counts matrix."""
+    """Row-wise log multinomial coefficients of a counts matrix.
+
+    The log factorials are gathered one column at a time and added in the
+    order of numpy's pairwise row sum (``_row_sum``), so each row gets the
+    bits of ``log_factorials[counts_matrix].sum(axis=1)`` without forming
+    that (n_types, K) array.
+    """
     m = int(counts_matrix[0].sum())
     log_factorials = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
-    return math.lgamma(m + 1.0) - log_factorials[counts_matrix].sum(axis=1)
+    total = _row_sum(lambda j: log_factorials[counts_matrix[:, j]], 0, counts_matrix.shape[1])
+    return np.subtract(math.lgamma(m + 1.0), total, out=total)
+
+
+def _row_sum(column, lo: int, hi: int) -> np.ndarray:
+    """Sum of the nonnegative columns ``column(lo)`` .. ``column(hi - 1)``
+    (each a fresh 1-D array) in the order numpy's pairwise summation adds the
+    items of one C-contiguous row: one by one below 8 items; 8 running
+    partial sums, combined as a tree, up to 128; above that, halves split at
+    a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        total = column(lo)
+        for j in range(lo + 1, hi):
+            total += column(j)
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sum(column, lo, lo + half) + _row_sum(column, lo + half, hi)
+    r = [column(lo + j) for j in range(8)]
+    stop = hi - n % 8
+    for j in range(lo + 8, stop):
+        r[(j - lo) % 8] += column(j)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(stop, hi):
+        total += column(j)
+    return total

@@ -26,14 +26,27 @@ def logsumexp(values: np.ndarray) -> float:
 
 
 def log1mexp(u: np.ndarray) -> np.ndarray:
-    """Elementwise log(1 - exp(-u)) for u > 0, accurate at both ends."""
+    """Elementwise log(1 - exp(-u)) for u > 0, accurate at both ends:
+    log(-expm1(-u)) below log 2 and log1p(-exp(-u)) above it.
+
+    Both forms are evaluated over the whole array and the second is copied
+    over the first where it applies, so no element is gathered through a mask;
+    each element gets the bits of its own form.
+    """
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0.0):
         raise ValueError("log1mexp requires u > 0")
-    out = np.empty_like(u)
-    small = u < _LN2
-    out[small] = np.log(-np.expm1(-u[small]))
-    out[~small] = np.log1p(-np.exp(-u[~small]))
+    out = np.negative(u)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    large = np.negative(u)
+    np.exp(large, out=large)
+    np.negative(large, out=large)
+    # log1p(-1) = -inf where exp(-u) rounds to 1; those u are below log 2
+    with np.errstate(divide="ignore"):
+        np.log1p(large, out=large)
+    np.copyto(out, large, where=u >= _LN2)
     return out
 
 
@@ -68,8 +81,10 @@ def log_power_diff(
         out = n_eff * cum_le
         u = n_eff * np.logaddexp(0.0, r)
     tiny = u == 0.0
-    far = ~tiny
-    out[far] += log1mexp(u[far])
+    # u = +inf adds exactly -0.0, so the tiny cells take no log1mexp term
+    # before they are overwritten below
+    np.copyto(u, math.inf, where=tiny)
+    out += log1mexp(u)
     if tiny.any():
         # level mass below float resolution: S_le^N - S_lt^N ~ N * S_lt^(N-1) * mass
         rows, cols = np.nonzero(tiny)
@@ -85,14 +100,22 @@ def cumulative_log_probs(level_log_probs: np.ndarray) -> np.ndarray:
     Uses the backward tail form log1p(-exp(tail)) where the tail is small
     (near the top, where N amplifies any cumulative error) and the forward
     running sum where the tail saturates toward 1.  The top level's tail is
-    empty (-inf), so the backward form gives it exactly 0.
+    empty (-inf), so the backward form gives it exactly 0.  The tails and
+    the result share one buffer: the tails only grow downward (each
+    logaddexp step is at least its larger input), so the levels with a tail
+    of at least 1/2 are a prefix, and the forward sum runs over that prefix
+    alone.
     """
     lps = np.asarray(level_log_probs, dtype=np.float64)
-    # tails[i] = log of the mass strictly above level i, summed from the top down
-    tails = np.empty_like(lps)
-    tails[:-1] = np.logaddexp.accumulate(lps[:0:-1])[::-1]
-    tails[-1:] = -math.inf
-    c_le = np.logaddexp.accumulate(lps)
-    near_top = tails < -_LN2
-    c_le[near_top] = np.log1p(-np.exp(tails[near_top]))
-    return c_le
+    # c[i] = log of the mass strictly above level i, summed from the top down
+    c = np.empty_like(lps)
+    np.logaddexp.accumulate(lps[:0:-1], out=c[-2::-1])
+    c[-1:] = -math.inf
+    saturated = int(np.count_nonzero(c >= -_LN2))
+    if saturated:
+        np.logaddexp.accumulate(lps[:saturated], out=c[:saturated])
+    near_top = c[saturated:]
+    np.exp(near_top, out=near_top)
+    np.negative(near_top, out=near_top)
+    np.log1p(near_top, out=near_top)
+    return c

@@ -85,7 +85,9 @@ def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndar
     from ``lq_top = log q - max log q``: the weights round at the scale of
     alpha times the spread of log q, not of alpha * |log q| (alpha reaches
     1e4-1e7 for nearly uniform q).  A zero alpha's row is a copy of ``lp``."""
-    rows = normalized_log_weights(lp + np.array(alphas)[:, None] * lq_top)
+    weights = np.array(alphas)[:, None] * lq_top
+    weights += lp
+    rows = normalized_log_weights(weights)
     for i, alpha in enumerate(alphas):
         if alpha == 0.0:
             rows[i] = lp
@@ -103,15 +105,22 @@ def _tilt_moments(lp: np.ndarray, lq: np.ndarray, lq_top: np.ndarray, alphas: li
     """
     log_phi = _tilt_log_probs(lp, lq_top, alphas)
     w, means, variances = _log_q_moments(log_phi, lq)
-    return log_phi, np.add.reduce(w * (log_phi - lp), axis=-1), means, variances
+    # w is this call's own buffer: the KL terms w * (log_phi - lp) overwrite it
+    w *= log_phi - lp
+    return log_phi, np.add.reduce(w, axis=-1), means, variances
 
 
 def _log_q_moments(log_phi: np.ndarray, lq: np.ndarray):
     """Probabilities of ``log_phi`` (one row each if it is 2-D) and the mean
-    and variance of log q under them; a row gets the bits of the 1-D call."""
+    and variance of log q under them; a row gets the bits of the 1-D call.
+    The terms of both sums share one buffer."""
     w = np.exp(log_phi)
-    mean = np.add.reduce(w * lq, axis=-1)
-    return w, mean, np.add.reduce(w * np.square(lq - mean[..., None]), axis=-1)
+    terms = w * lq
+    mean = np.add.reduce(terms, axis=-1)
+    np.subtract(lq, mean[..., None], out=terms)
+    np.square(terms, out=terms)
+    terms *= w
+    return w, mean, np.add.reduce(terms, axis=-1)
 
 
 def _is_uniform(q: CategoricalDistribution) -> bool:

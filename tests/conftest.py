@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -174,3 +176,96 @@ def loop_radial_contour_point(p_probs: np.ndarray, d: np.ndarray, delta: float, 
         else:
             hi = mid
     return p_probs + 0.5 * (lo + hi) * d, False
+
+
+# The best-of-N level kernel and the type helpers as they were before the
+# level passes were blocked and the buffers shared: whole-array expressions
+# with boolean-mask gathers.  The blocked kernel must match them bit for bit.
+
+_REF_LN2 = math.log(2.0)
+
+
+def ref_log1mexp(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0.0):
+        raise ValueError("log1mexp requires u > 0")
+    out = np.empty_like(u)
+    small = u < _REF_LN2
+    out[small] = np.log(-np.expm1(-u[small]))
+    out[~small] = np.log1p(-np.exp(-u[~small]))
+    return out
+
+
+def ref_log_power_diff(n_eff, cum_lt, cum_le, level_log_prob) -> np.ndarray:
+    cum_lt, cum_le, lvl = np.broadcast_arrays(
+        np.asarray(cum_lt, dtype=np.float64),
+        np.asarray(cum_le, dtype=np.float64),
+        np.asarray(level_log_prob, dtype=np.float64),
+    )
+    n_eff = np.asarray(n_eff, dtype=np.float64)
+    r = lvl - cum_lt
+    with np.errstate(over="ignore"):
+        out = n_eff * cum_le
+        u = n_eff * np.logaddexp(0.0, r)
+    tiny = u == 0.0
+    far = ~tiny
+    out[far] += ref_log1mexp(u[far])
+    if tiny.any():
+        rows, cols = np.nonzero(tiny)
+        log_n = np.array([math.log(n) for n in n_eff[:, 0]])
+        with np.errstate(over="ignore"):
+            out[rows, cols] = n_eff[rows, 0] * cum_lt[cols] + log_n[rows] + r[cols]
+    return out
+
+
+def ref_cumulative_log_probs(level_log_probs: np.ndarray) -> np.ndarray:
+    lps = np.asarray(level_log_probs, dtype=np.float64)
+    tails = np.empty_like(lps)
+    tails[:-1] = np.logaddexp.accumulate(lps[:0:-1])[::-1]
+    tails[-1:] = -math.inf
+    c_le = np.logaddexp.accumulate(lps)
+    near_top = tails < -_REF_LN2
+    c_le[near_top] = np.log1p(-np.exp(tails[near_top]))
+    return c_le
+
+
+def ref_group_reward_levels(log_probs: np.ndarray, rewards: np.ndarray):
+    """Levels with the absolute tie tolerance ``REWARD_TIE_TOL`` alone."""
+    lp = np.asarray(log_probs, dtype=np.float64)
+    rw = np.asarray(rewards, dtype=np.float64)
+    order = np.argsort(rw, kind="stable")
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(rw[order]) > REWARD_TIE_TOL) + 1))
+    sizes = np.diff(starts, append=lp.size)
+    sorted_lp = lp[order]
+    hi = np.maximum.reduceat(sorted_lp, starts)
+    level_lps = hi + np.log(np.add.reduceat(np.exp(sorted_lp - np.repeat(hi, sizes)), starts))
+    cums = np.concatenate(([-math.inf], ref_cumulative_log_probs(level_lps)))
+    return order, sizes, level_lps, cums
+
+
+def ref_winner_log_probs(log_probs: np.ndarray, rewards: np.ndarray, ns) -> np.ndarray:
+    n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
+    order, sizes, level_lps, cums = ref_group_reward_levels(log_probs, rewards)
+    picks = ref_log_power_diff(n_eff, cums[:-1], cums[1:], level_lps)
+    base = log_probs[order] - np.repeat(level_lps, sizes)
+    out = np.empty((n_eff.size, order.size))
+    out[:, order] = base + np.repeat(picks, sizes, axis=1)
+    return out
+
+
+def ref_type_counts_matrix(m: int, K: int) -> np.ndarray:
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m], dtype=np.int64)
+    for _ in range(K - 1):
+        reps = left + 1
+        first = np.cumsum(reps) - reps
+        part = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(first, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), part])
+        left = np.repeat(left, reps) - part
+    return np.column_stack([rows, left])
+
+
+def ref_log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
+    m = int(counts_matrix[0].sum())
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
+    return math.lgamma(m + 1.0) - log_factorials[counts_matrix].sum(axis=1)

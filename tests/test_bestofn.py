@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -28,10 +29,24 @@ from alignlab import (
     from_log_weights,
 )
 
+from alignlab import bestofn
 from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
-from alignlab.logspace import log1mexp, log_power_diff, logsumexp
+from alignlab.logspace import cumulative_log_probs, log1mexp, log_power_diff, logsumexp
 
-from .conftest import TERNARY_P, TERNARY_Q, bon_winners, loop_bon_sample, random_pair
+from .conftest import (
+    TERNARY_P,
+    TERNARY_Q,
+    bon_winners,
+    loop_bon_sample,
+    random_pair,
+    ref_cumulative_log_probs,
+    ref_group_reward_levels,
+    ref_log1mexp,
+    ref_log_class_sizes,
+    ref_log_power_diff,
+    ref_type_counts_matrix,
+    ref_winner_log_probs,
+)
 
 # Exact best-of-2 joint over symbol pairs for the ternary demo pair.
 PAIR_JOINT = {
@@ -104,6 +119,18 @@ class TestRewardLevels:
     def test_length_mismatch(self, demo_p):
         with pytest.raises(LengthMismatch):
             group_reward_levels(demo_p.log_probs, np.zeros(4))
+
+    def test_ties_near_large_rewards(self):
+        # near 1e4 one float spacing (1.8e-12) is above REWARD_TIE_TOL, so the
+        # tolerance scales with |reward|: rewards a few spacings apart tie,
+        # while a gap of 1e-9 still separates two levels
+        top = 1e4
+        step = float(np.spacing(top))
+        assert step > REWARD_TIE_TOL
+        dist = make_distribution((1, 1, 1, 1))
+        rewards = np.array([-top, -top + 3 * step, top, top + 1e-9])
+        _, sizes, _, _ = group_reward_levels(dist.log_probs, rewards)
+        assert sizes.tolist() == [2, 1, 1]
 
 
 class TestBonExactPmf:
@@ -428,6 +455,137 @@ class TestArrayKernel:
             got = law.class_log_masses
             live = exact > -700.0
             assert np.max(np.abs(got[live] - exact[live])) <= 1e-12
+
+
+@st.composite
+def _blocked_instances(draw):
+    """Log probabilities and rewards for the blocked kernel: random rewards,
+    tie-heavy small integers, or lattice rewards formed as count rows times
+    log q for q proportional to (1, 3, 9), whose ties differ by rounding; log
+    weights may reach 800 nats down, where N d rounds to 0."""
+    K = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_w = -draw(st.sampled_from([5.0, 800.0])) * rng.random(K)
+    kind = draw(st.sampled_from(["random", "ties", "lattice"]))
+    if kind == "random":
+        rewards = rng.standard_normal(K)
+    elif kind == "ties":
+        rewards = rng.integers(0, 4, K).astype(np.float64)
+    else:
+        lattice_q = make_distribution((1, 3, 9))
+        rows = rng.multinomial(int(rng.integers(1, 300)), np.ones(3) / 3, size=K)
+        rewards = rows @ lattice_q.log_probs
+    return from_log_weights(log_w).log_probs, rewards
+
+
+# N = 1, small N, N = exp(m * delta) for the demo pair's m = 400, and N up
+# to the float range
+_BLOCKED_NS = st.lists(
+    st.one_of(
+        st.sampled_from([1.0, 2.0, 3.0, math.exp(0.11 * 400), 1e9, math.exp(MAX_LOG_N)]),
+        st.floats(1.0, 1e6),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestBlockedKernel:
+    """The blocked level passes give the bits of the whole-array kernel they
+    replaced (the ``ref_*`` copies in conftest), at any block size."""
+
+    @settings(max_examples=300)
+    @given(_blocked_instances(), _BLOCKED_NS, st.integers(1, 7))
+    def test_winner_rows_match_reference(self, instance, ns, block):
+        log_probs, rewards = instance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bestofn, "LEVEL_BLOCK", block)
+            got = _winner_log_probs(log_probs, rewards, ns)
+            levels = group_reward_levels(log_probs, rewards)
+        assert got.tobytes() == ref_winner_log_probs(log_probs, rewards, ns).tobytes()
+        for a, b in zip(levels, ref_group_reward_levels(log_probs, rewards)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_first_order_cells_are_reached(self):
+        # a level 800 nats below the mass under it: N d rounds to 0 at N = 1e9
+        log_probs = from_log_weights(np.array([-800.0, 0.0, -1.0])).log_probs
+        rewards = np.array([1.0, 0.0, 2.0])
+        order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
+        u = 1e9 * np.logaddexp(0.0, level_lps - cums[:-1])
+        assert np.count_nonzero(u == 0.0) == 1
+        got = _winner_log_probs(log_probs, rewards, [1e9, 2.0])
+        assert got.tobytes() == ref_winner_log_probs(log_probs, rewards, [1e9, 2.0]).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4096])
+    def test_half_tail_crossing_at_a_block_edge(self, block):
+        # the mass above level 2 is exactly 1/2 (log 1/2 = -log 2): the last
+        # level of the forward prefix, the first of a block at block = 2
+        log_probs = np.log([0.125, 0.125, 0.25, 0.5])
+        rewards = np.array([0.0, 1.0, 2.0, 3.0])
+        got = cumulative_log_probs(log_probs)
+        assert got.tobytes() == ref_cumulative_log_probs(log_probs).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bestofn, "LEVEL_BLOCK", block)
+            got = _winner_log_probs(log_probs, rewards, [1.0, 7.0, 1e9])
+        assert got.tobytes() == ref_winner_log_probs(log_probs, rewards, [1.0, 7.0, 1e9]).tobytes()
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from([5.0, 50.0, 800.0]))
+    def test_cumulatives_match_reference(self, seed, n, depth):
+        lps = from_log_weights(-depth * np.random.default_rng(seed).random(n)).log_probs
+        assert cumulative_log_probs(lps).tobytes() == ref_cumulative_log_probs(lps).tobytes()
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50))
+    def test_log_power_diff_matches_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        n_eff = np.array([[1.0], [2.0], [float(rng.integers(3, 10**6))], [math.exp(44.0)]])
+        level = -rng.exponential(20.0, n) * rng.integers(1, 40, n)
+        cum_lt = np.where(rng.random(n) < 0.1, -math.inf, -rng.exponential(1.0, n))
+        cum_le = np.logaddexp(cum_lt, level)
+        got = log_power_diff(n_eff, cum_lt, cum_le, level)
+        assert got.tobytes() == ref_log_power_diff(n_eff, cum_lt, cum_le, level).tobytes()
+        u = np.concatenate((rng.exponential(1.0, n), rng.exponential(1e3, n), [math.inf, 5e-324]))
+        assert log1mexp(u).tobytes() == ref_log1mexp(u).tobytes()
+
+    @pytest.mark.parametrize(
+        "q_weights, m",
+        [
+            (TERNARY_Q, 40),
+            (TERNARY_Q, 200),
+            ((1, 3, 9), 120),
+            ((2 / 7, 4 / 7, 1 / 7), 60),
+            ((0.1, 0.2, 0.3, 0.4), 30),
+        ],
+    )
+    @pytest.mark.parametrize("block", [5, 4096])
+    def test_type_law_matches_reference(self, q_weights, m, block):
+        q = make_distribution(q_weights)
+        p = make_distribution(TERNARY_P + (0.25,) if q.K == 4 else TERNARY_P)
+        counts = ref_type_counts_matrix(m, q.K)
+        sizes = ref_log_class_sizes(counts)
+        masses = sizes + counts @ p.log_probs
+        for N in (2, 17, math.exp(0.11 * m)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bestofn, "LEVEL_BLOCK", block)
+                law = bon_type_law(p, q, m, N)
+            ref = ref_winner_log_probs(masses, counts @ q.log_probs, [float(N)])[0]
+            assert law.counts.tobytes() == counts.tobytes()
+            assert law.class_log_sizes.tobytes() == sizes.tobytes()
+            assert law.class_log_masses.tobytes() == ref.tobytes()
+
+    def test_memory_guard(self, demo_p, demo_q):
+        # the level passes hold the law's outputs, the sort order and the
+        # per-level arrays, not a dozen per-class temporaries: the traced
+        # peak on the demo pair at m = 400 (80,601 classes) stays below 8 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            bon_type_law(demo_p, demo_q, 400, math.exp(44.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0e6
 
 
 class TestEnumerationOracle:

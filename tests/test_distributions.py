@@ -22,7 +22,12 @@ from alignlab.distributions import (
     type_counts_matrix,
 )
 
-from .conftest import random_pair, symbols_from_uniforms
+from .conftest import (
+    random_pair,
+    ref_log_class_sizes,
+    ref_type_counts_matrix,
+    symbols_from_uniforms,
+)
 
 
 class TestMakeDistribution:
@@ -233,6 +238,12 @@ class TestTypeCountsMatrix:
         assert counts.shape == (math.comb(402, 2), 3)
         assert np.array_equal(counts, _lexicographic_compositions(400, 3))
 
+    @pytest.mark.parametrize("m, K", [(1, 2), (7, 2), (30, 3), (400, 3), (12, 5), (5, 8), (2, 40)])
+    def test_matches_reference_copy(self, m, K):
+        counts = type_counts_matrix(m, K)
+        assert counts.flags.c_contiguous
+        assert counts.tobytes() == ref_type_counts_matrix(m, K).tobytes()
+
     def test_enumerate_types_rows(self):
         # the distinct bincounts of all 4^6 sequences, in lexicographic order
         seqs = np.array(list(itertools.product(range(4), repeat=6)))
@@ -246,6 +257,24 @@ class TestTypeClassSize:
             counts = type_counts_matrix(m, K)
             per_row = [_log_class_size(row) for row in counts]
             assert np.array_equal(log_class_sizes(counts), per_row)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(2, 40), st.sampled_from([129, 130, 200, 300])),
+        st.integers(1, 5000),
+    )
+    def test_bits_match_reference_row_sum(self, seed, K, m):
+        # numpy's row sum is sequential below 8 items, pairwise above, and
+        # split in halves above 128; the column-at-a-time sum follows that order
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(m, rng.dirichlet(np.ones(K)), size=50)
+        assert log_class_sizes(counts).tobytes() == ref_log_class_sizes(counts).tobytes()
+
+    @pytest.mark.parametrize("m, K", [(2, 130), (1, 300), (3, 9), (12, 8)])
+    def test_bits_match_reference_on_type_rows(self, m, K):
+        counts = type_counts_matrix(m, K)
+        assert log_class_sizes(counts).tobytes() == ref_log_class_sizes(counts).tobytes()
 
     def test_single_class(self):
         assert log_class_sizes(np.array([[2, 0, 0]]))[0] == pytest.approx(0.0, abs=1e-12)
