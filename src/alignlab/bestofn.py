@@ -8,13 +8,13 @@ into levels and forming stable cumulative powers gives the closed form
     pi_N(y) = p(y) / P(level(y)) * (S_le(y)^N - S_lt(y)^N),
 
 where S_le / S_lt are the cumulative reference masses at / strictly below the
-outcome's reward level.  Over sequence spaces the reward and the reference
-probability depend on a sequence only through its type, so the same formula
-applies per type class; N enters only as a multiplier of log masses, which
-admits the N = exp(m * delta) regime where N is far too large to enumerate.
-The levels do not depend on N either, so a grid of N is grouped once and
-evaluated as one row per N (``bon_exact_pmf``); one N is the one-row
-case.
+outcome's reward level.  The levels do not depend on N, so a grid of N over
+a flat outcome space is grouped once (``bon_exact_pmf``).  Over length-m
+sequences with a memoryless reference and the additive reward log q^m(y),
+best-of-N and every tilt of p^m reweight whole reward levels of p^m, so
+``bon_type_law`` returns a ``LevelLaw`` built from the type classes, and
+every exact sequence quantity is a sum over its levels.  N enters only as a
+multiplier of log masses, which admits the N = exp(m * delta) regime.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .distributions import (
     CategoricalDistribution,
     from_log_weights,
     log_class_sizes,
+    normalized_log_weights,
     type_counts_matrix,
 )
 from .errors import InvalidN, LengthMismatch, SizeOverflow
@@ -42,38 +43,32 @@ REWARD_TIE_ULPS = 8
 LEVEL_BLOCK = 4096
 ORACLE_TUPLE_CAP = 10_000_000
 # bon_type_law's N is at most exp(MAX_LOG_N): N multiplies log masses, and
-# class log-probs stay finite up to this bound
+# level log masses stay finite up to this bound
 MAX_LOG_N = 690.0
 
 
 @dataclass(frozen=True)
-class TypeLaw:
-    """An exact sequence-level PMF represented on type classes.
+class LevelLaw:
+    """An exact law over length-m sequences, on the reward levels of p^m.
 
-    Row i of ``counts`` is one type class; ``class_log_masses[i]`` is the log
-    probability of the whole class and ``class_log_sizes[i]`` the log of its
-    multinomial size.  Every sequence in a class has the same probability:
-    under memoryless references and additive rewards both the reward and the
-    reference probability of a sequence depend on it only through its type.
-    The arrays are made read-only.
+    Level i holds the sequences of reward ``rewards[i]`` (ascending, the sum
+    of log q over the sequence; a level of tied type classes takes its first
+    member's reward in sort order).  ``ref_log_masses[i]`` is its log mass
+    under p^m and ``log_masses[i]`` its log mass under the law, which is p^m
+    conditioned on the level within it; ``mean_counts[i]`` is the level's mean
+    symbol count vector under p^m, so the law's expected type is a level sum
+    too.  The arrays are read-only.
     """
 
     m: int
-    counts: np.ndarray = field(repr=False)
-    class_log_masses: np.ndarray = field(repr=False)
-    class_log_sizes: np.ndarray = field(repr=False)
+    rewards: np.ndarray = field(repr=False)
+    ref_log_masses: np.ndarray = field(repr=False)
+    log_masses: np.ndarray = field(repr=False)
+    mean_counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.counts, self.class_log_masses, self.class_log_sizes):
+        for arr in (self.rewards, self.ref_log_masses, self.log_masses, self.mean_counts):
             arr.setflags(write=False)
-
-    @property
-    def K(self) -> int:
-        return int(self.counts.shape[1])
-
-    def class_masses(self) -> np.ndarray:
-        """Total probability of each type class."""
-        return np.exp(self.class_log_masses)
 
 
 def group_reward_levels(
@@ -92,7 +87,8 @@ def group_reward_levels(
     cumulative log masses, where ``cums[i]`` is log S_lt and ``cums[i + 1]``
     is log S_le of level i.  ``cums[0]`` is -inf and the top ``cums[-1]`` is
     pinned to exactly log 1.  The level masses are reduced ``LEVEL_BLOCK``
-    levels at a time.
+    levels at a time; when every level has one member they are the sorted
+    log probabilities themselves, the bits the reduction gives.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     rw = np.asarray(rewards, dtype=np.float64)
@@ -108,55 +104,53 @@ def group_reward_levels(
     # lps[0] is an empty level below the lowest, whose cumulative is -inf
     lps = np.empty(sizes.size + 1)
     lps[0] = -math.inf
-    stop = 0
-    for lo in range(0, sizes.size, LEVEL_BLOCK):
-        size = sizes[lo : lo + LEVEL_BLOCK]
-        start, stop = stop, stop + int(size.sum())
-        sorted_lp = lp[order[start:stop]]
-        at = np.cumsum(size) - size
-        hi = np.maximum.reduceat(sorted_lp, at)
-        sorted_lp -= np.repeat(hi, size)
-        np.exp(sorted_lp, out=sorted_lp)
-        lps[lo + 1 : lo + 1 + size.size] = hi + np.log(np.add.reduceat(sorted_lp, at))
+    if sizes.size == lp.size:
+        np.take(lp, order, out=lps[1:])
+    else:
+        stop = 0
+        for lo in range(0, sizes.size, LEVEL_BLOCK):
+            size = sizes[lo : lo + LEVEL_BLOCK]
+            start, stop = stop, stop + int(size.sum())
+            sorted_lp = lp[order[start:stop]]
+            at = np.cumsum(size) - size
+            hi = np.maximum.reduceat(sorted_lp, at)
+            sorted_lp -= np.repeat(hi, size)
+            np.exp(sorted_lp, out=sorted_lp)
+            lps[lo + 1 : lo + 1 + size.size] = hi + np.log(np.add.reduceat(sorted_lp, at))
     cums = cumulative_log_probs(lps)
     cums[0] = -math.inf
     return order, sizes, lps[1:], cums
 
 
-def _winner_log_probs(
-    log_probs: np.ndarray, rewards: np.ndarray, ns
-) -> np.ndarray:
+def _level_picks(level_lps: np.ndarray, cums: np.ndarray, n_eff: np.ndarray):
+    """Yield ``(lo, hi, picks)`` per ``LEVEL_BLOCK`` levels: the best-of-N log
+    masses log(S_le^N - S_lt^N) of levels ``lo:hi``, one row per N of the
+    column ``n_eff``, from the stored cumulatives ``cums`` (pinned to exactly
+    log 1 at the top): N amplifies any error in log S near the top N-fold."""
+    for lo in range(0, level_lps.size, LEVEL_BLOCK):
+        hi = min(lo + LEVEL_BLOCK, level_lps.size)
+        yield lo, hi, log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], level_lps[lo:hi])
+
+
+def _winner_log_probs(log_probs: np.ndarray, rewards: np.ndarray, ns) -> np.ndarray:
     """Per-outcome log probability under best-of-N with uniform tie-breaking,
     one row per N of the 1-D ``ns``; the outcomes are grouped into levels once.
+
+    An outcome takes its share p(y) / P(level) of its level's pick mass.  The
+    levels are scattered to their outcomes a block at a time, so the
+    temporaries are per block, not per outcome.
     """
     n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
+    order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
     out = np.empty((n_eff.size, np.size(log_probs)))
-    _fill_winner_rows(out, log_probs, group_reward_levels(log_probs, rewards), n_eff)
-    return out
-
-
-def _fill_winner_rows(out: np.ndarray, log_probs: np.ndarray, levels, n_eff: np.ndarray) -> None:
-    """Write the best-of-N log probabilities of the outcomes into ``out``, one
-    row per N of the column ``n_eff``, from ``levels``, the result of
-    ``group_reward_levels(log_probs, rewards)``.
-
-    The levels are taken ``LEVEL_BLOCK`` at a time, so the temporaries are
-    per block, not per outcome.  Each level's pick mass log(S_le^N - S_lt^N)
-    uses the stored cumulatives (pinned to exactly log 1 at the top), not a
-    re-accumulated running sum: N amplifies any error in log S near the top
-    by a factor of N.  A block reads its outcomes' log probabilities before
-    it writes their cells, so a one-row ``out`` may be ``log_probs`` itself.
-    """
-    order, sizes, level_lps, cums = levels
     stop = 0
-    for lo in range(0, sizes.size, LEVEL_BLOCK):
-        hi = min(lo + LEVEL_BLOCK, sizes.size)
-        size, lvl = sizes[lo:hi], level_lps[lo:hi]
-        picks = log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], lvl)
+    for lo, hi, picks in _level_picks(level_lps, cums, n_eff):
+        size = sizes[lo:hi]
         start, stop = stop, stop + int(size.sum())
         members = order[start:stop]
-        base = log_probs[members] - np.repeat(lvl, size)
+        base = log_probs[members] - np.repeat(level_lps[lo:hi], size)
         out[:, members] = base + np.repeat(picks, size, axis=1)
+    return out
 
 
 def _check_n(N) -> None:
@@ -196,19 +190,16 @@ def bon_exact_pmf(
     return pmfs
 
 
-def bon_type_law(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    m: int,
-    N: float,
-) -> TypeLaw:
-    """Exact best-of-N law over length-m sequences, per type class.
+def bon_type_law(p: CategoricalDistribution, q: CategoricalDistribution, m: int, N: float) -> LevelLaw:
+    """Exact best-of-N law over length-m sequences, on the reward levels of p^m.
 
-    Class reward is sum_k counts_k log q_k and the reference class log mass
-    is the log class size plus sum_k counts_k log p_k; the level formula
-    reshapes the class masses.  N enters only as a multiplier of log masses,
-    so it may be any int or float in [1, exp(``MAX_LOG_N``)], such as
-    exp(m * delta); N = 1 gives the law of p^m itself.
+    The type classes give the levels: a class's reward is
+    sum_k counts_k log q_k and its log mass under p^m the log class size plus
+    sum_k counts_k log p_k.  The classes are grouped into levels once and
+    dropped; one blocked pass over the levels gives the law's level masses.
+    N enters only as a multiplier of log masses, so it may be any int or
+    float in [1, exp(``MAX_LOG_N``)], such as exp(m * delta); N = 1 gives
+    the law of p^m itself, whose ``log_masses`` are its ``ref_log_masses``.
     """
     _check_same_alphabet(p, q)
     if isinstance(N, bool) or not isinstance(N, (int, float, np.integer)) or not (
@@ -216,19 +207,36 @@ def bon_type_law(
     ):
         raise InvalidN(f"N must be a number in [1, exp({MAX_LOG_N})], got {N!r}")
     counts = type_counts_matrix(m, p.K)
-    sizes = log_class_sizes(counts)
-    masses = sizes + counts @ p.log_probs
+    masses = log_class_sizes(counts)
+    masses += counts @ p.log_probs
+    rewards = counts @ q.log_probs
+    order, sizes, ref_lps, cums = group_reward_levels(masses, rewards)
+    # on a tied level a class weighs in with its share of the level's mass
+    tied = sizes.size < order.size
+    starts = np.cumsum(sizes) - sizes if tied else slice(None)
+    shares = np.exp(masses[order] - np.repeat(ref_lps, sizes)) if tied else None
+    # each class array is freed once it has been read for the last time
+    del masses, sizes
+    level_rewards = rewards[order[starts]]
+    del rewards
+    # a column at a time (a row gather of counts[order] is slower); the
+    # counts of one-member levels overwrite their own buffer in level order
+    mean_counts = np.empty((ref_lps.size, p.K)) if tied else counts.view(np.float64)
+    for k in range(p.K):
+        column = counts[order, k]
+        mean_counts[:, k] = np.add.reduceat(column * shares, starts) if tied else column
+    del counts, order, column
+    log_masses = ref_lps
     if N != 1:
-        # the class rewards are freed once grouped, and the winner row
-        # overwrites the class masses it is formed from
-        levels = group_reward_levels(masses, counts @ q.log_probs)
-        _fill_winner_rows(masses[None], masses, levels, np.array([[float(N)]]))
-    return TypeLaw(m, counts, masses, sizes)
+        log_masses = np.empty_like(ref_lps)
+        for lo, hi, picks in _level_picks(ref_lps, cums, np.array([[float(N)]])):
+            # the top level's log 1 may come out as -0.0; adding 0.0 gives
+            # the +0.0 of the per-outcome form and leaves every other value
+            log_masses[lo:hi] = picks[0] + 0.0
+    return LevelLaw(m, level_rewards, ref_lps, log_masses, mean_counts)
 
 
-def sequence_space_log_probs(
-    dist: CategoricalDistribution, m: int
-) -> np.ndarray:
+def sequence_space_log_probs(dist: CategoricalDistribution, m: int) -> np.ndarray:
     """log probabilities of all K^m sequences, big-endian base-K indexing."""
     K = dist.K
     total = K**m
@@ -241,10 +249,7 @@ def sequence_space_log_probs(
 
 
 def bon_enumeration_oracle(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    m: int,
-    N: int,
+    p: CategoricalDistribution, q: CategoricalDistribution, m: int, N: int
 ) -> np.ndarray:
     """Brute-force best-of-N PMF over all K^m sequences.
 
@@ -277,23 +282,26 @@ def bon_enumeration_oracle(
     return out
 
 
-def bon_expected_type(law: TypeLaw) -> np.ndarray:
-    """Expected type under a sequence-level law: a point on the simplex."""
-    masses = law.class_masses()
-    fractions = law.counts / law.m
-    return masses @ fractions
+def bon_expected_type(law: LevelLaw) -> np.ndarray:
+    """Expected type under a level law: a point on the simplex."""
+    return np.exp(law.log_masses) @ law.mean_counts / law.m
 
 
-def bon_kl_to_reference(law: TypeLaw, p: CategoricalDistribution) -> float:
-    """Exact D(law || p^m) by type-class summation, for any product target p^m
-    (the reference, or a tilt such as phi_delta)."""
-    _check_same_alphabet(law, p)
-    ref_masses = law.class_log_sizes + law.counts @ p.log_probs
-    return float(np.sum(law.class_masses() * (law.class_log_masses - ref_masses)))
+def bon_kl_to_tilt(law: LevelLaw, alpha: float) -> float:
+    """Exact D(law || T(q, p, alpha)^m) as a sum over the law's levels.
+
+    The tilt of p^m reweights each level by exp(alpha * reward), normalized
+    over the same levels; alpha = 0 is p^m itself, whose level masses are
+    taken as they are, so the law of p^m reads exactly 0.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    target = law.ref_log_masses
+    if alpha != 0.0:
+        target = normalized_log_weights(target + alpha * law.rewards)
+    return float(np.sum(np.exp(law.log_masses) * (law.log_masses - target)))
 
 
-def expected_reward_rate(law: TypeLaw, q: CategoricalDistribution) -> float:
-    """Per-symbol expected reward (1/m) E[log q^m(Y)] under a sequence law."""
-    _check_same_alphabet(law, q)
-    rewards = law.counts @ q.log_probs
-    return float(np.sum(law.class_masses() * rewards)) / law.m
+def expected_reward_rate(law: LevelLaw) -> float:
+    """Per-symbol expected reward (1/m) E[log q^m(Y)] under a level law."""
+    return float(np.sum(np.exp(law.log_masses) * law.rewards)) / law.m

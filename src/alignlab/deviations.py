@@ -9,11 +9,12 @@ factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it;
 ``rate_function`` solves the reward-matched tilts of several levels in
 one lockstep run and reads each rate off the solved tilt.
-A window probability is exact over the type classes of any sequence law,
-best-of-N included, or counted by Monte Carlo under phi^m.  The window
-statistic depends on a sequence only through its type, which is
-Multinomial(m, phi) under phi^m, so a Monte Carlo trial draws the K type
-counts, not the m symbols, from one caller-given NumPy generator in order.
+The window statistic and the reward depend on a sequence only through its
+reward level, so a window probability and the finite-m cumulant are sums
+over the levels of a ``LevelLaw`` (best-of-N's, or phi^m's at N = 1).
+Monte Carlo counts the window under phi^m through the type, which is
+Multinomial(m, phi) there: a trial draws the K type counts, not the m
+symbols, from one caller-given NumPy generator in order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestofn import TypeLaw, bon_type_law
+from .bestofn import LevelLaw, bon_type_law
 from .distributions import CategoricalDistribution
 from .errors import TargetOutOfRange
 from .logspace import logsumexp
@@ -85,42 +86,35 @@ def scaled_cumulant(
     """(1/m rho) log E[exp(rho reward)] under phi^m in the large-m limit
     (exact per symbol): -H_{1+rho}(phi, q), whose rho -> 0 limit is the mean
     reward -H(phi, q)."""
-    if rho < 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho!r}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     return CumulantPoint(rho=rho, value=-renyi_cross_entropy(phi, q, 1.0 + rho))
 
 
 def finite_m_cumulant_check(
-    phi: CategoricalDistribution,
-    q: CategoricalDistribution,
-    rho: float,
-    m: int,
+    phi: CategoricalDistribution, q: CategoricalDistribution, rho: float, m: int
 ) -> tuple[float, float]:
     """Both sides of the finite-m cumulant identity.
 
     Returns ((1/(m rho)) log E_{Y ~ phi^m}[exp(rho reward(Y))] via exact
-    summation over the type classes of phi^m (``bon_type_law`` at N = 1),
+    summation over the reward levels of phi^m (``bon_type_law`` at N = 1),
     and the closed form from the Renyi cross entropy.  The identity is exact
     at every m because E factorizes over symbols.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
     law = bon_type_law(phi, q, m, 1)
-    lhs = logsumexp(law.class_log_masses + rho * (law.counts @ q.log_probs)) / (m * rho)
-    rhs = -renyi_cross_entropy(phi, q, 1.0 + rho)
-    return lhs, rhs
+    lhs = logsumexp(law.log_masses + rho * law.rewards) / (m * rho)
+    return lhs, scaled_cumulant(phi, q, rho).value
 
 
-def window_log_prob(law: TypeLaw, q: CategoricalDistribution, t: float, eps: float) -> float:
-    """log P(|-(1/m) log q^m(Y) - t| < eps) for Y drawn from a type-class law.
-
-    One masked log-sum-exp of the class log masses, over the same open window
-    :func:`deviation_hit_count` counts; -inf when no class lies in it.
-    """
-    _check_same_alphabet(law, q)
-    values = -(law.counts @ q.log_probs) / law.m
-    inside = np.abs(values - t) < eps
-    return logsumexp(law.class_log_masses[inside])
+def window_log_prob(law: LevelLaw, t: float, eps: float) -> float:
+    """log P(|-(1/m) log q^m(Y) - t| < eps) for Y drawn from a level law: one
+    masked log-sum-exp of the level log masses, over the same open window
+    :func:`deviation_hit_count` counts; -inf when no level lies in it."""
+    if not (math.isfinite(t) and eps > 0.0):
+        raise ValueError(f"t must be finite and eps positive, got t={t!r}, eps={eps!r}")
+    return logsumexp(law.log_masses[np.abs(-law.rewards / law.m - t) < eps])
 
 
 def deviation_hit_count(

@@ -24,7 +24,7 @@ from .bestofn import (
     bon_enumeration_oracle,
     bon_exact_pmf,
     bon_expected_type,
-    bon_kl_to_reference,
+    bon_kl_to_tilt,
     bon_type_law,
     expected_reward_rate,
     sequence_space_log_probs,
@@ -522,19 +522,16 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     phi_probs = sol.phi.probs()
 
     rows = []
-    kl_rates = []
     bound_ok = True
     for m in m_grid:
         law = bon_type_law(p, q, int(m), math.exp(m * delta))
-        kl_rate = bon_kl_to_reference(law, sol.phi) / m
-        kl_ref_seq = bon_kl_to_reference(law, p)
-        reward_gap = abs(expected_reward_rate(law, q) - sol.expected_reward)
+        kl_rate = bon_kl_to_tilt(law, sol.alpha) / m
+        kl_ref_seq = bon_kl_to_tilt(law, 0.0)
+        reward_gap = abs(expected_reward_rate(law) - sol.expected_reward)
         type_l1 = float(np.abs(bon_expected_type(law) - phi_probs).sum())
         bound_ok = bound_ok and (kl_ref_seq <= m * delta + 1e-9)
-        kl_rates.append(kl_rate)
-        rows.append(
-            (int(m), m * delta, kl_rate, kl_ref_seq / m, delta, reward_gap, type_l1)
-        )
+        rows.append((int(m), m * delta, kl_rate, kl_ref_seq / m, delta, reward_gap, type_l1))
+    kl_rates = [r[2] for r in rows]
 
     checks: list[dict] = []
     results = {
@@ -798,7 +795,7 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
         row = [float(t), point.beta, point.rate, oracle, mc, hits, trials]
         if bon_law is not None:
             # the rate comes from the log, so it stays finite where P underflows
-            log_p = window_log_prob(bon_law, q, float(t), eps)
+            log_p = window_log_prob(bon_law, float(t), eps)
             row.extend([math.exp(log_p), -log_p / m if log_p > -math.inf else None])
         rows.append(tuple(row))
 

@@ -53,8 +53,8 @@ def renyi_cross_entropy(
     ``RENYI_ORDER_ONE_WINDOW``.
     """
     _check_same_alphabet(p, q)
-    if not t > 0.0:
-        raise NonPositiveOrder(f"order must be positive, got {t!r}")
+    if not 0.0 < t < np.inf:
+        raise NonPositiveOrder(f"order must be positive and finite, got {t!r}")
     if abs(t - 1.0) < RENYI_ORDER_ONE_WINDOW:
         return cross_entropy(p, q)
     return logsumexp(p.log_probs + (t - 1.0) * q.log_probs) / (1.0 - t)

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alignlab import make_distribution, mismatched_tilt
+from alignlab import (
+    group_reward_levels,
+    make_distribution,
+    mismatched_tilt,
+    sequence_space_log_probs,
+)
 from alignlab.bestofn import REWARD_TIE_TOL, _check_n
+from alignlab.distributions import log_class_sizes, type_counts_matrix
 from alignlab.errors import LengthMismatch
 from alignlab.metrics import _check_same_alphabet
 
@@ -42,6 +48,34 @@ def random_pair(rng: np.random.Generator, K: int):
     p = make_distribution(interior_dirichlet(rng, K))
     q = make_distribution(interior_dirichlet(rng, K))
     return p, q
+
+
+def class_arrays(p, q, m: int):
+    """The type classes of length-m sequences as ``bon_type_law`` forms them:
+    their counts, log masses under p^m, and rewards sum_k counts_k log q_k."""
+    counts = type_counts_matrix(m, p.K)
+    return counts, log_class_sizes(counts) + counts @ p.log_probs, counts @ q.log_probs
+
+
+def one_member_levels(rewards: np.ndarray):
+    """The classes of one-member reward levels in level order, and which
+    levels they are: ``(classes, levels)`` from the grouping of ``rewards``."""
+    order, sizes, _, _ = group_reward_levels(np.zeros(rewards.size), rewards)
+    single = sizes == 1
+    return order[(np.cumsum(sizes) - sizes)[single]], np.flatnonzero(single)
+
+
+def per_sequence_probs(law, p, q, m: int) -> np.ndarray:
+    """pi(y) of each of the K^m sequences (big-endian base-K order), rebuilt
+    from a level law as p^m(y) exp(log_masses[L] - ref_log_masses[L]), with
+    the level L of y found by grouping the K^m sequence rewards; the level
+    counts must agree."""
+    seq_lp = sequence_space_log_probs(p, m)
+    order, sizes, _, _ = group_reward_levels(seq_lp, sequence_space_log_probs(q, m))
+    assert sizes.size == law.log_masses.size
+    level = np.empty(order.size, dtype=np.int64)
+    level[order] = np.repeat(np.arange(sizes.size), sizes)
+    return np.exp(seq_lp + (law.log_masses - law.ref_log_masses)[level])
 
 
 def loop_symbols(dist, shape, rng: np.random.Generator) -> np.ndarray:

@@ -19,8 +19,9 @@ from alignlab import (
     bon_enumeration_oracle,
     bon_exact_pmf,
     bon_expected_type,
-    bon_kl_to_reference,
+    bon_kl_to_tilt,
     bon_type_law,
+    expected_reward_rate,
     group_reward_levels,
     kl_divergence,
     make_distribution,
@@ -37,7 +38,10 @@ from .conftest import (
     TERNARY_P,
     TERNARY_Q,
     bon_winners,
+    class_arrays,
     loop_bon_sample,
+    one_member_levels,
+    per_sequence_probs,
     random_pair,
     ref_cumulative_log_probs,
     ref_group_reward_levels,
@@ -87,14 +91,15 @@ class TestBonTypeLawN:
     def test_effective_n(self, demo_p, demo_q):
         by_int = bon_type_law(demo_p, demo_q, 3, 7)
         by_float = bon_type_law(demo_p, demo_q, 3, 7.0)
-        assert np.array_equal(by_int.class_log_masses, by_float.class_log_masses)
+        assert np.array_equal(by_int.log_masses, by_float.log_masses)
         single = bon_type_law(demo_p, demo_q, 3, math.exp(0.0))
-        product = single.class_log_sizes + single.counts @ demo_p.log_probs
-        assert np.array_equal(single.class_log_masses, product)
+        _, class_lp, class_rw = class_arrays(demo_p, demo_q, 3)
+        assert single.log_masses is single.ref_log_masses
+        assert np.array_equal(single.ref_log_masses, class_lp[np.argsort(class_rw, kind="stable")])
         # fractional N (log N = log 2.5) and the largest N are valid multipliers
         for N in (2.5, math.exp(2.0), math.exp(MAX_LOG_N)):
             law = bon_type_law(demo_p, demo_q, 3, N)
-            assert float(law.class_masses().sum()) == pytest.approx(1.0, abs=1e-12)
+            assert float(np.exp(law.log_masses).sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRewardLevels:
@@ -131,6 +136,29 @@ class TestRewardLevels:
         rewards = np.array([-top, -top + 3 * step, top, top + 1e-9])
         _, sizes, _, _ = group_reward_levels(dist.log_probs, rewards)
         assert sizes.tolist() == [2, 1, 1]
+
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from([5.0, 800.0]))
+    def test_one_member_levels_skip_the_reduction(self, seed, n, depth):
+        # distinct rewards: every level is one outcome, whose log mass is the
+        # outcome's own, with the bits of the segmented reduction
+        rng = np.random.default_rng(seed)
+        log_probs = from_log_weights(-depth * rng.random(n)).log_probs
+        rewards = rng.permutation(n) + 0.5 * rng.random(n)
+        got = group_reward_levels(log_probs, rewards)
+        assert got[1].size == n
+        for a, b in zip(got, ref_group_reward_levels(log_probs, rewards)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_tied_levels_take_the_reduction(self, demo_p):
+        # q proportional to (1, 3, 9) ties the 496 type classes at m = 30 into
+        # 2m + 1 levels
+        _, class_lp, class_rw = class_arrays(demo_p, make_distribution((1, 3, 9)), 30)
+        got = group_reward_levels(class_lp, class_rw)
+        assert got[1].size == 61 < class_lp.size
+        for a, b in zip(got, ref_group_reward_levels(class_lp, class_rw)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBonExactPmf:
@@ -181,21 +209,21 @@ class TestBonTypeLaw:
         assert abs(etype[0] - float(MARGINAL_0)) <= 1e-12
 
     def test_single_draw_equals_product_law(self, demo_p, demo_q):
+        # the demo pair has no tied classes: each level is one class
         law = bon_type_law(demo_p, demo_q, 4, 1)
-        product = law.class_log_sizes + law.counts @ demo_p.log_probs
-        assert np.array_equal(law.class_log_masses, product)
+        counts, class_lp, class_rw = class_arrays(demo_p, demo_q, 4)
+        order = np.argsort(class_rw, kind="stable")
+        assert law.log_masses is law.ref_log_masses
+        assert law.ref_log_masses.tobytes() == class_lp[order].tobytes()
+        assert law.rewards.tobytes() == class_rw[order].tobytes()
+        assert np.array_equal(law.mean_counts, counts[order])
 
     def test_matches_enumeration_oracle_per_sequence(self, demo_p, demo_q):
         p2 = make_distribution((0.35, 0.65))
         q2 = make_distribution((0.8, 0.2))
         law = bon_type_law(p2, q2, 3, 3)
         oracle = bon_enumeration_oracle(p2, q2, 3, 3)
-        per_seq = law.class_log_masses - law.class_log_sizes
-        by_class = dict(zip(map(tuple, law.counts), per_seq))
-        for idx in range(8):
-            seq = [(idx >> (2 - pos)) & 1 for pos in range(3)]
-            counts = (seq.count(0), seq.count(1))
-            assert math.exp(by_class[counts]) == pytest.approx(oracle[idx], abs=1e-12)
+        assert np.max(np.abs(per_sequence_probs(law, p2, q2, 3) - oracle)) <= 1e-12
 
     def test_normalization_across_regimes(self, demo_p, demo_q):
         for m, N in [
@@ -206,11 +234,11 @@ class TestBonTypeLaw:
             (160, math.exp(160 * 0.11)),
         ]:
             law = bon_type_law(demo_p, demo_q, m, N)
-            assert float(law.class_masses().sum()) == pytest.approx(1.0, abs=1e-9)
+            assert float(np.exp(law.log_masses).sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_fractional_effective_n(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 5, math.exp(0.55))
-        assert float(law.class_masses().sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.exp(law.log_masses).sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_size_overflow(self, demo_p, demo_q):
         with pytest.raises(SizeOverflow):
@@ -224,18 +252,14 @@ class TestBonTypeLaw:
         q = make_distribution((2 / 7, 4 / 7, 1 / 7))
         assert abs(2 * q.log_probs[0] - (q.log_probs[1] + q.log_probs[2])) < 1e-12
         law = bon_type_law(demo_p, q, 2, 3)
+        assert law.log_masses.size == 5
         oracle = bon_enumeration_oracle(demo_p, q, 2, 3)
-        classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
-        by_class = {tuple(c): math.exp(lp) for c, lp in classes}
-        for idx in range(9):
-            digits = [idx // 3, idx % 3]
-            counts = tuple(np.bincount(digits, minlength=3))
-            assert abs(by_class[counts] - oracle[idx]) <= 1e-12
+        assert np.max(np.abs(per_sequence_probs(law, demo_p, q, 2) - oracle)) <= 1e-12
 
     def test_log_n_matches_integer_n(self, demo_p, demo_q):
         by_int = bon_type_law(demo_p, demo_q, 6, 5)
         by_log = bon_type_law(demo_p, demo_q, 6, math.exp(math.log(5.0)))
-        assert np.max(np.abs(by_int.class_log_masses - by_log.class_log_masses)) <= 1e-9
+        assert np.max(np.abs(by_int.log_masses - by_log.log_masses)) <= 1e-9
 
 
 _LN2 = math.log(2.0)
@@ -264,10 +288,11 @@ def _loop_log_power_diff(n_eff, cum_lt, level_log_prob):
     return n_eff * cum_lt + u + math.log1p(-math.exp(-u))
 
 
-def _loop_winner_log_probs(log_probs, rewards, n_eff):
+def _loop_level_picks(log_probs, rewards, n_eff):
     """The per-level loop kernel the array kernel replaced, kept as a slow reference.
 
-    Returns the per-outcome log probabilities, and per outcome the scale
+    Returns the sort order and level bounds, each level's log mass, its
+    best-of-N log mass (its pick), and per level the scale
     N * (1 + |log S_lt|) of the loop's own rounding: it adds N log S_lt to
     N d, which cancel near the top, and it forms log masses near 0 as
     hi + log(sum), whose O(1) terms N multiplies (|level log mass| stands in
@@ -290,19 +315,31 @@ def _loop_winner_log_probs(log_probs, rewards, n_eff):
             cum_le.append(math.log1p(-math.exp(tails[i])))
         else:
             cum_le.append(float(fwd[i]))
+    picks = np.empty(n)
+    scales = np.empty(n)
+    for i in range(n):
+        cum_lt = cum_le[i - 1] if i else -math.inf
+        picks[i] = _loop_log_power_diff(n_eff, cum_lt, level_lps[i])
+        scales[i] = n_eff * (1.0 + abs(cum_lt if i else level_lps[i]))
+    return order, bounds, level_lps, picks, scales
+
+
+def _loop_winner_log_probs(log_probs, rewards, n_eff):
+    """Per-outcome log probabilities of the loop kernel, and per outcome the
+    scale of its rounding (see ``_loop_level_picks``)."""
+    order, bounds, level_lps, picks, scales = _loop_level_picks(log_probs, rewards, n_eff)
     out = np.empty(log_probs.size)
     scale = np.empty(log_probs.size)
     for i, (a, b) in enumerate(bounds):
-        cum_lt = cum_le[i - 1] if i else -math.inf
-        pick = _loop_log_power_diff(n_eff, cum_lt, level_lps[i])
         for j in order[a:b]:
-            out[j] = log_probs[j] - level_lps[i] + pick
-            scale[j] = n_eff * (1.0 + abs(cum_lt if i else level_lps[i]))
+            out[j] = log_probs[j] - level_lps[i] + picks[i]
+            scale[j] = scales[i]
     return out, scale
 
 
-def _mp_winner_log_probs(log_probs, rewards, n_eff):
-    """Best-of-N log probabilities in 50-digit arithmetic.
+def _mp_winner_log_probs(log_probs, rewards, n_eff, per_level=False):
+    """Best-of-N log probabilities in 50-digit arithmetic, per outcome, or
+    per reward level with ``per_level``.
 
     The float log probabilities are taken as exact (and normalized exactly),
     and levels are grouped by the same tie rule, so only the kernel's own
@@ -315,8 +352,9 @@ def _mp_winner_log_probs(log_probs, rewards, n_eff):
         n = mpmath.mpf(float(n_eff))
         order, bounds = _loop_levels(rewards)
         out = np.empty(len(probs))
+        picks = np.empty(len(bounds))
         below = mpmath.mpf(0)
-        for a, b in bounds:
+        for i, (a, b) in enumerate(bounds):
             level = mpmath.fsum(probs[j] for j in order[a:b])
             if below == 0:
                 pick = n * mpmath.log(level)
@@ -325,10 +363,11 @@ def _mp_winner_log_probs(log_probs, rewards, n_eff):
                 pick = n * mpmath.log(below) + mpmath.log(
                     mpmath.expm1(n * mpmath.log1p(level / below))
                 )
+            picks[i] = float(pick)
             for j in order[a:b]:
                 out[j] = float(mpmath.log(probs[j] / level) + pick)
             below += level
-    return out
+    return picks if per_level else out
 
 
 @st.composite
@@ -399,19 +438,19 @@ class TestArrayKernel:
     def test_type_law_with_cross_type_ties(self, a, b, p_weights, m, N):
         p, q = _cross_tie_pair(a, b, p_weights)
         law = bon_type_law(p, q, m, N)
-        assert abs(float(law.class_masses().sum()) - 1.0) <= 1e-12
+        assert abs(float(np.exp(law.log_masses).sum()) - 1.0) <= 1e-12
         if N == 1:
             return
-        counts = law.counts
-        class_lp = law.class_log_sizes + counts @ p.log_probs
-        got = law.class_log_masses
-        # the law is the kernel's row over the class masses, as it came out
-        row = _winner_log_probs(class_lp, counts @ q.log_probs, [float(N)])[0]
-        assert got.tobytes() == row.tobytes()
-        ref, scale = _loop_winner_log_probs(class_lp, counts @ q.log_probs, float(N))
+        _, class_lp, class_rw = class_arrays(p, q, m)
+        # on one-member levels, the law is the flat kernel's row over the
+        # class masses, as it came out
+        row = _winner_log_probs(class_lp, class_rw, [float(N)])[0]
+        classes, levels = one_member_levels(class_rw)
+        assert law.log_masses[levels].tobytes() == row[classes].tobytes()
+        _, _, _, ref, scale = _loop_level_picks(class_lp, class_rw, float(N))
         live = ref > -700.0
         tol = 1e-12 + 32 * _EPS * scale[live]
-        assert np.all(np.abs(got[live] - ref[live]) <= tol)
+        assert np.all(np.abs(law.log_masses[live] - ref[live]) <= tol)
 
     @pytest.mark.parametrize("u", [0.0, -1.0])
     def test_log1mexp_needs_positive_u(self, u):
@@ -449,12 +488,10 @@ class TestArrayKernel:
         p, q = demo_p, make_distribution((2 / 7, 4 / 7, 1 / 7))
         for N in (17, math.exp(9.5)):
             law = bon_type_law(p, q, 4, N)
-            counts = law.counts
-            class_lp = law.class_log_sizes + counts @ p.log_probs
-            exact = _mp_winner_log_probs(class_lp, counts @ q.log_probs, float(N))
-            got = law.class_log_masses
+            _, class_lp, class_rw = class_arrays(p, q, 4)
+            exact = _mp_winner_log_probs(class_lp, class_rw, float(N), per_level=True)
             live = exact > -700.0
-            assert np.max(np.abs(got[live] - exact[live])) <= 1e-12
+            assert np.max(np.abs(law.log_masses[live] - exact[live])) <= 1e-12
 
 
 @st.composite
@@ -563,16 +600,27 @@ class TestBlockedKernel:
         q = make_distribution(q_weights)
         p = make_distribution(TERNARY_P + (0.25,) if q.K == 4 else TERNARY_P)
         counts = ref_type_counts_matrix(m, q.K)
-        sizes = ref_log_class_sizes(counts)
-        masses = sizes + counts @ p.log_probs
+        masses = ref_log_class_sizes(counts) + counts @ p.log_probs
+        rewards = counts @ q.log_probs
+        _, class_lp, _ = class_arrays(p, q, m)
+        assert class_lp.tobytes() == masses.tobytes()
+        # one-member levels keep the bits of the parent kernel's class values;
+        # a tied level holds its classes' total
+        classes, levels = one_member_levels(rewards)
+        order, sizes, _, _ = ref_group_reward_levels(masses, rewards)
+        starts = np.cumsum(sizes) - sizes
         for N in (2, 17, math.exp(0.11 * m)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(bestofn, "LEVEL_BLOCK", block)
                 law = bon_type_law(p, q, m, N)
-            ref = ref_winner_log_probs(masses, counts @ q.log_probs, [float(N)])[0]
-            assert law.counts.tobytes() == counts.tobytes()
-            assert law.class_log_sizes.tobytes() == sizes.tobytes()
-            assert law.class_log_masses.tobytes() == ref.tobytes()
+            ref = ref_winner_log_probs(masses, rewards, [float(N)])[0]
+            assert law.log_masses[levels].tobytes() == ref[classes].tobytes()
+            assert law.ref_log_masses[levels].tobytes() == masses[classes].tobytes()
+            assert law.rewards.tobytes() == rewards[order[starts]].tobytes()
+            assert law.mean_counts[levels].tobytes() == counts[classes].astype(float).tobytes()
+            top = np.maximum.reduceat(ref[order], starts)
+            summed = top + np.log(np.add.reduceat(np.exp(ref[order] - np.repeat(top, sizes)), starts))
+            assert np.all(np.abs(law.log_masses - summed) <= 1e-12 * np.maximum(1.0, np.abs(summed)))
 
     def test_memory_guard(self, demo_p, demo_q):
         # the level passes hold the law's outputs, the sort order and the
@@ -626,12 +674,7 @@ class TestEnumerationOracle:
             flat = bon_exact_pmf(probs, rewards, [N])[0].probs()
             assert np.max(np.abs(flat - oracle)) <= 1e-12
             law = bon_type_law(p, q, m, N)
-            classes = zip(law.counts, law.class_log_masses - law.class_log_sizes)
-            by_class = {tuple(c): math.exp(lp) for c, lp in classes}
-            for idx in range(K**m):
-                digits = [(idx // K ** (m - 1 - pos)) % K for pos in range(m)]
-                counts = tuple(np.bincount(digits, minlength=K))
-                assert abs(by_class[counts] - oracle[idx]) <= 1e-12
+            assert np.max(np.abs(per_sequence_probs(law, p, q, m) - oracle)) <= 1e-12
 
 
 class TestExchangeability:
@@ -808,7 +851,7 @@ class TestExpectedTypeAndKl:
 
     def test_kl_to_reference_single_draw(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 5, 1)
-        assert bon_kl_to_reference(law, demo_p) == 0.0
+        assert bon_kl_to_tilt(law, 0.0) == 0.0
 
     def test_kl_to_reference_pair_value(self, demo_p, demo_q):
         # independent 9-term summation from the exact fractions
@@ -817,8 +860,8 @@ class TestExpectedTypeAndKl:
             for (y1, y2), frac in PAIR_JOINT.items()
         )
         law = bon_type_law(demo_p, demo_q, 2, 2)
-        assert bon_kl_to_reference(law, demo_p) == pytest.approx(expected, abs=1e-12)
-        assert bon_kl_to_reference(law, demo_p) <= math.log(2)
+        assert bon_kl_to_tilt(law, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert bon_kl_to_tilt(law, 0.0) <= math.log(2)
 
     def test_kl_bound_random_configs(self):
         rng = np.random.default_rng(42)
@@ -828,7 +871,7 @@ class TestExpectedTypeAndKl:
             n = int(rng.integers(1, 30))
             p, q = random_pair(rng, K)
             law = bon_type_law(p, q, m, n)
-            assert bon_kl_to_reference(law, p) <= math.log(n) + 1e-9
+            assert bon_kl_to_tilt(law, 0.0) <= math.log(n) + 1e-9
 
     @settings(max_examples=200)
     @given(
@@ -845,14 +888,14 @@ class TestExpectedTypeAndKl:
 
     def test_kl_to_optimal_bound_demo(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 10, 3)
-        assert bon_kl_to_reference(law, demo_p) <= math.log(3) + 1e-9
+        assert bon_kl_to_tilt(law, 0.0) <= math.log(3) + 1e-9
 
     @staticmethod
     def _kl_rate(p, q, m, delta):
         """Per-symbol D(pi_N^m || phi_delta^m) / m at N = exp(m delta), as
         equivalence-scan forms it."""
-        phi = solve_alpha_for_kl(q, p, [delta])[0].phi
-        return bon_kl_to_reference(bon_type_law(p, q, m, math.exp(m * delta)), phi) / m
+        alpha = solve_alpha_for_kl(q, p, [delta])[0].alpha
+        return bon_kl_to_tilt(bon_type_law(p, q, m, math.exp(m * delta)), alpha) / m
 
     def test_kl_rate_zero_budget(self, demo_p, demo_q):
         assert self._kl_rate(demo_p, demo_q, 4, 0.0) == 0.0
@@ -869,16 +912,130 @@ class TestExpectedTypeAndKl:
         for m in (5, 10, 20, 40, 80):
             law = bon_type_law(demo_p, demo_q, m, math.exp(m * 0.11))
             l1s.append(float(np.abs(bon_expected_type(law) - phi).sum()))
-            rewards = law.counts @ demo_q.log_probs
-            reward_rate = float(np.sum(law.class_masses() * rewards)) / m
-            gaps.append(abs(reward_rate - phi_sol.expected_reward))
+            gaps.append(abs(expected_reward_rate(law) - phi_sol.expected_reward))
         assert all(b < a for a, b in zip(l1s, l1s[1:]))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_alphabet_mismatch(self, demo_p, demo_q):
-        law = bon_type_law(demo_p, demo_q, 2, 2)
+    def test_alphabet_mismatch(self, demo_p):
+        # the readers take no distribution: the alphabets meet once, at the build
         with pytest.raises(AlphabetMismatch):
-            bon_kl_to_reference(law, make_distribution((1, 1)))
+            bon_type_law(demo_p, make_distribution((1, 1)), 2, 2)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, demo_p, demo_q, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            bon_kl_to_tilt(bon_type_law(demo_p, demo_q, 2, 2), alpha)
+
+
+def _mp_level_law(p_weights, q_weights, m, N, alpha):
+    """The level law of best-of-N over length-m sequences in 30-digit
+    arithmetic, from the exact weights: the type classes from integer
+    factorials, levels by exact reward ties.  Returns per level the log
+    masses under the law, and D(law || p^m), D(law || T(q, p, alpha)^m), the
+    expected type and the per-symbol expected reward."""
+    with mpmath.workdps(30):
+        lp = [mpmath.log(mpmath.mpf(w) / sum(map(mpmath.mpf, p_weights))) for w in p_weights]
+        lq = [mpmath.log(mpmath.mpf(w) / sum(map(mpmath.mpf, q_weights))) for w in q_weights]
+        K = len(lp)
+        classes = []
+        for counts in ref_type_counts_matrix(m, K).tolist():
+            size = math.factorial(m)
+            for c in counts:
+                size //= math.factorial(c)
+            log_mass = mpmath.log(size) + mpmath.fsum(c * x for c, x in zip(counts, lp))
+            classes.append((mpmath.fsum(c * x for c, x in zip(counts, lq)), mpmath.exp(log_mass), counts))
+        classes.sort(key=lambda c: c[0])
+        levels = []  # [reward, mass, mass-weighted counts]
+        for reward, mass, counts in classes:
+            if levels and reward - levels[-1][0] < mpmath.mpf(10) ** -20:
+                levels[-1][1] += mass
+                levels[-1][2] = [a + mass * c for a, c in zip(levels[-1][2], counts)]
+            else:
+                levels.append([reward, mass, [mass * c for c in counts]])
+        n = mpmath.mpf(N)
+        below = mpmath.mpf(0)
+        pis = []
+        for _, mass, _ in levels:
+            # S_le^N - S_lt^N = S_lt^N * expm1(N log1p(mass / S_lt)), with no
+            # cancellation near the top
+            pis.append(below**n * mpmath.expm1(n * mpmath.log1p(mass / below)) if below else mass**n)
+            below += mass
+        tilt = [mass * mpmath.exp(alpha * reward) for reward, mass, _ in levels]
+        z = mpmath.fsum(tilt)
+        kl_ref = mpmath.fsum(pi * mpmath.log(pi / lvl[1]) for pi, lvl in zip(pis, levels))
+        kl_tilt = mpmath.fsum(pi * mpmath.log(pi * z / t) for pi, t in zip(pis, tilt))
+        etype = [
+            mpmath.fsum(pi * lvl[2][k] / lvl[1] for pi, lvl in zip(pis, levels)) / m for k in range(K)
+        ]
+        reward = mpmath.fsum(pi * lvl[0] for pi, lvl in zip(pis, levels)) / m
+        return (
+            np.array([float(mpmath.log(pi)) for pi in pis]),
+            float(kl_ref),
+            float(kl_tilt),
+            np.array([float(x) for x in etype]),
+            float(reward),
+        )
+
+
+class TestLevelLaw:
+    @pytest.mark.parametrize("q_weights", [(6, 1, 2), (1, 3, 9)], ids=["demo", "lattice"])
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_matches_30_digits(self, q_weights, m):
+        # the demo pair (q = (2/3, 1/9, 2/9)) and the lattice q, at
+        # N = exp(m delta) and the budget's alpha, to 1e-12 relative
+        p_weights = (2, 3, 5)
+        p, q = make_distribution(p_weights), make_distribution(q_weights)
+        [sol] = solve_alpha_for_kl(q, p, [0.11])
+        N = math.exp(m * 0.11)
+        law = bon_type_law(p, q, m, N)
+        log_masses, kl_ref, kl_tilt, etype, reward = _mp_level_law(
+            p_weights, q_weights, m, N, sol.alpha
+        )
+        assert law.log_masses.size == log_masses.size
+        assert np.all(np.abs(law.log_masses - log_masses) <= 1e-12 * np.abs(log_masses))
+        assert abs(bon_kl_to_tilt(law, 0.0) - kl_ref) <= 1e-12 * abs(kl_ref)
+        assert abs(bon_kl_to_tilt(law, sol.alpha) - kl_tilt) <= 1e-12 * abs(kl_tilt)
+        assert np.all(np.abs(bon_expected_type(law) - etype) <= 1e-12 * etype)
+        assert abs(expected_reward_rate(law) - reward) <= 1e-12 * abs(reward)
+
+    @pytest.mark.parametrize("m", [50, 200, 400])
+    def test_decomposition_identity(self, demo_p, demo_q, m):
+        # D(pi_N || phi^m) = D(pi_N || p^m) - m D(phi || p) + alpha m (E_phi - E_pi)
+        # per-symbol rewards, at N = exp(m delta); K = 4 stops at m = 200,
+        # where C(m + 3, 3) is still under TYPE_CAP
+        rng = np.random.default_rng(21)
+        pairs = [(demo_p, demo_q, 0.11), (*random_pair(rng, 3), 0.05), (*random_pair(rng, 4), 0.05)]
+        for p, q, delta in pairs[: 3 if m <= 200 else 2]:
+            [sol] = solve_alpha_for_kl(q, p, [delta])
+            law = bon_type_law(p, q, m, math.exp(m * delta))
+            to_ref = bon_kl_to_tilt(law, 0.0)
+            gap = sol.expected_reward - expected_reward_rate(law)
+            identity = to_ref - m * sol.achieved_kl + sol.alpha * m * gap
+            assert abs(bon_kl_to_tilt(law, sol.alpha) - identity) <= 1e-10 * max(1.0, to_ref)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 60),
+        st.sampled_from(["random", "lattice", "equal"]),
+        st.one_of(st.sampled_from([1, 2, 17]), st.floats(0.0, MAX_LOG_N).map(math.exp)),
+    )
+    def test_level_masses_sum_to_one(self, seed, m, kind, N):
+        # random q, the lattice q proportional to (1, 3, 9) with its 2m + 1
+        # levels, and q proportional to (1, 1, 2) with its m + 1
+        rng = np.random.default_rng(seed)
+        p, q = random_pair(rng, 3)
+        if kind != "random":
+            q = make_distribution((1, 3, 9) if kind == "lattice" else (1, 1, 2))
+        law = bon_type_law(p, q, m, N)
+        assert abs(float(np.exp(law.log_masses).sum()) - 1.0) <= 1e-12
+        assert abs(float(np.exp(law.ref_log_masses).sum()) - 1.0) <= 1e-12
+        assert np.all(np.diff(law.rewards) > 0.0)
+        assert np.all(np.abs(law.mean_counts.sum(axis=1) - m) <= 1e-12 * m)
+        if kind != "random":
+            assert law.log_masses.size == (2 * m + 1 if kind == "lattice" else m + 1)
+        if N == 1:
+            assert law.log_masses is law.ref_log_masses
 
 
 @st.composite

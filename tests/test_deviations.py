@@ -49,11 +49,10 @@ DEFAULT_GRID, DEFAULT_EPS = _PROBE.derived[3], _PROBE.get("eps")
 @pytest.mark.parametrize(
     "call",
     [
-        lambda phi, q: window_log_prob(bon_type_law(phi, phi, 3, 2), q, 0.6, 0.1),
         lambda phi, q: deviation_hit_count(phi, q, 0.6, 0.1, 10, 10, np.random.default_rng(0)),
         lambda phi, q: legendre_oracle(phi, q, 0.6),
     ],
-    ids=["window_log_prob", "deviation_hit_count", "legendre_oracle"],
+    ids=["deviation_hit_count", "legendre_oracle"],
 )
 def test_alphabet_mismatch(call):
     # phi over 3 symbols against q over 2, at a t inside q's reward range
@@ -173,6 +172,11 @@ class TestScaledCumulant:
         with pytest.raises(ValueError):
             scaled_cumulant(DEMO_PHI, demo_q, -0.5)
 
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_rho_rejected(self, demo_q, rho):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            scaled_cumulant(DEMO_PHI, demo_q, rho)
+
 
 class TestFiniteMCumulant:
     def test_m_one_is_definition(self, demo_p, demo_q):
@@ -195,6 +199,11 @@ class TestFiniteMCumulant:
     def test_rho_must_be_positive(self, demo_p, demo_q):
         with pytest.raises(ValueError):
             finite_m_cumulant_check(DEMO_PHI, demo_q, 0.0, 3)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_rho_must_be_finite(self, demo_q, rho):
+        with pytest.raises(ValueError, match="positive and finite"):
+            finite_m_cumulant_check(DEMO_PHI, demo_q, rho, 3)
 
 
 def _deviation_rate(p, q, delta, t, eps, m, trials, seed):
@@ -316,13 +325,13 @@ class TestHitCountAgainstExactLaw:
             phi = solve_alpha_for_kl(q, p, [0.11])[0].phi
             grid = default_probe_grid(cross_entropy(phi, q), DEFAULT_EPS)
         law = bon_type_law(phi, q, m, 1)
-        values = -(law.counts @ q.log_probs) / m
+        values = -law.rewards / m
         for i, t in enumerate(grid):
-            # no class value near an edge, so float rounding moves no trial
+            # no level value near an edge, so float rounding moves no trial
             # across the window
             for edge in (t - DEFAULT_EPS, t + DEFAULT_EPS):
                 assert np.min(np.abs(values - edge)) >= 1e-9
-            prob = math.exp(window_log_prob(law, q, t, DEFAULT_EPS))
+            prob = math.exp(window_log_prob(law, t, DEFAULT_EPS))
             rng = np.random.default_rng(2000 + i)
             hits = deviation_hit_count(phi, q, t, DEFAULT_EPS, m, trials, rng)
             assert abs(hits - trials * prob) <= 5.0 * math.sqrt(trials * prob * (1.0 - prob))
@@ -359,12 +368,23 @@ class TestWindowLogProb:
         law = bon_type_law(p, q, m, n)
         for t, eps in _windows(values):
             expected = math.log(float(pmf[np.abs(values - t) < eps].sum()))
-            assert window_log_prob(law, q, t, eps) == pytest.approx(expected, abs=1e-12)
+            assert window_log_prob(law, t, eps) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "t, eps",
+        [(math.nan, 0.05), (math.inf, 0.05), (1.1, 0.0), (1.1, -0.05), (1.1, math.nan)],
+        ids=["t-nan", "t-inf", "eps-zero", "eps-negative", "eps-nan"],
+    )
+    def test_invalid_window(self, demo_p, demo_q, t, eps):
+        # an unusable window is an error, not an empty window's -inf
+        law = bon_type_law(demo_p, demo_q, 2, 2)
+        with pytest.raises(ValueError, match="t must be finite and eps positive"):
+            window_log_prob(law, t, eps)
 
     def test_empty_window_is_minus_inf(self, demo_p, demo_q):
         # at m = 2 the per-symbol values nearest 1.1 are 0.955 and 1.301
         law = bon_type_law(demo_p, demo_q, 2, 2)
-        assert window_log_prob(law, demo_q, 1.1, 0.01) == -math.inf
+        assert window_log_prob(law, 1.1, 0.01) == -math.inf
 
     def test_sampled_winners_within_five_sigma(self, demo_p, demo_q):
         # 20,000 best-of-8 draws at m = 10 from one seed; each window's hit
@@ -377,7 +397,7 @@ class TestWindowLogProb:
         )
         values = -demo_q.log_probs[winners].sum(axis=1) / m
         for t in (0.8, 0.9, 1.0, 1.1, 1.2):
-            prob = math.exp(window_log_prob(law, demo_q, t, eps))
+            prob = math.exp(window_log_prob(law, t, eps))
             hits = int(np.count_nonzero(np.abs(values - t) < eps))
             assert abs(hits - draws * prob) <= 5.0 * math.sqrt(draws * prob * (1.0 - prob)), t
 

@@ -128,6 +128,11 @@ class TestRenyiCrossEntropy:
         with pytest.raises(NonPositiveOrder):
             renyi_cross_entropy(demo_p, demo_q, -1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_order(self, demo_p, demo_q, t):
+        with pytest.raises(NonPositiveOrder, match="positive and finite"):
+            renyi_cross_entropy(demo_p, demo_q, t)
+
 
 class TestProductAdditivity:
     def test_cross_entropy_additive_over_products(self):
