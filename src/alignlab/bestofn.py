@@ -1,20 +1,21 @@
-"""Exact and sampled best-of-N policies.
+"""Exact best-of-N policies.
 
 A best-of-N policy draws N candidates i.i.d. from a reference distribution and
 returns one of maximal reward, breaking ties uniformly at random.  Its exact
-PMF only depends on an outcome through its reward level: grouping outcomes
-into levels and forming stable cumulative powers gives the closed form
+law only depends on an outcome through its reward level:
 
     pi_N(y) = p(y) / P(level(y)) * (S_le(y)^N - S_lt(y)^N),
 
 where S_le / S_lt are the cumulative reference masses at / strictly below the
-outcome's reward level.  The levels do not depend on N, so a grid of N over
-a flat outcome space is grouped once (``bon_exact_pmf``).  Over length-m
-sequences with a memoryless reference and the additive reward log q^m(y),
-best-of-N and every tilt of p^m reweight whole reward levels of p^m, so
-``bon_type_law`` returns a ``LevelLaw`` built from the type classes, and
-every exact sequence quantity is a sum over its levels.  N enters only as a
-multiplier of log masses, which admits the N = exp(m * delta) regime.
+outcome's reward level.  One blocked pass over the levels gives the level
+masses log(S_le^N - S_lt^N), one row per N.  Over a flat outcome space
+``bon_exact_pmf`` groups the outcomes once and gathers each outcome's entry
+from those rows.  Over length-m sequences with a memoryless reference and
+the additive reward log q^m(y), best-of-N and every tilt of p^m reweight
+whole reward levels of p^m, so ``bon_type_law`` keeps the one row as a
+``LevelLaw`` on the levels of the type classes, and every exact sequence
+quantity is a sum over its levels.  N enters only as a multiplier of log
+masses, which admits the N = exp(m * delta) regime.
 """
 
 from __future__ import annotations
@@ -26,21 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
+    LEVEL_BLOCK,
     CategoricalDistribution,
     from_log_weights,
     log_class_sizes,
-    normalized_log_weights,
     type_counts_matrix,
 )
 from .errors import InvalidN, LengthMismatch, SizeOverflow
 from .logspace import cumulative_log_probs, log_power_diff
 from .metrics import _check_same_alphabet
+from .tilting import _tilt_log_probs
 
 REWARD_TIE_TOL = 1e-12
 REWARD_TIE_ULPS = 8
-# reward levels per block of the level passes; the block's temporaries are
-# a few arrays of this many levels (times the number of N rows)
-LEVEL_BLOCK = 4096
 ORACLE_TUPLE_CAP = 10_000_000
 # bon_type_law's N is at most exp(MAX_LOG_N): N multiplies log masses, and
 # level log masses stay finite up to this bound
@@ -88,12 +87,15 @@ def group_reward_levels(
     is log S_le of level i.  ``cums[0]`` is -inf and the top ``cums[-1]`` is
     pinned to exactly log 1.  The level masses are reduced ``LEVEL_BLOCK``
     levels at a time; when every level has one member they are the sorted
-    log probabilities themselves, the bits the reduction gives.
+    log probabilities themselves, the bits the reduction gives.  Non-finite
+    rewards raise ValueError.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     rw = np.asarray(rewards, dtype=np.float64)
     if lp.shape != rw.shape:
         raise LengthMismatch(f"{lp.size} probabilities vs {rw.size} rewards")
+    if not np.all(np.isfinite(rw)):
+        raise ValueError("rewards must be finite")
     order = np.argsort(rw, kind="stable")
     tol = REWARD_TIE_TOL
     if order.size:
@@ -122,34 +124,28 @@ def group_reward_levels(
     return order, sizes, lps[1:], cums
 
 
-def _level_picks(level_lps: np.ndarray, cums: np.ndarray, n_eff: np.ndarray):
-    """Yield ``(lo, hi, picks)`` per ``LEVEL_BLOCK`` levels: the best-of-N log
-    masses log(S_le^N - S_lt^N) of levels ``lo:hi``, one row per N of the
-    column ``n_eff``, from the stored cumulatives ``cums`` (pinned to exactly
-    log 1 at the top): N amplifies any error in log S near the top N-fold."""
+def _level_log_masses(level_lps: np.ndarray, cums: np.ndarray, ns) -> np.ndarray:
+    """The best-of-N log masses log(S_le^N - S_lt^N) of the levels, one row
+    per N of the 1-D ``ns``, ``LEVEL_BLOCK`` levels at a time, from the
+    stored cumulatives ``cums`` (pinned to exactly log 1 at the top): N
+    amplifies any error in log S near the top N-fold."""
+    n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
+    out = np.empty((n_eff.size, level_lps.size))
     for lo in range(0, level_lps.size, LEVEL_BLOCK):
         hi = min(lo + LEVEL_BLOCK, level_lps.size)
-        yield lo, hi, log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], level_lps[lo:hi])
+        out[:, lo:hi] = log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], level_lps[lo:hi])
+    return out
 
 
 def _winner_log_probs(log_probs: np.ndarray, rewards: np.ndarray, ns) -> np.ndarray:
     """Per-outcome log probability under best-of-N with uniform tie-breaking,
-    one row per N of the 1-D ``ns``; the outcomes are grouped into levels once.
-
-    An outcome takes its share p(y) / P(level) of its level's pick mass.  The
-    levels are scattered to their outcomes a block at a time, so the
-    temporaries are per block, not per outcome.
-    """
-    n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
+    one row per N of the 1-D ``ns``: an outcome takes its share p(y) / P(level)
+    of its level's mass, the levels grouped once."""
     order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
-    out = np.empty((n_eff.size, np.size(log_probs)))
-    stop = 0
-    for lo, hi, picks in _level_picks(level_lps, cums, n_eff):
-        size = sizes[lo:hi]
-        start, stop = stop, stop + int(size.sum())
-        members = order[start:stop]
-        base = log_probs[members] - np.repeat(level_lps[lo:hi], size)
-        out[:, members] = base + np.repeat(picks, size, axis=1)
+    level = np.empty_like(order)
+    level[order] = np.repeat(np.arange(sizes.size), sizes)
+    out = np.take(_level_log_masses(level_lps, cums, ns), level, axis=1)
+    out += log_probs - level_lps[level]
     return out
 
 
@@ -179,6 +175,8 @@ def bon_exact_pmf(
     rw = np.asarray(rewards, dtype=np.float64)
     if rw.shape != (outcome_probs.K,):
         raise LengthMismatch(f"{outcome_probs.K} outcomes vs {rw.size} rewards")
+    if not np.all(np.isfinite(rw)):
+        raise ValueError("rewards must be finite")
     for N in ns:
         _check_n(N)
     pmfs = [outcome_probs] * len(ns)
@@ -202,9 +200,8 @@ def bon_type_law(p: CategoricalDistribution, q: CategoricalDistribution, m: int,
     the law of p^m itself, whose ``log_masses`` are its ``ref_log_masses``.
     """
     _check_same_alphabet(p, q)
-    if isinstance(N, bool) or not isinstance(N, (int, float, np.integer)) or not (
-        1 <= N <= math.exp(MAX_LOG_N)
-    ):
+    number = isinstance(N, (int, float, np.integer)) and not isinstance(N, bool)
+    if not (number and 1 <= N <= math.exp(MAX_LOG_N)):
         raise InvalidN(f"N must be a number in [1, exp({MAX_LOG_N})], got {N!r}")
     counts = type_counts_matrix(m, p.K)
     masses = log_class_sizes(counts)
@@ -228,11 +225,10 @@ def bon_type_law(p: CategoricalDistribution, q: CategoricalDistribution, m: int,
     del counts, order, column
     log_masses = ref_lps
     if N != 1:
-        log_masses = np.empty_like(ref_lps)
-        for lo, hi, picks in _level_picks(ref_lps, cums, np.array([[float(N)]])):
-            # the top level's log 1 may come out as -0.0; adding 0.0 gives
-            # the +0.0 of the per-outcome form and leaves every other value
-            log_masses[lo:hi] = picks[0] + 0.0
+        [log_masses] = _level_log_masses(ref_lps, cums, [float(N)])
+        # the top level's log 1 may come out as -0.0; adding 0.0 gives the
+        # +0.0 of the per-outcome form and leaves every other value
+        log_masses += 0.0
     return LevelLaw(m, level_rewards, ref_lps, log_masses, mean_counts)
 
 
@@ -290,15 +286,15 @@ def bon_expected_type(law: LevelLaw) -> np.ndarray:
 def bon_kl_to_tilt(law: LevelLaw, alpha: float) -> float:
     """Exact D(law || T(q, p, alpha)^m) as a sum over the law's levels.
 
-    The tilt of p^m reweights each level by exp(alpha * reward), normalized
-    over the same levels; alpha = 0 is p^m itself, whose level masses are
-    taken as they are, so the law of p^m reads exactly 0.
+    The tilt kernel reweights each level by exp(alpha * (reward - top
+    reward)), normalized over the same levels; alpha = 0 is p^m itself,
+    whose level masses are taken as is, so the law of p^m reads exactly 0.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     target = law.ref_log_masses
     if alpha != 0.0:
-        target = normalized_log_weights(target + alpha * law.rewards)
+        [target] = _tilt_log_probs(target, law.rewards - law.rewards[-1], [alpha])
     return float(np.sum(np.exp(law.log_masses) * (law.log_masses - target)))
 
 

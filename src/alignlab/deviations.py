@@ -108,12 +108,16 @@ def finite_m_cumulant_check(
     return lhs, scaled_cumulant(phi, q, rho).value
 
 
+def _check_window(t: float, eps: float) -> None:
+    if not (math.isfinite(t) and eps > 0.0):
+        raise ValueError(f"t must be finite and eps positive, got t={t!r}, eps={eps!r}")
+
+
 def window_log_prob(law: LevelLaw, t: float, eps: float) -> float:
     """log P(|-(1/m) log q^m(Y) - t| < eps) for Y drawn from a level law: one
     masked log-sum-exp of the level log masses, over the same open window
     :func:`deviation_hit_count` counts; -inf when no level lies in it."""
-    if not (math.isfinite(t) and eps > 0.0):
-        raise ValueError(f"t must be finite and eps positive, got t={t!r}, eps={eps!r}")
+    _check_window(t, eps)
     return logsumexp(law.log_masses[np.abs(-law.rewards / law.m - t) < eps])
 
 
@@ -136,6 +140,7 @@ def deviation_hit_count(
     on the same generator continues where the first stopped.
     """
     _check_same_alphabet(phi, q)
+    _check_window(t, eps)
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
     if m > MAX_TRIAL_M:
@@ -156,6 +161,8 @@ def rate_from_hits(hits: int, trials: int, m: int) -> float | None:
     None when no trial hit the window (an honest zero-hit outcome, never
     substituted by infinity), and +0.0 when every trial did.
     """
+    if not (trials >= 1 and m >= 1 and 0 <= hits <= trials):
+        raise ValueError(f"need trials, m >= 1 and 0 <= hits <= trials: {hits=}, {trials=}, {m=}")
     if hits == 0:
         return None
     return 0.0 if hits == trials else -math.log(hits / trials) / m

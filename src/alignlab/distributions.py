@@ -15,6 +15,10 @@ import numpy as np
 from .errors import AlphabetTooSmall, NonPositiveWeight, SizeOverflow
 
 TYPE_CAP = 10_000_000
+# rows per block of the blocked passes over type classes and reward levels;
+# a block's temporaries are a few arrays of this many rows (times K, or the
+# number of N)
+LEVEL_BLOCK = 4096
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -134,39 +138,24 @@ def type_counts_matrix(m: int, K: int) -> np.ndarray:
 
 
 def log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
-    """Row-wise log multinomial coefficients of a counts matrix.
+    """Row-wise log multinomial coefficients of a counts matrix, with the bits
+    of ``log_factorials[counts_matrix].sum(axis=1)``.
 
-    The log factorials are gathered one column at a time and added in the
-    order of numpy's pairwise row sum (``_row_sum``), so each row gets the
-    bits of ``log_factorials[counts_matrix].sum(axis=1)`` without forming
-    that (n_types, K) array.
+    numpy adds fewer than 8 items of a row one by one, so below 8 columns
+    the gathered columns are added in turn; from 8 on, numpy's own row sum
+    runs over ``LEVEL_BLOCK`` rows at a time, and only a block of the
+    gathered array exists at once.
     """
     m = int(counts_matrix[0].sum())
     log_factorials = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
-    total = _row_sum(lambda j: log_factorials[counts_matrix[:, j]], 0, counts_matrix.shape[1])
+    n, K = counts_matrix.shape
+    if K < 8:
+        total = log_factorials[counts_matrix[:, 0]]
+        for j in range(1, K):
+            total += log_factorials[counts_matrix[:, j]]
+    else:
+        total = np.empty(n)
+        for lo in range(0, n, LEVEL_BLOCK):
+            block = slice(lo, lo + LEVEL_BLOCK)
+            total[block] = log_factorials[counts_matrix[block]].sum(axis=1)
     return np.subtract(math.lgamma(m + 1.0), total, out=total)
-
-
-def _row_sum(column, lo: int, hi: int) -> np.ndarray:
-    """Sum of the nonnegative columns ``column(lo)`` .. ``column(hi - 1)``
-    (each a fresh 1-D array) in the order numpy's pairwise summation adds the
-    items of one C-contiguous row: one by one below 8 items; 8 running
-    partial sums, combined as a tree, up to 128; above that, halves split at
-    a multiple of 8."""
-    n = hi - lo
-    if n < 8:
-        total = column(lo)
-        for j in range(lo + 1, hi):
-            total += column(j)
-        return total
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _row_sum(column, lo, lo + half) + _row_sum(column, lo + half, hi)
-    r = [column(lo + j) for j in range(8)]
-    stop = hi - n % 8
-    for j in range(lo + 8, stop):
-        r[(j - lo) % 8] += column(j)
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(stop, hi):
-        total += column(j)
-    return total

@@ -32,7 +32,9 @@ from alignlab import (
 
 from alignlab import bestofn
 from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
+from alignlab.experiments import _dirichlet_interior, default_n_grid
 from alignlab.logspace import cumulative_log_probs, log1mexp, log_power_diff, logsumexp
+from alignlab.rng import spawn_generator
 
 from .conftest import (
     TERNARY_P,
@@ -125,6 +127,13 @@ class TestRewardLevels:
         with pytest.raises(LengthMismatch):
             group_reward_levels(demo_p.log_probs, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward(self, demo_p, bad):
+        # a NaN would sort last and join the top level; +-inf gives a NaN
+        # tie tolerance
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            group_reward_levels(demo_p.log_probs, [0.0, bad, 1.0])
+
     def test_ties_near_large_rewards(self):
         # near 1e4 one float spacing (1.8e-12) is above REWARD_TIE_TOL, so the
         # tolerance scales with |reward|: rewards a few spacings apart tie,
@@ -193,6 +202,13 @@ class TestBonExactPmf:
             bon_exact_pmf(demo_p, np.zeros(3), [0])
         with pytest.raises(InvalidN):
             bon_exact_pmf(demo_p, np.zeros(3), [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward(self, demo_p, bad):
+        # N = 1 never groups the levels, so the rewards are checked before
+        for ns in ([1], [2]):
+            with pytest.raises(ValueError, match="rewards must be finite"):
+                bon_exact_pmf(demo_p, [0.0, bad, 1.0], ns)
 
     def test_huge_n_concentrates(self, demo_p, demo_q):
         [pi] = bon_exact_pmf(demo_p, demo_q.log_probs, [10**9])
@@ -635,6 +651,22 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak <= 8.0e6
 
+    def test_flat_memory_guard(self):
+        # the first random-alphabet pair at K = 100,000 (seed 0) over the
+        # default N grid: the level masses and the gathered outcome rows,
+        # 12 rows each, then the 12 PMFs, stay below 24 MB traced
+        rng = spawn_generator(0, 0)
+        p = make_distribution(_dirichlet_interior(rng, 100_000))
+        q = make_distribution(_dirichlet_interior(rng, 100_000))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            bon_exact_pmf(p, q.log_probs, default_n_grid())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24.0e6
+
 
 class TestEnumerationOracle:
     def test_single_draw(self, demo_p, demo_q):
@@ -997,6 +1029,28 @@ class TestLevelLaw:
         assert abs(bon_kl_to_tilt(law, sol.alpha) - kl_tilt) <= 1e-12 * abs(kl_tilt)
         assert np.all(np.abs(bon_expected_type(law) - etype) <= 1e-12 * etype)
         assert abs(expected_reward_rate(law) - reward) <= 1e-12 * abs(reward)
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-5])
+    @pytest.mark.parametrize("m", [30, 60])
+    def test_kl_to_tilt_at_large_alpha(self, demo_p, s, m):
+        # a nearly uniform q puts alpha at ~5e3 (s = 1e-4) and ~5e4 (1e-5);
+        # the tilt is formed from the rewards less the top one, so the KL
+        # keeps 1e-14 against 30 digits run on the law's own level arrays
+        q = make_distribution((1 + s, 1, 1 - s / 2))
+        [sol] = solve_alpha_for_kl(q, demo_p, [0.05])
+        law = bon_type_law(demo_p, q, m, math.exp(0.05 * m))
+        with mpmath.workdps(30):
+            alpha = mpmath.mpf(sol.alpha)
+            levels = zip(law.ref_log_masses, law.rewards)
+            tilt = [mpmath.mpf(r) + alpha * mpmath.mpf(x) for r, x in levels]
+            log_z = mpmath.log(mpmath.fsum(mpmath.exp(w) for w in tilt))
+            exact = float(
+                mpmath.fsum(
+                    mpmath.exp(mpmath.mpf(lm)) * (mpmath.mpf(lm) - w + log_z)
+                    for lm, w in zip(law.log_masses, tilt)
+                )
+            )
+        assert abs(bon_kl_to_tilt(law, sol.alpha) - exact) <= 1e-14 * max(1.0, exact)
 
     @pytest.mark.parametrize("m", [50, 200, 400])
     def test_decomposition_identity(self, demo_p, demo_q, m):

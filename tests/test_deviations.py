@@ -303,6 +303,16 @@ class TestBatchedHitCounts:
         with pytest.raises(ValueError, match="m must be <="):
             deviation_hit_count(DEMO_PHI, demo_q, 1.19, 0.08, MAX_TRIAL_M + 1, 10, rng)
 
+    @pytest.mark.parametrize(
+        "hits, trials, m",
+        [(5, 0, 10), (11, 10, 10), (-1, 10, 10), (5, 10, 0)],
+        ids=["no-trials", "hits-above-trials", "negative-hits", "m-zero"],
+    )
+    def test_invalid_rate_inputs(self, hits, trials, m):
+        # no ZeroDivisionError and no negative rate
+        with pytest.raises(ValueError, match="0 <= hits <= trials"):
+            rate_from_hits(hits, trials, m)
+
 
 class TestHitCountAgainstExactLaw:
     """The Monte Carlo count against the exact window probability of phi^m."""
@@ -372,14 +382,24 @@ class TestWindowLogProb:
 
     @pytest.mark.parametrize(
         "t, eps",
-        [(math.nan, 0.05), (math.inf, 0.05), (1.1, 0.0), (1.1, -0.05), (1.1, math.nan)],
-        ids=["t-nan", "t-inf", "eps-zero", "eps-negative", "eps-nan"],
+        [
+            (math.nan, 0.05),
+            (math.inf, 0.05),
+            (-math.inf, 0.05),
+            (1.1, 0.0),
+            (1.1, -0.05),
+            (1.1, math.nan),
+        ],
+        ids=["t-nan", "t-inf", "t-minus-inf", "eps-zero", "eps-negative", "eps-nan"],
     )
     def test_invalid_window(self, demo_p, demo_q, t, eps):
-        # an unusable window is an error, not an empty window's -inf
+        # an unusable window is an error, not an empty window's -inf or a
+        # Monte Carlo count of 0
         law = bon_type_law(demo_p, demo_q, 2, 2)
         with pytest.raises(ValueError, match="t must be finite and eps positive"):
             window_log_prob(law, t, eps)
+        with pytest.raises(ValueError, match="t must be finite and eps positive"):
+            deviation_hit_count(DEMO_PHI, demo_q, t, eps, 10, 10, np.random.default_rng(3))
 
     def test_empty_window_is_minus_inf(self, demo_p, demo_q):
         # at m = 2 the per-symbol values nearest 1.1 are 0.955 and 1.301

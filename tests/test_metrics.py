@@ -11,6 +11,7 @@ from alignlab import (
     cross_entropy,
     entropy,
     kl_divergence,
+    kl_divergence_rows,
     make_distribution,
     renyi_cross_entropy,
 )
@@ -73,6 +74,31 @@ class TestKLDivergence:
             assert kl_divergence(p, q) == pytest.approx(
                 cross_entropy(p, q) - entropy(p), abs=1e-12
             )
+
+
+class TestKLDivergenceRows:
+    @pytest.mark.parametrize("K", [2, 3, 10, 100])
+    def test_interior_rows_match_kl_divergence(self, K):
+        rng = np.random.default_rng(K)
+        p = make_distribution(rng.dirichlet(np.ones(K)))
+        points = [make_distribution(rng.dirichlet(np.ones(K))) for _ in range(20)]
+        rows = kl_divergence_rows(np.array([v.probs() for v in points]), p.probs())
+        for v, row in zip(points, rows):
+            assert row == pytest.approx(kl_divergence(v, p), rel=1e-14)
+
+    def test_vertex_takes_zero_log_zero(self, demo_p):
+        # 0 log 0 = 0: only the vertex's own symbol contributes
+        vertex = np.array([1.0, 0.0, 0.0])
+        assert kl_divergence_rows(vertex, demo_p.probs()) == -math.log(demo_p.probs()[0])
+
+    def test_batch_equals_rows_one_at_a_time(self, demo_p):
+        rng = np.random.default_rng(3)
+        batch = rng.dirichlet(np.ones(3), size=50)
+        batch[:5, 1] = 0.0  # boundary rows too
+        batch[:5] /= batch[:5].sum(axis=1, keepdims=True)
+        ref = demo_p.probs()
+        rows = kl_divergence_rows(batch, ref)
+        assert rows.tobytes() == np.array([kl_divergence_rows(v, ref) for v in batch]).tobytes()
 
 
 class TestEntropy:
