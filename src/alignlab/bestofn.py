@@ -9,8 +9,11 @@ law only depends on an outcome through its reward level:
 where S_le / S_lt are the cumulative reference masses at / strictly below the
 outcome's reward level.  One blocked pass over the levels gives the level
 masses log(S_le^N - S_lt^N), one row per N.  Over a flat outcome space
-``bon_exact_pmf`` groups the outcomes once and gathers each outcome's entry
-from those rows.  Over length-m sequences with a memoryless reference and
+``bon_exact_pmf`` groups the outcomes once, scatters each block of level
+masses to its outcomes' columns, and returns the log PMFs as one read-only
+(len(ns), K) array, normalized and validated as a block;
+``CategoricalDistribution(row)`` wraps a row where an object is wanted.
+Over length-m sequences with a memoryless reference and
 the additive reward log q^m(y), best-of-N and every tilt of p^m reweight
 whole reward levels of p^m, so ``bon_type_law`` keeps the one row as a
 ``LevelLaw`` on the levels of the type classes, and every exact sequence
@@ -29,8 +32,8 @@ import numpy as np
 from .distributions import (
     LEVEL_BLOCK,
     CategoricalDistribution,
-    from_log_weights,
     log_class_sizes,
+    normalize_rows,
     type_counts_matrix,
 )
 from .errors import InvalidN, LengthMismatch, SizeOverflow
@@ -124,28 +127,40 @@ def group_reward_levels(
     return order, sizes, lps[1:], cums
 
 
-def _level_log_masses(level_lps: np.ndarray, cums: np.ndarray, ns) -> np.ndarray:
+def _level_log_mass_blocks(level_lps: np.ndarray, cums: np.ndarray, ns):
     """The best-of-N log masses log(S_le^N - S_lt^N) of the levels, one row
-    per N of the 1-D ``ns``, ``LEVEL_BLOCK`` levels at a time, from the
-    stored cumulatives ``cums`` (pinned to exactly log 1 at the top): N
-    amplifies any error in log S near the top N-fold."""
+    per N of the 1-D ``ns``, as ``(lo, hi, masses)`` for levels lo:hi,
+    ``LEVEL_BLOCK`` levels at a time, from the stored cumulatives ``cums``
+    (pinned to exactly log 1 at the top): N amplifies any error in log S
+    near the top N-fold."""
     n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
-    out = np.empty((n_eff.size, level_lps.size))
     for lo in range(0, level_lps.size, LEVEL_BLOCK):
         hi = min(lo + LEVEL_BLOCK, level_lps.size)
-        out[:, lo:hi] = log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], level_lps[lo:hi])
-    return out
+        yield lo, hi, log_power_diff(n_eff, cums[lo:hi], cums[lo + 1 : hi + 1], level_lps[lo:hi])
 
 
-def _winner_log_probs(log_probs: np.ndarray, rewards: np.ndarray, ns) -> np.ndarray:
+def _winner_log_probs(
+    log_probs: np.ndarray, rewards: np.ndarray, ns, out: np.ndarray | None = None, rows=slice(None)
+) -> np.ndarray:
     """Per-outcome log probability under best-of-N with uniform tie-breaking,
     one row per N of the 1-D ``ns``: an outcome takes its share p(y) / P(level)
-    of its level's mass, the levels grouped once."""
+    of its level's mass, the levels grouped once.  The rows go to ``out[rows]``
+    (a new array by default): each block of levels is scattered to its
+    members' columns as it is formed, ``LEVEL_BLOCK`` members at a time, so
+    tied levels with many members add no (len(ns), K) temporary."""
     order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
-    level = np.empty_like(order)
-    level[order] = np.repeat(np.arange(sizes.size), sizes)
-    out = np.take(_level_log_masses(level_lps, cums, ns), level, axis=1)
-    out += log_probs - level_lps[level]
+    if out is None:
+        out = np.empty((len(ns), order.size))
+    stop = 0
+    for lo, hi, masses in _level_log_mass_blocks(level_lps, cums, ns):
+        size = sizes[lo:hi]
+        start, stop = stop, stop + int(size.sum())
+        block_members, levels = order[start:stop], np.repeat(np.arange(hi - lo), size)
+        for at in range(0, stop - start, LEVEL_BLOCK):
+            members, level = block_members[at : at + LEVEL_BLOCK], levels[at : at + LEVEL_BLOCK]
+            picks = np.take(masses, level, axis=1)
+            picks += log_probs[members] - level_lps[lo:hi][level]
+            out[rows, members] = picks
     return out
 
 
@@ -166,12 +181,13 @@ def _check_oracle_size(K: int, m: int, N: int) -> None:
         raise SizeOverflow(f"(K^m)^n must be <= {ORACLE_TUPLE_CAP}, got K={K}, m={m}, n={N}")
 
 
-def bon_exact_pmf(
-    outcome_probs: CategoricalDistribution, rewards, ns
-) -> list[CategoricalDistribution]:
-    """Exact best-of-N PMF over a flat outcome space at each N of ``ns``,
-    with the outcomes grouped into reward levels once; N = 1 gives
-    ``outcome_probs`` itself."""
+def bon_exact_pmf(outcome_probs: CategoricalDistribution, rewards, ns) -> np.ndarray:
+    """Exact best-of-N log PMFs over a flat outcome space, one row per N of
+    ``ns``, as one read-only (len(ns), K) array; the outcomes are grouped
+    into reward levels once.  An N = 1 row is ``outcome_probs.log_probs``,
+    and every other row has the bits ``from_log_weights`` gives it, checked
+    as a ``CategoricalDistribution`` is: ``CategoricalDistribution(row)``
+    wraps one."""
     rw = np.asarray(rewards, dtype=np.float64)
     if rw.shape != (outcome_probs.K,):
         raise LengthMismatch(f"{outcome_probs.K} outcomes vs {rw.size} rewards")
@@ -179,12 +195,14 @@ def bon_exact_pmf(
         raise ValueError("rewards must be finite")
     for N in ns:
         _check_n(N)
-    pmfs = [outcome_probs] * len(ns)
+    pmfs = np.empty((len(ns), outcome_probs.K))
+    pmfs[:] = outcome_probs.log_probs
     drawn = [i for i, N in enumerate(ns) if N != 1]
     if drawn:
-        log_pi = _winner_log_probs(outcome_probs.log_probs, rw, [float(ns[i]) for i in drawn])
-        for i, row in zip(drawn, log_pi):
-            pmfs[i] = from_log_weights(row)
+        n_drawn = [float(ns[i]) for i in drawn]
+        _winner_log_probs(outcome_probs.log_probs, rw, n_drawn, pmfs, np.array(drawn)[:, None])
+        normalize_rows(pmfs, drawn)
+    pmfs.setflags(write=False)
     return pmfs
 
 
@@ -225,7 +243,9 @@ def bon_type_law(p: CategoricalDistribution, q: CategoricalDistribution, m: int,
     del counts, order, column
     log_masses = ref_lps
     if N != 1:
-        [log_masses] = _level_log_masses(ref_lps, cums, [float(N)])
+        log_masses = np.empty(ref_lps.size)
+        for lo, hi, masses in _level_log_mass_blocks(ref_lps, cums, [float(N)]):
+            log_masses[lo:hi] = masses[0]
         # the top level's log 1 may come out as -0.0; adding 0.0 gives the
         # +0.0 of the per-outcome form and leaves every other value
         log_masses += 0.0

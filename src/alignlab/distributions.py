@@ -39,11 +39,7 @@ class CategoricalDistribution:
         arr = _frozen_array(self.log_probs, np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise AlphabetTooSmall("log_probs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise NonPositiveWeight("log probabilities must be finite (strict positivity)")
-        total = float(np.sum(np.exp(arr)))
-        if abs(total - 1.0) > _NORMALIZATION_TOL:
-            raise NonPositiveWeight(f"probabilities sum to {total!r}, not 1")
+        check_log_probs(arr)
         object.__setattr__(self, "log_probs", arr)
 
     @property
@@ -92,17 +88,61 @@ def from_log_weights(log_weights) -> CategoricalDistribution:
     return CategoricalDistribution(normalized_log_weights(arr))
 
 
-def normalized_log_weights(arr: np.ndarray) -> np.ndarray:
+def normalized_log_weights(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The log probabilities ``from_log_weights`` stores, without validation;
-    row by row for a 2-D array.
+    row by row for a 2-D array, in place when ``out`` is ``arr``.
 
     Each row's normalizer is ``math.log`` of its total: ``np.log`` rounds a
     few floats differently, and a row must get the bits of the 1-D call.
     """
-    shifted = arr - np.maximum.reduce(arr, axis=-1, keepdims=True)
+    shifted = np.subtract(arr, np.maximum.reduce(arr, axis=-1, keepdims=True), out=out)
     totals = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     shifted -= np.array([math.log(t) for t in totals.flat]).reshape(totals.shape)
     return shifted
+
+
+def check_log_probs(arr: np.ndarray) -> None:
+    """The check every ``CategoricalDistribution`` passes, on each row of a
+    1-D or 2-D array: finite log probabilities whose probabilities sum to 1
+    within ``_NORMALIZATION_TOL``; NonPositiveWeight otherwise."""
+    if not np.all(np.isfinite(arr)):
+        raise NonPositiveWeight("log probabilities must be finite (strict positivity)")
+    for total in np.add.reduce(np.exp(arr), axis=-1).reshape(-1).tolist():
+        if abs(total - 1.0) > _NORMALIZATION_TOL:
+            raise NonPositiveWeight(f"probabilities sum to {total!r}, not 1")
+
+
+def normalize_rows(arr: np.ndarray, rows: list) -> None:
+    """Normalize the listed rows of the 2-D ``arr`` of log weights in place,
+    each to the bits ``from_log_weights`` gives it alone, and validate them
+    as ``CategoricalDistribution`` does.
+
+    The rows go a block at a time, of at most ``len(rows) * LEVEL_BLOCK``
+    values (all of them at once up to ``LEVEL_BLOCK`` columns), so the
+    temporaries stay a block's size.
+    """
+    step = max(1, len(rows) * LEVEL_BLOCK // arr.shape[1])
+    for lo in range(0, len(rows), step):
+        index = rows[lo : lo + step]
+        block = arr[index]
+        if not np.all(np.isfinite(block)):
+            raise NonPositiveWeight("log weights must be finite")
+        normalized_log_weights(block, out=block)
+        check_log_probs(block)
+        arr[index] = block
+
+
+def distributions_from_rows(rows: np.ndarray) -> list[CategoricalDistribution]:
+    """One ``CategoricalDistribution`` per row of the 2-D ``rows``, validated
+    as one block: each holds a read-only view of its row, not a copy."""
+    check_log_probs(rows)
+    rows.setflags(write=False)
+    dists = []
+    for row in rows:
+        dist = object.__new__(CategoricalDistribution)
+        object.__setattr__(dist, "log_probs", row)
+        dists.append(dist)
+    return dists
 
 
 def type_counts_matrix(m: int, K: int) -> np.ndarray:

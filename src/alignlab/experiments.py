@@ -44,7 +44,7 @@ from .deviations import (
     window_log_prob,
 )
 from .errors import AlignlabError, InvalidN
-from .metrics import cross_entropy, kl_divergence, kl_divergence_rows
+from .metrics import cross_entropy, kl_divergence, kl_divergence_log_rows, kl_divergence_rows
 from .rng import spawn_generator
 from .tilting import (
     FEASIBILITY_MARGIN,
@@ -287,9 +287,7 @@ def run_example1(config: ExperimentConfig) -> ExperimentReport:
     m, n = config.get("m"), config.get("n")
     seq_lp = sequence_space_log_probs(p, m)
     seq_rw = sequence_space_log_probs(q, m)
-    outcome_dist = from_log_weights(seq_lp)
-    [pmf] = bon_exact_pmf(outcome_dist, seq_rw, [n])
-    pi = pmf.probs()
+    pi = np.exp(bon_exact_pmf(from_log_weights(seq_lp), seq_rw, [n])[0])
     K = p.K
     joint = pi.reshape((K,) * m)
     marginal_first = joint.reshape(K, -1).sum(axis=1)
@@ -589,7 +587,7 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
     For each random pair the tilt is solved at the budget best-of-N actually
     spent, delta = D(pi_N || p); budgets that reach the family's numerical
     boundary are clamped just inside it (counted in the report).  A pair's
-    whole N grid is one best-of-N grid call and one tilt grid solve.
+    whole N grid is one best-of-N call, one tilt solve and two row-KL calls.
     """
     started = time.perf_counter()
     K, n_seeds, n_grid = config.get("K"), config.get("seeds"), config.get("n_grid")
@@ -605,16 +603,16 @@ def run_random_alphabet(config: ExperimentConfig) -> ExperimentReport:
         q = make_distribution(_dirichlet_interior(rng, K))
         cap = max_achievable_kl(q, p) - 2 * FEASIBILITY_MARGIN
         pis = bon_exact_pmf(p, q.log_probs, [int(n) for n in n_grid])
-        deltas = [kl_divergence(pi, p) for pi in pis]
+        deltas = kl_divergence_log_rows(pis, p.log_probs).tolist()
         tilts = solve_alpha_for_kl(q, p, [min(delta, cap) for delta in deltas])
-        for n, pi, delta, tilt in zip(n_grid, pis, deltas, tilts):
+        phis = np.array([tilt.phi.log_probs for tilt in tilts])
+        for n, delta, d in zip(n_grid, deltas, kl_divergence_log_rows(pis, phis).tolist()):
             max_kl_bound_excess = max(max_kl_bound_excess, delta - math.log(n))
             max_kl_bound_log_n_minus_excess = max(
                 max_kl_bound_log_n_minus_excess, delta - (math.log(n) - (n - 1) / n)
             )
             clamped = delta >= cap
             clamp_count += clamped
-            d = kl_divergence(pi, tilt.phi)
             max_d = max(max_d, d)
             rows.append((s, int(n), delta, d, clamped))
 

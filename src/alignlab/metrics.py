@@ -27,7 +27,16 @@ def cross_entropy(p: CategoricalDistribution, q: CategoricalDistribution) -> flo
 def kl_divergence(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
     """D(p||q) = sum_k p_k log(p_k/q_k); nonnegative, zero iff p == q."""
     _check_same_alphabet(p, q)
-    return float(np.sum(np.exp(p.log_probs) * (p.log_probs - q.log_probs)))
+    return float(kl_divergence_log_rows(p.log_probs, q.log_probs))
+
+
+def kl_divergence_log_rows(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """D(p_i || q_i) row by row from log probabilities, the rows of ``log_p``
+    against those of ``log_q`` (either may be one row, broadcast to the
+    other's): row i gets the bits ``kl_divergence`` gives on its pair."""
+    terms = np.subtract(log_p, log_q)
+    terms *= np.exp(log_p)
+    return np.add.reduce(terms, axis=-1)
 
 
 def kl_divergence_rows(v: np.ndarray, ref_probs: np.ndarray) -> np.ndarray:

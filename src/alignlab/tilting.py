@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, normalized_log_weights
+from .distributions import CategoricalDistribution, distributions_from_rows, normalized_log_weights
 from .errors import (
     AlphabetMismatch,
     DegenerateFamily,
@@ -87,7 +87,7 @@ def _tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndar
     1e4-1e7 for nearly uniform q).  A zero alpha's row is a copy of ``lp``."""
     weights = np.array(alphas)[:, None] * lq_top
     weights += lp
-    rows = normalized_log_weights(weights)
+    rows = normalized_log_weights(weights, out=weights)
     for i, alpha in enumerate(alphas):
         if alpha == 0.0:
             rows[i] = lp
@@ -157,7 +157,7 @@ def _lockstep(evaluate, lanes: list) -> list:
                 params.append(lanes[i].send(points[i]))
                 asking.append(i)
             except StopIteration as stop:
-                results[i] = stop.value
+                results[i], points[i] = stop.value, None
         if asking:
             for i, point in zip(asking, evaluate(params)):
                 points[i] = point
@@ -185,6 +185,10 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
     Newton or bisection steps taken.  Raises ``error`` if ``MAX_DOUBLINGS``
     run out before the bracket closes, or ``MAX_STEPS`` with neither stop
     reached.
+
+    A point's ``log_phi`` is a row of its round's (lanes, K) array.  A point
+    that the lane keeps past its round, and the point it returns, hold a
+    copy of that row instead, so that no round's array outlives its round.
     """
     # s = +1 where the value rises as x leaves 0; a product with s = +-1 is
     # exact, so at s = +1 these are the plain comparisons
@@ -199,7 +203,8 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
         raise error(f"could not bracket target {target!r}")
     lo, hi = sorted((0.0 if inside is None else inside[0], x))
     if inside is not None and s * (target - inside[1]) < s * (point[1] - target):
-        point = inside
+        point = _own_row(inside)
+    del inside
     goal = warp(target)[0]
     best = point
     stalled = False
@@ -207,7 +212,7 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
         x, value, slope = point[:3]
         r = value - target
         if abs(r) <= BISECTION_RESIDUAL:
-            return point, r, steps
+            return _own_row(point), r, steps
         nxt = math.nan
         warped = None if stalled else warp(value)
         if warped is not None and warped[1] * slope != 0.0:
@@ -221,6 +226,8 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
         stalled = newton and abs(point[1] - target) > 0.5 * abs(r)
         if abs(point[1] - target) < abs(best[1] - target):
             best = point
+        elif best[3].base is not None:
+            best = _own_row(best)
         if (point[1] < target) == increasing:
             lo = nxt
         else:
@@ -232,14 +239,27 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
                 f"no root for target {target!r} after {MAX_STEPS} steps: "
                 f"bracket [{lo!r}, {hi!r}], best residual {best[1] - target!r}"
             )
-    return best, best[1] - target, steps
+    return _own_row(best), best[1] - target, steps
 
 
-def _solution(found) -> TiltSolution:
-    """The ``TiltSolution`` of a lane's result: its final point, the residual
-    there and the steps taken."""
-    (x, _, _, log_phi, kl, reward), residual, steps = found
-    return TiltSolution(x, CategoricalDistribution(log_phi), kl, reward, steps, residual)
+def _own_row(point) -> tuple:
+    """``point`` with its own copy of its ``log_phi`` row, if it holds a view."""
+    if point[3].base is None:
+        return point
+    return point[:3] + (point[3].copy(),) + point[4:]
+
+
+def _solutions(found: list) -> list[TiltSolution]:
+    """The ``TiltSolution`` of each lane's result: its final point, the
+    residual there and the steps taken.  The final rows are validated as one
+    block, and each ``phi`` is a view of its row."""
+    if not found:
+        return []
+    phis = distributions_from_rows(np.array([point[3] for point, _, _ in found]))
+    return [
+        TiltSolution(x, phi, kl, reward, steps, residual)
+        for ((x, _, _, _, kl, reward), residual, steps), phi in zip(found, phis)
+    ]
 
 
 def solve_alpha_for_kl(
@@ -298,9 +318,9 @@ def solve_alpha_for_kl(
         for d in deltas
         if d != 0.0
     ]
-    found = iter(_lockstep(evaluate, lanes))
+    found = iter(_solutions(_lockstep(evaluate, lanes)))
     zero = TiltSolution(0.0, p, 0.0, float(reward))
-    return [zero if delta == 0.0 else _solution(next(found)) for delta in deltas]
+    return [zero if delta == 0.0 else next(found) for delta in deltas]
 
 
 def reward_target_range(q: CategoricalDistribution) -> tuple[float, float]:
@@ -345,4 +365,4 @@ def solve_beta_for_reward(
     # searches only the root's side of 0
     h0 = -float(_log_q_moments(lp, lq)[1])
     lanes = [_lane(1.0 if t < h0 else -1.0, t, False, warp, TargetOutOfRange) for t in ts]
-    return [_solution(found) for found in _lockstep(evaluate, lanes)]
+    return _solutions(_lockstep(evaluate, lanes))

@@ -7,14 +7,23 @@ import pytest
 from hypothesis import settings
 
 from alignlab import (
+    CategoricalDistribution,
+    TiltSolution,
+    from_log_weights,
     group_reward_levels,
     make_distribution,
     mismatched_tilt,
     sequence_space_log_probs,
 )
 from alignlab.bestofn import REWARD_TIE_TOL, _check_n
-from alignlab.distributions import log_class_sizes, type_counts_matrix
+from alignlab.distributions import (
+    LEVEL_BLOCK,
+    log_class_sizes,
+    normalized_log_weights,
+    type_counts_matrix,
+)
 from alignlab.errors import LengthMismatch
+from alignlab.logspace import log_power_diff
 from alignlab.metrics import _check_same_alphabet
 
 # Property tests draw the same examples on every run, so a tier-1 result
@@ -303,3 +312,55 @@ def ref_log_class_sizes(counts_matrix: np.ndarray) -> np.ndarray:
     m = int(counts_matrix[0].sum())
     log_factorials = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
     return math.lgamma(m + 1.0) - log_factorials[counts_matrix].sum(axis=1)
+
+
+# The flat best-of-N PMF, the KL and the tilt solutions' final build as they
+# were while every row was its own validated object: one from_log_weights
+# per drawn row, one kl_divergence per pair, one CategoricalDistribution per
+# lane.  The row arrays must keep their bits.
+
+
+def prior_winner_log_probs(log_probs: np.ndarray, rewards: np.ndarray, ns) -> np.ndarray:
+    order, sizes, level_lps, cums = group_reward_levels(log_probs, rewards)
+    level = np.empty_like(order)
+    level[order] = np.repeat(np.arange(sizes.size), sizes)
+    n_eff = np.asarray(ns, dtype=np.float64).reshape(-1, 1)
+    masses = np.empty((n_eff.size, level_lps.size))
+    for lo in range(0, level_lps.size, LEVEL_BLOCK):
+        hi = min(lo + LEVEL_BLOCK, level_lps.size)
+        cum_lt, cum_le = cums[lo:hi], cums[lo + 1 : hi + 1]
+        masses[:, lo:hi] = log_power_diff(n_eff, cum_lt, cum_le, level_lps[lo:hi])
+    out = np.take(masses, level, axis=1)
+    out += log_probs - level_lps[level]
+    return out
+
+
+def prior_bon_exact_pmf(outcome_probs, rewards, ns) -> list:
+    """One CategoricalDistribution per N; N = 1 gives ``outcome_probs``."""
+    rw = np.asarray(rewards, dtype=np.float64)
+    pmfs = [outcome_probs] * len(ns)
+    drawn = [i for i, N in enumerate(ns) if N != 1]
+    if drawn:
+        log_pi = prior_winner_log_probs(outcome_probs.log_probs, rw, [float(ns[i]) for i in drawn])
+        for i, row in zip(drawn, log_pi):
+            pmfs[i] = from_log_weights(row)
+    return pmfs
+
+
+def prior_kl_divergence(log_p: np.ndarray, log_q: np.ndarray) -> float:
+    return float(np.sum(np.exp(log_p) * (log_p - log_q)))
+
+
+def prior_tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np.ndarray:
+    weights = np.array(alphas)[:, None] * lq_top
+    weights += lp
+    rows = normalized_log_weights(weights)
+    for i, alpha in enumerate(alphas):
+        if alpha == 0.0:
+            rows[i] = lp
+    return rows
+
+
+def prior_solution(found) -> TiltSolution:
+    (x, _, _, log_phi, kl, reward), residual, steps = found
+    return TiltSolution(x, CategoricalDistribution(log_phi), kl, reward, steps, residual)

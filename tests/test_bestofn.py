@@ -15,6 +15,7 @@ from alignlab import (
     CategoricalDistribution,
     InvalidN,
     LengthMismatch,
+    NonPositiveWeight,
     SizeOverflow,
     bon_enumeration_oracle,
     bon_exact_pmf,
@@ -30,7 +31,7 @@ from alignlab import (
     from_log_weights,
 )
 
-from alignlab import bestofn
+from alignlab import bestofn, distributions
 from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
 from alignlab.experiments import _dirichlet_interior, default_n_grid
 from alignlab.logspace import cumulative_log_probs, log1mexp, log_power_diff, logsumexp
@@ -43,6 +44,7 @@ from .conftest import (
     class_arrays,
     loop_bon_sample,
     one_member_levels,
+    prior_bon_exact_pmf,
     per_sequence_probs,
     random_pair,
     ref_cumulative_log_probs,
@@ -173,11 +175,11 @@ class TestRewardLevels:
 class TestBonExactPmf:
     def test_single_draw_is_reference(self, demo_p, demo_q):
         rewards = demo_q.log_probs
-        assert bon_exact_pmf(demo_p, rewards, [1])[0] is demo_p
+        assert bon_exact_pmf(demo_p, rewards, [1])[0].tobytes() == demo_p.log_probs.tobytes()
 
     def test_pair_joint_matches_fractions(self, demo_p, demo_q):
         probs, rewards = _pair_space(demo_p, demo_q)
-        pi = bon_exact_pmf(probs, rewards, [2])[0].probs()
+        pi = np.exp(bon_exact_pmf(probs, rewards, [2])[0])
         for (y1, y2), frac in PAIR_JOINT.items():
             assert abs(pi[3 * y1 + y2] - float(frac)) <= 1e-12
         marginal = pi.reshape(3, 3).sum(axis=1)
@@ -186,13 +188,13 @@ class TestBonExactPmf:
     def test_all_rewards_equal_preserves_reference(self, demo_p):
         for n in (2, 5, 100):
             [pi] = bon_exact_pmf(demo_p, np.zeros(3), [n])
-            assert np.max(np.abs(pi.probs() - demo_p.probs())) <= 1e-15
+            assert np.max(np.abs(np.exp(pi) - demo_p.probs())) <= 1e-15
 
     def test_hand_enumerated_binary(self):
         # symbol 0 wins any tuple containing it: pi(0) = 1 - 0.6^3
         p = make_distribution((0.4, 0.6))
         rewards = np.log(np.array([0.9, 0.1]))
-        pi = bon_exact_pmf(p, rewards, [3])[0].probs()
+        pi = np.exp(bon_exact_pmf(p, rewards, [3])[0])
         assert pi[0] == pytest.approx(0.784, abs=1e-12)
 
     def test_errors(self, demo_p):
@@ -212,9 +214,9 @@ class TestBonExactPmf:
 
     def test_huge_n_concentrates(self, demo_p, demo_q):
         [pi] = bon_exact_pmf(demo_p, demo_q.log_probs, [10**9])
-        probs = pi.probs()
+        probs = np.exp(pi)
         assert probs[0] == pytest.approx(1.0, abs=1e-9)
-        assert np.all(np.isfinite(pi.log_probs))
+        assert np.all(np.isfinite(pi))
 
 
 class TestBonTypeLaw:
@@ -653,8 +655,10 @@ class TestBlockedKernel:
 
     def test_flat_memory_guard(self):
         # the first random-alphabet pair at K = 100,000 (seed 0) over the
-        # default N grid: the level masses and the gathered outcome rows,
-        # 12 rows each, then the 12 PMFs, stay below 24 MB traced
+        # default N grid: the 12 output rows, one block of level masses and
+        # the sort, stay below 20 MB traced (15.1 MB; 21.6 MB when the whole
+        # level-mass array was gathered into a second array, then wrapped
+        # row by row)
         rng = spawn_generator(0, 0)
         p = make_distribution(_dirichlet_interior(rng, 100_000))
         q = make_distribution(_dirichlet_interior(rng, 100_000))
@@ -665,7 +669,7 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24.0e6
+        assert peak <= 20.0e6
 
 
 class TestEnumerationOracle:
@@ -703,7 +707,7 @@ class TestEnumerationOracle:
             oracle = bon_enumeration_oracle(p, q, m, N)
             probs = from_log_weights(sequence_space_log_probs(p, m))
             rewards = sequence_space_log_probs(q, m)
-            flat = bon_exact_pmf(probs, rewards, [N])[0].probs()
+            flat = np.exp(bon_exact_pmf(probs, rewards, [N])[0])
             assert np.max(np.abs(flat - oracle)) <= 1e-12
             law = bon_type_law(p, q, m, N)
             assert np.max(np.abs(per_sequence_probs(law, p, q, m) - oracle)) <= 1e-12
@@ -717,13 +721,13 @@ class TestExchangeability:
             n = int(rng.integers(1, 6))
             probs = from_log_weights(sequence_space_log_probs(p, 2))
             rewards = sequence_space_log_probs(q, 2)
-            joint = bon_exact_pmf(probs, rewards, [n])[0].probs().reshape(3, 3)
+            joint = np.exp(bon_exact_pmf(probs, rewards, [n])[0]).reshape(3, 3)
             assert np.max(np.abs(joint - joint.T)) <= 1e-15
 
     def test_non_product_witness(self, demo_p, demo_q):
         assert PAIR_JOINT[(0, 0)] != MARGINAL_0 * MARGINAL_0
         probs, rewards = _pair_space(demo_p, demo_q)
-        pi = bon_exact_pmf(probs, rewards, [2])[0].probs()
+        pi = np.exp(bon_exact_pmf(probs, rewards, [2])[0])
         marginal0 = float(pi.reshape(3, 3).sum(axis=1)[0])
         assert pi[0] != marginal0 * marginal0
 
@@ -865,7 +869,7 @@ class TestExpectedTypeAndKl:
 
     def test_pair_expected_type_matches_joint(self, demo_p, demo_q):
         probs, rewards = _pair_space(demo_p, demo_q)
-        joint = bon_exact_pmf(probs, rewards, [2])[0].probs().reshape(3, 3)
+        joint = np.exp(bon_exact_pmf(probs, rewards, [2])[0]).reshape(3, 3)
         direct = np.zeros(3)
         for y1 in range(3):
             for y2 in range(3):
@@ -916,7 +920,7 @@ class TestExpectedTypeAndKl:
         log_probs, rewards = instance
         p = CategoricalDistribution(log_probs)
         [pi] = bon_exact_pmf(p, rewards, [n])
-        assert kl_divergence(pi, p) <= math.log(n) - (n - 1) / n + 1e-9
+        assert kl_divergence(CategoricalDistribution(pi), p) <= math.log(n) - (n - 1) / n + 1e-9
 
     def test_kl_to_optimal_bound_demo(self, demo_p, demo_q):
         law = bon_type_law(demo_p, demo_q, 10, 3)
@@ -1123,9 +1127,9 @@ class TestExactPmfGrid:
         assert len(grid) == len(ns)
         for N, row in zip(ns, grid):
             [alone] = bon_exact_pmf(dist, rewards, [N])
-            assert row.log_probs.tobytes() == alone.log_probs.tobytes()
+            assert row.tobytes() == alone.tobytes()
             if N == 1:
-                assert row is dist
+                assert row.tobytes() == dist.log_probs.tobytes()
 
     def test_deep_branch_is_reached(self):
         # one outcome 800 nats below the rest: at N = 1e9 its level's mass is
@@ -1138,14 +1142,68 @@ class TestExactPmfGrid:
         [pi] = bon_exact_pmf(dist, rewards, [n])
         s_lt = math.log(float(np.exp(dist.log_probs[1])))
         deep = math.log(n) + (n - 1) * s_lt + dist.log_probs[0]
-        assert pi.log_probs[0] == pytest.approx(deep, rel=1e-12)
+        assert pi[0] == pytest.approx(deep, rel=1e-12)
 
     def test_n_beyond_float_range_raises(self, demo_p, demo_q):
         # 10^400 has no finite float, and the kernels multiply log masses by float(N)
         with pytest.raises(InvalidN, match="converts to a finite float"):
             bon_exact_pmf(demo_p, demo_q.log_probs, [2, 10**400])
 
+    @settings(max_examples=300)
+    @given(
+        _blocked_instances(),
+        st.lists(
+            st.one_of(st.sampled_from([1, 2, 3, 10**9]), st.integers(1, 10**6)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(1, 7),
+    )
+    def test_rows_match_prior_objects(self, instance, ns, block):
+        # each row has the bits of the prior one from_log_weights per
+        # drawn N, at any block of levels and of normalized rows
+        log_probs, rewards = instance
+        dist = CategoricalDistribution(log_probs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bestofn, "LEVEL_BLOCK", block)
+            mp.setattr(distributions, "LEVEL_BLOCK", block)
+            got = bon_exact_pmf(dist, rewards, ns)
+        assert got.shape == (len(ns), dist.K) and not got.flags.writeable
+        for row, ref in zip(got, prior_bon_exact_pmf(dist, rewards, ns)):
+            assert row.tobytes() == ref.log_probs.tobytes()
+
+    def test_non_finite_row_raises_as_before(self):
+        # N log 1e-5 is below -DBL_MAX at N = 1e308: the lower level's log
+        # mass is -inf, and from_log_weights refused that row
+        p = make_distribution((1e-5, 1.0 - 1e-5))
+        rewards = np.array([0.0, 1.0])
+        for ns in ([10**308], [1, 2, 10**308]):
+            with pytest.raises(NonPositiveWeight) as ref:
+                prior_bon_exact_pmf(p, rewards, ns)
+            with pytest.raises(NonPositiveWeight) as got:
+                bon_exact_pmf(p, rewards, ns)
+            assert str(got.value) == str(ref.value) == "log weights must be finite"
+
+    def test_unnormalized_row_raises_as_before(self, demo_p, demo_q, monkeypatch):
+        # a normalization that leaves each row's mass at e^1e-9 fails the
+        # check every CategoricalDistribution runs, with the same message
+        real = distributions.normalized_log_weights
+
+        def skewed(arr, out=None):
+            rows = real(arr, out=out)
+            rows += 1e-9
+            return rows
+
+        monkeypatch.setattr(distributions, "normalized_log_weights", skewed)
+        for ns in ([2], [1, 3, 10**9]):
+            with pytest.raises(NonPositiveWeight) as ref:
+                prior_bon_exact_pmf(demo_p, demo_q.log_probs, ns)
+            with pytest.raises(NonPositiveWeight) as got:
+                bon_exact_pmf(demo_p, demo_q.log_probs, ns)
+            assert str(got.value) == str(ref.value)
+            assert str(got.value).startswith("probabilities sum to 1.000000001")
+
     def test_invalid_n_anywhere_raises(self, demo_p, demo_q):
         with pytest.raises(InvalidN):
             bon_exact_pmf(demo_p, demo_q.log_probs, [2, 0, 3])
-        assert bon_exact_pmf(demo_p, demo_q.log_probs, []) == []
+        assert bon_exact_pmf(demo_p, demo_q.log_probs, []).shape == (0, 3)

@@ -254,6 +254,46 @@ class TestRandomAlphabet:
         run_random_alphabet(ExperimentConfig("random_alphabet", K=16, seeds=2))
         assert calls == {"group_reward_levels": 2, "_lockstep": 2}
 
+    def test_no_object_per_row(self, monkeypatch, tmp_path):
+        # a pair's best-of-N rows are one array and its KLs two row-KL calls:
+        # at K = 64 and 2 pairs, bon_exact_pmf builds no distribution per N
+        # (22 before) and no kl_divergence runs (48 before)
+        import sys
+
+        from alignlab import bestofn, cli, distributions, metrics
+
+        calls = {"from_log_weights": 0, "kl_divergence": 0}
+        inside = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                if name == "kl_divergence" or inside:
+                    calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        def entered(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_pmf(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        real_pmf = bestofn.bon_exact_pmf
+        wrappers = {
+            "from_log_weights": counting("from_log_weights", distributions.from_log_weights),
+            "kl_divergence": counting("kl_divergence", metrics.kl_divergence),
+            "bon_exact_pmf": entered,
+        }
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "alignlab"]:
+            for name, wrapper in wrappers.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        argv = ["random-alphabet", "--K", "64", "--seeds", "2", "--out", str(tmp_path)]
+        assert cli.cli_dispatch(argv) == 0
+        assert calls == {"from_log_weights": 0, "kl_divergence": 0}
+
     def test_reproducible(self):
         config = ExperimentConfig("random_alphabet", K=8, seeds=2, n_grid=(1, 7, 43), seed=21)
         a = run_random_alphabet(config)

@@ -11,13 +11,20 @@ from alignlab import (
     cross_entropy,
     entropy,
     kl_divergence,
+    kl_divergence_log_rows,
     kl_divergence_rows,
     make_distribution,
     renyi_cross_entropy,
 )
 from alignlab.distributions import log_class_sizes, type_counts_matrix
 
-from .conftest import TERNARY_P, TERNARY_Q, random_pair
+from .conftest import (
+    TERNARY_P,
+    TERNARY_Q,
+    interior_dirichlet,
+    prior_kl_divergence,
+    random_pair,
+)
 
 
 def _direct_cross_entropy(p_weights, q_weights) -> float:
@@ -99,6 +106,27 @@ class TestKLDivergenceRows:
         ref = demo_p.probs()
         rows = kl_divergence_rows(batch, ref)
         assert rows.tobytes() == np.array([kl_divergence_rows(v, ref) for v in batch]).tobytes()
+
+
+class TestKLDivergenceLogRows:
+    @pytest.mark.parametrize("K", [2, 3, 7, 8, 9, 16, 100, 129, 1000, 1024])
+    def test_rows_match_kl_divergence_bits(self, K):
+        # row i is the prior kl_divergence on pair i, bit for bit, also
+        # with either side one row against all the other's
+        rng = np.random.default_rng(K)
+        ps = [make_distribution(interior_dirichlet(rng, K)) for _ in range(6)]
+        qs = [make_distribution(interior_dirichlet(rng, K)) for _ in range(6)]
+        log_p = np.array([p.log_probs for p in ps])
+        log_q = np.array([q.log_probs for q in qs])
+        rows = kl_divergence_log_rows(log_p, log_q)
+        against_q0 = kl_divergence_log_rows(log_p, log_q[0])
+        from_p0 = kl_divergence_log_rows(log_p[0], log_q)
+        for i, (p, q) in enumerate(zip(ps, qs)):
+            ref = prior_kl_divergence(p.log_probs, q.log_probs).hex()
+            assert float(rows[i]).hex() == ref == kl_divergence(p, q).hex()
+            assert float(against_q0[i]).hex() == prior_kl_divergence(log_p[i], log_q[0]).hex()
+            assert float(from_p0[i]).hex() == prior_kl_divergence(log_p[0], log_q[i]).hex()
+        assert float(kl_divergence_log_rows(log_p[1], log_q[1])).hex() == float(rows[1]).hex()
 
 
 class TestEntropy:

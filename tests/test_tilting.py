@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,8 +13,10 @@ from alignlab import (
     DegenerateFamily,
     InfeasibleBudget,
     TargetOutOfRange,
+    bon_exact_pmf,
     cross_entropy,
     kl_divergence,
+    kl_divergence_log_rows,
     make_distribution,
     max_achievable_kl,
     mismatched_tilt,
@@ -23,6 +26,8 @@ from alignlab import (
 )
 from alignlab import tilting
 from alignlab.distributions import from_log_weights
+from alignlab.experiments import _dirichlet_interior, default_n_grid
+from alignlab.rng import spawn_generator
 from alignlab.tilting import FEASIBILITY_MARGIN, MAX_STEPS, _tilt_moments
 
 from .conftest import (
@@ -31,6 +36,8 @@ from .conftest import (
     bisection_alpha_for_kl,
     bisection_beta_for_reward,
     interior_dirichlet,
+    prior_solution,
+    prior_tilt_log_probs,
     random_pair,
     tilt_compose_check,
 )
@@ -617,3 +624,63 @@ class TestLockstep:
         lo, _ = reward_target_range(demo_q)
         with pytest.raises(TargetOutOfRange):
             solve_beta_for_reward(demo_q, demo_p, [_reward_target(demo_q, 0.5), lo])
+
+
+class TestFinalRows:
+    """The solutions' final rows are validated once per solve and each phi
+    is a view of one read-only block, with the bits of the prior one
+    CategoricalDistribution per lane (``prior_solution`` in conftest)."""
+
+    @given(lockstep_pairs(), st.data(), st.booleans())
+    @settings(max_examples=60)
+    def test_solutions_match_prior(self, pair, data, reward):
+        p, q = pair
+        found = []
+        real = tilting._lockstep
+
+        def recording(evaluate, lanes):
+            results = real(evaluate, lanes)
+            found.extend(results)
+            return results
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tilting, "_lockstep", recording)
+            if reward:
+                fracs = data.draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=8))
+                lo, hi = reward_target_range(q)
+                sols = solve_beta_for_reward(q, p, [lo + f * (hi - lo) for f in fracs])
+            else:
+                deltas = data.draw(budget_grids(p, q))
+                sols = [s for d, s in zip(deltas, solve_alpha_for_kl(q, p, deltas)) if d != 0.0]
+        assert len(sols) == len(found)
+        lq_top = q.log_probs - np.max(q.log_probs)
+        for sol, lane in zip(sols, found):
+            ref = prior_solution(lane)
+            assert _bits(sol.phi.log_probs) == _bits(ref.phi.log_probs)
+            [alone] = prior_tilt_log_probs(p.log_probs, lq_top, [sol.alpha])
+            assert _bits(sol.phi.log_probs) == _bits(alone)
+            assert not sol.phi.log_probs.flags.writeable
+            for name in ("alpha", "achieved_kl", "expected_reward", "residual"):
+                assert _bits(getattr(sol, name)) == _bits(getattr(ref, name))
+            assert sol.iterations == ref.iterations
+
+    def test_memory_guard(self):
+        # the first random-alphabet pair at K = 100,000 (seed 0) and its 12
+        # budgets, 11 lanes: a point a lane keeps holds its own row, so no
+        # round's (lanes, K) arrays outlive the round (38.4 MB traced; 67.2
+        # MB while kept points pinned them)
+        rng = spawn_generator(0, 0)
+        p = make_distribution(_dirichlet_interior(rng, 100_000))
+        q = make_distribution(_dirichlet_interior(rng, 100_000))
+        pis = bon_exact_pmf(p, q.log_probs, default_n_grid())
+        cap = max_achievable_kl(q, p) - 2 * FEASIBILITY_MARGIN
+        deltas = [min(d, cap) for d in kl_divergence_log_rows(pis, p.log_probs).tolist()]
+        del pis
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            solve_alpha_for_kl(q, p, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45.0e6
