@@ -309,13 +309,15 @@ def bon_kl_to_tilt(law: LevelLaw, alpha: float) -> float:
     The tilt kernel reweights each level by exp(alpha * (reward - top
     reward)), normalized over the same levels; alpha = 0 is p^m itself,
     whose level masses are taken as is, so the law of p^m reads exactly 0.
+    The result is clamped at 0: a law that is the tilt up to rounding can
+    otherwise read about -1e-16.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     target = law.ref_log_masses
     if alpha != 0.0:
         [target] = _tilt_log_probs(target, law.rewards - law.rewards[-1], [alpha])
-    return float(np.sum(np.exp(law.log_masses) * (law.log_masses - target)))
+    return max(0.0, float(np.sum(np.exp(law.log_masses) * (law.log_masses - target))))
 
 
 def expected_reward_rate(law: LevelLaw) -> float:

@@ -20,7 +20,8 @@ lane by one step per round, with one row-wise ``_tilt_moments`` call over
 all their parameters, so a grid of budgets or reward targets costs one
 kernel evaluation per round instead of one per target per round.  Each
 lane's arithmetic is the one-lane solve's, so the results do not depend on
-the company a target keeps.
+the company a target keeps.  A lane is sent only numbers: each solve forms
+its final tilt rows once, with one ``_tilt_log_probs`` call.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
     away from 0 until the value passes ``target``, then take safeguarded
     Newton steps from the bracket end nearer it.
 
-    Each point is ``(x, value, slope, log_phi, kl, reward)``, of which the
-    lane reads the first three.  The value is monotone in x, rising if
+    Each point is five floats ``(x, value, slope, kl, reward)``, of which
+    the lane reads the first three.  The value is monotone in x, rising if
     ``increasing``, and the root lies on ``start``'s side of 0; the doubling
     stops at the first x whose value is past the target or within
     ``BISECTION_RESIDUAL`` of it.  The step is Newton's on ``warp(value)``,
@@ -185,10 +186,6 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
     Newton or bisection steps taken.  Raises ``error`` if ``MAX_DOUBLINGS``
     run out before the bracket closes, or ``MAX_STEPS`` with neither stop
     reached.
-
-    A point's ``log_phi`` is a row of its round's (lanes, K) array.  A point
-    that the lane keeps past its round, and the point it returns, hold a
-    copy of that row instead, so that no round's array outlives its round.
     """
     # s = +1 where the value rises as x leaves 0; a product with s = +-1 is
     # exact, so at s = +1 these are the plain comparisons
@@ -203,8 +200,7 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
         raise error(f"could not bracket target {target!r}")
     lo, hi = sorted((0.0 if inside is None else inside[0], x))
     if inside is not None and s * (target - inside[1]) < s * (point[1] - target):
-        point = _own_row(inside)
-    del inside
+        point = inside
     goal = warp(target)[0]
     best = point
     stalled = False
@@ -212,7 +208,7 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
         x, value, slope = point[:3]
         r = value - target
         if abs(r) <= BISECTION_RESIDUAL:
-            return _own_row(point), r, steps
+            return point, r, steps
         nxt = math.nan
         warped = None if stalled else warp(value)
         if warped is not None and warped[1] * slope != 0.0:
@@ -226,8 +222,6 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
         stalled = newton and abs(point[1] - target) > 0.5 * abs(r)
         if abs(point[1] - target) < abs(best[1] - target):
             best = point
-        elif best[3].base is not None:
-            best = _own_row(best)
         if (point[1] < target) == increasing:
             lo = nxt
         else:
@@ -239,26 +233,20 @@ def _lane(start: float, target: float, increasing: bool, warp, error):
                 f"no root for target {target!r} after {MAX_STEPS} steps: "
                 f"bracket [{lo!r}, {hi!r}], best residual {best[1] - target!r}"
             )
-    return _own_row(best), best[1] - target, steps
+    return best, best[1] - target, steps
 
 
-def _own_row(point) -> tuple:
-    """``point`` with its own copy of its ``log_phi`` row, if it holds a view."""
-    if point[3].base is None:
-        return point
-    return point[:3] + (point[3].copy(),) + point[4:]
-
-
-def _solutions(found: list) -> list[TiltSolution]:
+def _solutions(lp: np.ndarray, lq_top: np.ndarray, found: list) -> list[TiltSolution]:
     """The ``TiltSolution`` of each lane's result: its final point, the
-    residual there and the steps taken.  The final rows are validated as one
-    block, and each ``phi`` is a view of its row."""
+    residual there and the steps taken.  The final rows are formed in one
+    ``_tilt_log_probs`` call and validated as one block, and each ``phi`` is
+    a view of its row."""
     if not found:
         return []
-    phis = distributions_from_rows(np.array([point[3] for point, _, _ in found]))
+    phis = distributions_from_rows(_tilt_log_probs(lp, lq_top, [point[0] for point, _, _ in found]))
     return [
         TiltSolution(x, phi, kl, reward, steps, residual)
-        for ((x, _, _, _, kl, reward), residual, steps), phi in zip(found, phis)
+        for ((x, _, _, kl, reward), residual, steps), phi in zip(found, phis)
     ]
 
 
@@ -303,10 +291,10 @@ def solve_alpha_for_kl(
         return -math.log1p(-s), 0.5 / ((1.0 - s) * math.sqrt(kl * max_kl))
 
     def evaluate(alphas: list):
-        log_phi, kls, means, variances = _tilt_moments(lp, lq, lq_top, alphas)
+        _, kls, means, variances = _tilt_moments(lp, lq, lq_top, alphas)
         kls = kls.tolist()
         slopes = [alpha * v for alpha, v in zip(alphas, variances.tolist())]
-        return zip(alphas, kls, slopes, log_phi, kls, means.tolist())
+        return zip(alphas, kls, slopes, kls, means.tolist())
 
     # each lane starts from the small-budget root of D ~ alpha^2 Var_p(log q)
     # / 2, but from no further out than 1: the estimate overshoots by orders
@@ -318,7 +306,7 @@ def solve_alpha_for_kl(
         for d in deltas
         if d != 0.0
     ]
-    found = iter(_solutions(_lockstep(evaluate, lanes)))
+    found = iter(_solutions(lp, lq_top, _lockstep(evaluate, lanes)))
     zero = TiltSolution(0.0, p, 0.0, float(reward))
     return [zero if delta == 0.0 else next(found) for delta in deltas]
 
@@ -350,10 +338,8 @@ def solve_beta_for_reward(
 
     def evaluate(betas: list):
         # H(T(q, p, beta) || q) is minus the mean of log q under the tilt
-        log_phi, kls, means, variances = _tilt_moments(lp, lq, lq_top, betas)
-        return zip(
-            betas, (-means).tolist(), (-variances).tolist(), log_phi, kls.tolist(), means.tolist()
-        )
+        _, kls, means, variances = _tilt_moments(lp, lq, lq_top, betas)
+        return zip(betas, (-means).tolist(), (-variances).tolist(), kls.tolist(), means.tolist())
 
     def warp(h: float):
         # the logit of H on its range grows like beta at both ends
@@ -365,4 +351,4 @@ def solve_beta_for_reward(
     # searches only the root's side of 0
     h0 = -float(_log_q_moments(lp, lq)[1])
     lanes = [_lane(1.0 if t < h0 else -1.0, t, False, warp, TargetOutOfRange) for t in ts]
-    return _solutions(_lockstep(evaluate, lanes))
+    return _solutions(lp, lq_top, _lockstep(evaluate, lanes))

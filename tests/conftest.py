@@ -361,6 +361,9 @@ def prior_tilt_log_probs(lp: np.ndarray, lq_top: np.ndarray, alphas: list) -> np
     return rows
 
 
-def prior_solution(found) -> TiltSolution:
-    (x, _, _, log_phi, kl, reward), residual, steps = found
+def prior_solution(found, lp: np.ndarray, lq_top: np.ndarray) -> TiltSolution:
+    """One lane's result as a solution whose tilt is formed alone and
+    validated as its own CategoricalDistribution."""
+    (x, _, _, kl, reward), residual, steps = found
+    [log_phi] = prior_tilt_log_probs(lp, lq_top, [x])
     return TiltSolution(x, CategoricalDistribution(log_phi), kl, reward, steps, residual)

@@ -936,6 +936,11 @@ class TestExpectedTypeAndKl:
     def test_kl_rate_zero_budget(self, demo_p, demo_q):
         assert self._kl_rate(demo_p, demo_q, 4, 0.0) == 0.0
 
+    def test_kl_rate_clamped_at_zero(self, demo_p, demo_q):
+        # equivalence-scan --delta 1e-300 at m = 10: the law is the tilt up
+        # to rounding, and the unclamped sum reads -1.8e-16
+        assert self._kl_rate(demo_p, demo_q, 10, 1e-300) == 0.0
+
     def test_kl_rate_decreases_in_m(self, demo_p, demo_q):
         rates = [self._kl_rate(demo_p, demo_q, m, 0.11) for m in (5, 10, 20, 40)]
         assert all(r > 0 for r in rates)

@@ -109,6 +109,25 @@ class TestDispatch:
         assert code == 1
         assert err == "error: delta=1.0 >= achievable supremum 0.5\n"
 
+    @pytest.mark.parametrize(
+        "argv, failed",
+        [
+            # the one trial is skipped, so no trial was accepted
+            (["closeness-bound", "--trials", "1", "--seed", "32"], "no_bound_violations"),
+            # neither point gets a hit (exact rates 7.41 and 6.86)
+            (
+                ["ldp-probe", "--p", "1,1,0.01", "--q", "3,2,1", "--m", "40", "--trials", "1000"]
+                + ["--t-grid", "1.781759469228055,1.741759469228055"],
+                "mc_within_band",
+            ),
+        ],
+    )
+    def test_check_on_no_evidence_fails(self, tmp_path, capsys, argv, failed):
+        code = cli_dispatch(argv + ["--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert re.search(rf"^FAIL {failed}: value=0", out, flags=re.M)
+
     def test_env_default_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ALIGN_OUT_DIR", str(tmp_path / "from-env"))
         code = cli_dispatch(["example1"])
