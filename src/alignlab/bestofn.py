@@ -312,12 +312,18 @@ def bon_kl_to_tilt(law: LevelLaw, alpha: float) -> float:
     The result is clamped at 0: a law that is the tilt up to rounding can
     otherwise read about -1e-16.
     """
+    target = _tilt_level_log_masses(law, alpha)
+    return max(0.0, float(np.sum(np.exp(law.log_masses) * (law.log_masses - target))))
+
+
+def _tilt_level_log_masses(law: LevelLaw, alpha: float) -> np.ndarray:
+    """The level log masses of T(q, p, alpha)^m on the law's levels."""
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    target = law.ref_log_masses
-    if alpha != 0.0:
-        [target] = _tilt_log_probs(target, law.rewards - law.rewards[-1], [alpha])
-    return max(0.0, float(np.sum(np.exp(law.log_masses) * (law.log_masses - target))))
+    if alpha == 0.0:
+        return law.ref_log_masses
+    [target] = _tilt_log_probs(law.ref_log_masses, law.rewards - law.rewards[-1], [alpha])
+    return target
 
 
 def expected_reward_rate(law: LevelLaw) -> float:

@@ -83,13 +83,22 @@ def _format_default(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(experiments) -> argparse.ArgumentParser:
+    """The CLI's parser, with the subparsers of ``experiments`` alone.
+
+    A parser of fewer than all six still lists all six in its usage line,
+    so its help and errors read as the full parser's do.
+    """
     parser = argparse.ArgumentParser(
         prog="alignlab",
         description="Exact tilted-policy and best-of-N experiments on finite alphabets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for experiment, record in EXPERIMENTS.items():
+    metavar = None
+    if len(experiments) < len(EXPERIMENTS):
+        metavar = "{" + ",".join(name.replace("_", "-") for name in EXPERIMENTS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for experiment in experiments:
+        record = EXPERIMENTS[experiment]
         command = experiment.replace("_", "-")
         cp = sub.add_parser(command, help=f"run the {command} experiment", allow_abbrev=False)
         cp.add_argument("--config", help="flat key = value config file")
@@ -120,10 +129,16 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cli_dispatch(argv) -> int:
-    """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    """Run one subcommand; returns the process exit code.
+
+    Only the subparser of the command ``argv[0]`` names is built; all six are
+    built when it names none (``--help``, no command, an unknown command).
+    """
+    argv = list(argv)
+    named = [e for e in EXPERIMENTS if argv and e.replace("_", "-") == argv[0]]
+    parser = _build_parser(named or EXPERIMENTS)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

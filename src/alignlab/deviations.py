@@ -8,7 +8,9 @@ to the target, exactly at every sequence length because product measures
 factorize.  Every function here takes the source phi itself, not a KL
 budget, so a caller solves the budget's tilt phi_delta once and passes it;
 ``rate_function`` solves the reward-matched tilts of several levels in
-one lockstep run and reads each rate off the solved tilt.
+one lockstep run and reads each rate off the solved tilt, and
+``legendre_oracle`` recovers the same rates from the cumulant curve, its
+grid searches for all levels in lockstep too.
 The window statistic and the reward depend on a sequence only through its
 reward level, so a window probability and the finite-m cumulant are sums
 over the levels of a ``LevelLaw`` (best-of-N's, or phi^m's at N = 1).
@@ -171,51 +173,74 @@ def rate_from_hits(hits: int, trials: int, m: int) -> float | None:
 def legendre_oracle(
     phi: CategoricalDistribution,
     q: CategoricalDistribution,
-    t: float,
-) -> float:
-    """Rate at t recovered from the cumulant curve instead of root-finding.
+    ts,
+) -> list[float]:
+    """Rate at each level t of ``ts``, recovered from the cumulant curve
+    instead of root-finding.
 
     Maximizes g |-> -g*t - log sum_k phi_k q_k^g over a refined grid; the
     objective is concave, and its supremum equals the exact rate.  Used as an
-    independent numerical cross-check of :func:`rate_function`.
+    independent numerical cross-check of :func:`rate_function`.  Every point
+    widens, then shrinks, its own bracket; each round evaluates the grids of
+    all live points in one array pass, and a point drops out once its bracket
+    is interior (while widening) or has collapsed (while shrinking), so each
+    point sees the grids, values and stops it would see alone.
     """
     _check_same_alphabet(phi, q)
     lo_t, hi_t = reward_target_range(q)
-    if not (lo_t < t < hi_t):
-        raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
+    for t in ts:
+        if not (lo_t < t < hi_t):
+            raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
+    t = np.array(ts, dtype=np.float64)
     lphi = phi.log_probs
     lq = q.log_probs
+    steps = np.arange(LEGENDRE_GRID, dtype=np.float64)
+    last = LEGENDRE_GRID - 1
 
-    def objective(gammas: np.ndarray) -> np.ndarray:
-        weights = lphi[None, :] + gammas[:, None] * lq[None, :]
-        hi = weights.max(axis=1)
-        log_z = hi + np.log(np.exp(weights - hi[:, None]).sum(axis=1))
-        return -gammas * t - log_z
+    def grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # np.linspace(lo, hi, LEGENDRE_GRID) row by row, with its bits
+        grid = steps * ((hi - lo) / last)[:, None] + lo[:, None]
+        grid[:, -1] = hi
+        return grid
 
-    lo, hi = -8.0, 8.0
+    def objective(gammas: np.ndarray, t: np.ndarray) -> np.ndarray:
+        weights = lphi + gammas[:, :, None] * lq
+        hi = weights.max(axis=2)
+        log_z = hi + np.log(np.exp(weights - hi[:, :, None]).sum(axis=2))
+        return -gammas * t[:, None] - log_z
+
+    lo, hi = np.full(t.size, -8.0), np.full(t.size, 8.0)
     # widen until the maximizer is interior
+    live = np.arange(t.size)
     for _ in range(60):
-        grid = np.linspace(lo, hi, LEGENDRE_GRID)
-        best = int(np.argmax(objective(grid)))
-        if best == 0:
-            lo, hi = lo - (hi - lo), grid[1]
-        elif best == LEGENDRE_GRID - 1:
-            lo, hi = grid[-2], hi + (hi - lo)
-        else:
+        if not live.size:
             break
-    else:
-        raise TargetOutOfRange(f"no interior maximizer for t={t!r}")
-    # shrink the bracket around the grid argmax until it collapses; a
+        grid = grids(lo[live], hi[live])
+        best = np.argmax(objective(grid, t[live]), axis=1)
+        left, right = best == 0, best == last
+        width = hi[live] - lo[live]
+        lo[live] = np.where(left, lo[live] - width, np.where(right, grid[:, -2], lo[live]))
+        hi[live] = np.where(left, grid[:, 1], np.where(right, hi[live] + width, hi[live]))
+        live = live[left | right]
+    if live.size:
+        raise TargetOutOfRange(f"no interior maximizer for t={float(t[live[0]])!r}")
+    # shrink each bracket around its grid argmax until it collapses; a
     # value-change stop is unsound here because the old best point always
     # reappears at the center of the refined grid
-    best_value = -math.inf
+    best_value = np.full(t.size, -math.inf)
+    live = np.arange(t.size)
     for _ in range(80):
-        grid = np.linspace(lo, hi, LEGENDRE_GRID)
-        values = objective(grid)
-        best = int(np.argmax(values))
-        best_value = max(best_value, float(values[best]))
-        if hi - lo < LEGENDRE_BRACKET_TOL:
+        if not live.size:
             break
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, LEGENDRE_GRID - 1)]
-    return best_value
+        grid = grids(lo[live], hi[live])
+        values = objective(grid, t[live])
+        best = np.argmax(values, axis=1)
+        rows = np.arange(live.size)
+        top, held = values[rows, best], best_value[live]
+        best_value[live] = np.where(top > held, top, held)
+        # a NaN width never counts as collapsed
+        shrinking = ~(hi[live] - lo[live] < LEGENDRE_BRACKET_TOL)
+        lo[live] = np.where(shrinking, grid[rows, np.maximum(best - 1, 0)], lo[live])
+        hi[live] = np.where(shrinking, grid[rows, np.minimum(best + 1, last)], hi[live])
+        live = live[shrinking]
+    return best_value.tolist()

@@ -19,8 +19,10 @@ import numpy as np
 
 from .bestofn import (
     MAX_LOG_N,
+    LevelLaw,
     _check_n,
     _check_oracle_size,
+    _tilt_level_log_masses,
     bon_enumeration_oracle,
     bon_exact_pmf,
     bon_expected_type,
@@ -215,6 +217,8 @@ def _check(checks: list[dict], name: str, value, limit, passed: bool) -> None:
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):  # a Python float or an np.float64
+        return float.__repr__(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if value is None:
@@ -228,7 +232,7 @@ def _format_cell(value) -> str:
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -444,7 +448,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
         results["kl_contour_clamped_rays"] = clamped
         csvs["kl_contour"] = (
             ["x_bary1", "x_bary2", "x_bary3", "curve_tag"],
-            [(row[0], row[1], row[2], "kl_contour") for row in contour],
+            [[*row, "kl_contour"] for row in contour.tolist()],
         )
     if l1_ref > 0.0:
         # consistency: the radial tracer crosses the contour at phi itself
@@ -465,7 +469,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     segment = _reward_contour_segment(q, reward_level)
     csvs["reward_contour"] = (
         ["x_bary1", "x_bary2", "x_bary3", "curve_tag"],
-        [(row[0], row[1], row[2], "reward_contour") for row in segment],
+        [[*row, "reward_contour"] for row in segment.tolist()],
     )
 
     [far] = solve_alpha_for_kl(q, p, [0.98 * max_achievable_kl(q, p)])
@@ -473,7 +477,7 @@ def run_ternary_figure(config: ExperimentConfig) -> ExperimentReport:
     family = np.exp(_tilt_log_probs(p.log_probs, lq - np.max(lq), np.linspace(0.0, far.alpha, 200)))
     csvs["aligned_family"] = (
         ["x_bary1", "x_bary2", "x_bary3", "curve_tag"],
-        [(row[0], row[1], row[2], "aligned_family") for row in family],
+        [[*row, "aligned_family"] for row in family.tolist()],
     )
 
     law = bon_type_law(p, q, m, n)
@@ -511,8 +515,24 @@ def _derive_equivalence_scan(config: ExperimentConfig) -> tuple:
     return p, q, tilt
 
 
+def _kl_rate_roundoff(law: LevelLaw, alpha: float) -> float:
+    """The rounding scale of ``bon_kl_to_tilt(law, alpha) / m``: (levels + 2)
+    unit roundoffs of the sum of the terms' magnitudes,
+    sum_L pi_L (|log pi_L| + |log phi_L|), per symbol.  A rate at or below it
+    is indistinguishable from 0."""
+    target = _tilt_level_log_masses(law, alpha)
+    masses = np.exp(law.log_masses)
+    held = masses > 0.0  # an underflowed level adds nothing, however deep its log
+    size = np.sum(masses[held] * (np.abs(law.log_masses[held]) + np.abs(target[held])))
+    return (law.rewards.size + 2) * 2.0**-53 * float(size) / law.m
+
+
 def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
-    """Per-symbol divergence of exact best-of-N from the solved tilt as m grows."""
+    """Per-symbol divergence of exact best-of-N from the solved tilt as m grows.
+
+    The decay checks compare the rates with the first one, so they pass only
+    when the first rate stands above its own rounding, at the first m alone.
+    """
     started = time.perf_counter()
     p, q, sol = config.derived
     delta, m_grid = config.get("delta"), config.get("m_grid")
@@ -524,6 +544,8 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
     for m in m_grid:
         law = bon_type_law(p, q, int(m), math.exp(m * delta))
         kl_rate = bon_kl_to_tilt(law, sol.alpha) / m
+        if not rows:
+            floor = _kl_rate_roundoff(law, sol.alpha)
         kl_ref_seq = bon_kl_to_tilt(law, 0.0)
         reward_gap = abs(expected_reward_rate(law) - sol.expected_reward)
         type_l1 = float(np.abs(bon_expected_type(law) - phi_probs).sum())
@@ -544,10 +566,18 @@ def run_equivalence_scan(config: ExperimentConfig) -> ExperimentReport:
         all_zero = all(rate == 0.0 for rate in kl_rates)
         _check(checks, "zero_budget_rates_vanish", max(kl_rates, default=0.0), 0.0, all_zero)
     elif len(kl_rates) >= 2:
+        # a first rate within its rounding shows no decay: both checks fail
+        evident = kl_rates[0] > floor
         decreasing = all(b < a for a, b in zip(kl_rates, kl_rates[1:]))
-        _check(checks, "kl_rate_strictly_decreasing", decreasing, True, decreasing)
+        _check(checks, "kl_rate_strictly_decreasing", decreasing, True, evident and decreasing)
         halved = kl_rates[-1] <= 0.5 * kl_rates[0]
-        _check(checks, "final_rate_at_most_half_first", kl_rates[-1], 0.5 * kl_rates[0], halved)
+        _check(
+            checks,
+            "final_rate_at_most_half_first",
+            kl_rates[-1],
+            0.5 * kl_rates[0],
+            evident and halved,
+        )
 
     csvs = {
         "equivalence_scan": (
@@ -779,9 +809,9 @@ def run_ldp_probe(config: ExperimentConfig) -> ExperimentReport:
     max_band_dev = 0.0
     undefined_shallow = 0
     compared = False  # whether any point had hits to compare with its rate
-    points = rate_function(p, q, phi, [float(t) for t in t_grid])
-    for i, (t, point) in enumerate(zip(t_grid, points)):
-        oracle = legendre_oracle(phi, q, float(t))
+    ts = [float(t) for t in t_grid]
+    points = rate_function(p, q, phi, ts)
+    for i, (t, point, oracle) in enumerate(zip(t_grid, points, legendre_oracle(phi, q, ts))):
         max_oracle_dev = max(max_oracle_dev, abs(point.rate - oracle))
         hits = deviation_hit_count(
             phi, q, float(t), eps, m, trials, spawn_generator(config.seed, i)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .distributions import LEVEL_BLOCK
+
 _LN2 = math.log(2.0)
 
 
@@ -104,14 +106,26 @@ def cumulative_log_probs(level_log_probs: np.ndarray) -> np.ndarray:
     the result share one buffer: the tails only grow downward (each
     logaddexp step is at least its larger input), so the levels with a tail
     of at least 1/2 are a prefix, and the forward sum runs over that prefix
-    alone.
+    alone.  The tails run ``LEVEL_BLOCK`` levels at a time from the top, each
+    block's accumulation continuing from the last tail of the block above,
+    and stop after the first block that reaches 1/2; the prefix below it is
+    never summed backward.
     """
     lps = np.asarray(level_log_probs, dtype=np.float64)
     # c[i] = log of the mass strictly above level i, summed from the top down
     c = np.empty_like(lps)
-    np.logaddexp.accumulate(lps[:0:-1], out=c[-2::-1])
     c[-1:] = -math.inf
-    saturated = int(np.count_nonzero(c >= -_LN2))
+    tails, above = c[-2::-1], lps[:0:-1]
+    saturated = 0
+    for lo in range(0, tails.size, LEVEL_BLOCK):
+        hi = min(lo + LEVEL_BLOCK, tails.size)
+        tails[lo:hi] = above[lo:hi]
+        # from the last tail of the block above, which the sum starts from unchanged
+        carried = tails[max(lo - 1, 0) : hi]
+        np.logaddexp.accumulate(carried, out=carried)
+        if tails[hi - 1] >= -_LN2:
+            saturated = tails.size - hi + int(np.count_nonzero(tails[lo:hi] >= -_LN2))
+            break
     if saturated:
         np.logaddexp.accumulate(lps[:saturated], out=c[:saturated])
     near_top = c[saturated:]

@@ -16,15 +16,17 @@ from alignlab import (
     sequence_space_log_probs,
 )
 from alignlab.bestofn import REWARD_TIE_TOL, _check_n
+from alignlab.deviations import LEGENDRE_BRACKET_TOL, LEGENDRE_GRID
 from alignlab.distributions import (
     LEVEL_BLOCK,
     log_class_sizes,
     normalized_log_weights,
     type_counts_matrix,
 )
-from alignlab.errors import LengthMismatch
+from alignlab.errors import LengthMismatch, TargetOutOfRange
 from alignlab.logspace import log_power_diff
 from alignlab.metrics import _check_same_alphabet
+from alignlab.tilting import reward_target_range
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # does not depend on the run; no example database is written.
@@ -367,3 +369,50 @@ def prior_solution(found, lp: np.ndarray, lq_top: np.ndarray) -> TiltSolution:
     (x, _, _, kl, reward), residual, steps = found
     [log_phi] = prior_tilt_log_probs(lp, lq_top, [x])
     return TiltSolution(x, CategoricalDistribution(log_phi), kl, reward, steps, residual)
+
+
+# The Legendre oracle as it ran one probe point at a time, before the points
+# of a grid went in lockstep.  The lockstep oracle must match it bit for bit.
+
+
+def scalar_legendre_oracle(phi, q, t: float) -> float:
+    _check_same_alphabet(phi, q)
+    lo_t, hi_t = reward_target_range(q)
+    if not (lo_t < t < hi_t):
+        raise TargetOutOfRange(f"t={t!r} outside achievable open range ({lo_t!r}, {hi_t!r})")
+    lphi = phi.log_probs
+    lq = q.log_probs
+
+    def objective(gammas: np.ndarray) -> np.ndarray:
+        weights = lphi[None, :] + gammas[:, None] * lq[None, :]
+        hi = weights.max(axis=1)
+        log_z = hi + np.log(np.exp(weights - hi[:, None]).sum(axis=1))
+        return -gammas * t - log_z
+
+    lo, hi = -8.0, 8.0
+    # widen until the maximizer is interior
+    for _ in range(60):
+        grid = np.linspace(lo, hi, LEGENDRE_GRID)
+        best = int(np.argmax(objective(grid)))
+        if best == 0:
+            lo, hi = lo - (hi - lo), grid[1]
+        elif best == LEGENDRE_GRID - 1:
+            lo, hi = grid[-2], hi + (hi - lo)
+        else:
+            break
+    else:
+        raise TargetOutOfRange(f"no interior maximizer for t={t!r}")
+    # shrink the bracket around the grid argmax until it collapses; a
+    # value-change stop is unsound here because the old best point always
+    # reappears at the center of the refined grid
+    best_value = -math.inf
+    for _ in range(80):
+        grid = np.linspace(lo, hi, LEGENDRE_GRID)
+        values = objective(grid)
+        best = int(np.argmax(values))
+        best_value = max(best_value, float(values[best]))
+        if hi - lo < LEGENDRE_BRACKET_TOL:
+            break
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, LEGENDRE_GRID - 1)]
+    return best_value

@@ -210,7 +210,7 @@ def test_criterion_08_rate_function_consistency():
         for frac in np.linspace(0.05, 0.95, 20):
             t = lo + float(frac) * (hi - lo)
             exact = rate_function(p, q, phi, [t])[0].rate
-            worst = max(worst, abs(exact - legendre_oracle(phi, q, t)))
+            worst = max(worst, abs(exact - legendre_oracle(phi, q, [t])[0]))
         mean_t = float(phi.probs() @ (-q.log_probs))
         worst_mean = max(worst_mean, rate_function(p, q, phi, [mean_t])[0].rate)
     elapsed = time.perf_counter() - started

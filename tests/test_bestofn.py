@@ -31,7 +31,7 @@ from alignlab import (
     from_log_weights,
 )
 
-from alignlab import bestofn, distributions
+from alignlab import bestofn, distributions, logspace
 from alignlab.bestofn import MAX_LOG_N, REWARD_TIE_TOL, _winner_log_probs
 from alignlab.experiments import _dirichlet_interior, default_n_grid
 from alignlab.logspace import cumulative_log_probs, log1mexp, log_power_diff, logsumexp
@@ -583,6 +583,28 @@ class TestBlockedKernel:
             mp.setattr(bestofn, "LEVEL_BLOCK", block)
             got = _winner_log_probs(log_probs, rewards, [1.0, 7.0, 1e9])
         assert got.tobytes() == ref_winner_log_probs(log_probs, rewards, [1.0, 7.0, 1e9]).tobytes()
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.sampled_from([5.0, 50.0, 800.0]))
+    def test_backward_tails_stop_at_a_block_edge(self, seed, n, depth):
+        # the block size is the number of unsaturated tails, so the first
+        # tail of 1/2 or more is the first of the second block
+        lps = from_log_weights(-depth * np.random.default_rng(seed).random(n)).log_probs
+        tails = np.logaddexp.accumulate(lps[:0:-1])
+        unsaturated = int(np.count_nonzero(tails < -math.log(2.0)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logspace, "LEVEL_BLOCK", max(1, unsaturated))
+            got = cumulative_log_probs(lps)
+        assert got.tobytes() == ref_cumulative_log_probs(lps).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4096])
+    def test_backward_tails_that_never_saturate(self, block):
+        # the bottom level holds more than 1/2, so no tail above a level reaches it
+        lps = from_log_weights(np.log([0.6, 0.05, 0.1, 0.15, 0.1])).log_probs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logspace, "LEVEL_BLOCK", block)
+            got = cumulative_log_probs(lps)
+        assert got.tobytes() == ref_cumulative_log_probs(lps).tobytes()
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from([5.0, 50.0, 800.0]))

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
 import pytest
 
 from alignlab import InfeasibleBudget
-from alignlab.cli import _HELP, cli_dispatch, load_config_file, parse_value
+from alignlab.cli import _HELP, _build_parser, cli_dispatch, load_config_file, parse_value
 from alignlab import experiments
 from alignlab.experiments import COMMON_FIELDS, EXPERIMENTS, ExperimentConfig
 
@@ -133,6 +134,80 @@ class TestDispatch:
         code = cli_dispatch(["example1"])
         assert code == 0
         assert (tmp_path / "from-env" / "example1_report.json").exists()
+
+
+def _outcome(capsys, code) -> tuple:
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parser_outcome(capsys, argv) -> tuple:
+    """Exit code, stdout and stderr of the six-command parser on argv."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser(EXPERIMENTS).parse_args(argv)
+    return _outcome(capsys, exc.value.code or 0)
+
+
+class TestParserPerCommand:
+    """``cli_dispatch`` builds the named command's parser alone, and it reads
+    as the six-command parser does."""
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_command_help_is_the_full_parsers(self, capsys, experiment):
+        argv = [experiment.replace("_", "-"), "--help"]
+        got = _outcome(capsys, cli_dispatch(argv))
+        assert got == _full_parser_outcome(capsys, argv)
+        assert got[0] == 0 and got[1].startswith(f"usage: alignlab {argv[0]} [-h]")
+
+    def test_top_help_lists_every_command(self, capsys):
+        code, out, _ = got = _outcome(capsys, cli_dispatch(["--help"]))
+        assert got == _full_parser_outcome(capsys, ["--help"])
+        assert code == 0
+        for experiment in EXPERIMENTS:
+            command = experiment.replace("_", "-")
+            assert f"run the {command} experiment" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["mystery"], "argument command: invalid choice: 'mystery'"),
+            (["ternary_figure"], "argument command: invalid choice: 'ternary_figure'"),
+            (["example1", "--bogus"], "unrecognized arguments: --bogus"),
+            (["ldp-probe", "--trials"], "argument --trials: expected one argument"),
+        ],
+    )
+    def test_usage_errors_read_as_the_full_parsers(self, capsys, argv, message):
+        got = _outcome(capsys, cli_dispatch(argv))
+        assert got == _full_parser_outcome(capsys, argv)
+        code, out, err = got
+        assert code == 2 and out == ""
+        assert err.startswith("usage: alignlab ") and f": error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["ldp-probe", "--m", "10", "--trials", "10"], ["ldp-probe"]),
+            (["--help"], [e.replace("_", "-") for e in EXPERIMENTS]),
+            (["mystery"], [e.replace("_", "-") for e in EXPERIMENTS]),
+        ],
+    )
+    def test_builds_only_the_named_commands_parser(
+        self, tmp_path, capsys, monkeypatch, argv, built
+    ):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        out = ["--out", str(tmp_path)] if argv[0] == "ldp-probe" else []
+        # no parser is kept from one call to the next
+        for _ in range(2):
+            cli_dispatch(argv + out)
+        assert names == built * 2
 
 
 class TestLdpProbeValidation:

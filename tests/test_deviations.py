@@ -34,7 +34,7 @@ from alignlab import deviations, tilting
 from alignlab.deviations import CHUNK_CELLS, MAX_TRIAL_M
 from alignlab.experiments import ExperimentConfig, default_probe_grid
 
-from .conftest import TERNARY_P, TERNARY_Q, bon_winners, random_pair
+from .conftest import TERNARY_P, TERNARY_Q, bon_winners, random_pair, scalar_legendre_oracle
 
 TARGETS = {"demo": TERNARY_Q, "uniform": (1, 1, 1), "pair_tie": (2, 2, 1)}
 # the demo pair's tilted source at the demo budget 0.11
@@ -50,7 +50,7 @@ DEFAULT_GRID, DEFAULT_EPS = _PROBE.derived[3], _PROBE.get("eps")
     "call",
     [
         lambda phi, q: deviation_hit_count(phi, q, 0.6, 0.1, 10, 10, np.random.default_rng(0)),
-        lambda phi, q: legendre_oracle(phi, q, 0.6),
+        lambda phi, q: legendre_oracle(phi, q, [0.6]),
     ],
     ids=["deviation_hit_count", "legendre_oracle"],
 )
@@ -88,7 +88,7 @@ class TestRateFunction:
         phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         [point] = rate_function(demo_p, demo_q, demo_p, [cross_entropy(phi, demo_q)])
         assert point.rate > 1e-3
-        oracle = legendre_oracle(demo_p, demo_q, cross_entropy(phi, demo_q))
+        [oracle] = legendre_oracle(demo_p, demo_q, [cross_entropy(phi, demo_q)])
         assert abs(point.rate - oracle) <= 1e-5
 
     def test_increases_away_from_mean(self, demo_p, demo_q):
@@ -422,10 +422,30 @@ class TestWindowLogProb:
             assert abs(hits - draws * prob) <= 5.0 * math.sqrt(draws * prob * (1.0 - prob)), t
 
 
+@st.composite
+def _oracle_grids(draw):
+    """A tilted source and its target over K = 2..8 symbols (a random pair, or
+    a near-uniform one), with 1..9 probe points: repeats, and points within
+    1e-6 of the ends of the target's reward range."""
+    K = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p, q = random_pair(rng, K)
+    else:
+        p = make_distribution(1.0 + 1e-3 * rng.random(K))
+        q = make_distribution(1.0 + 1e-2 * rng.random(K))
+    phi = solve_alpha_for_kl(q, p, [draw(st.floats(0.0, 0.9)) * max_achievable_kl(q, p)])[0].phi
+    lo, hi = reward_target_range(q)
+    edge = draw(st.floats(1e-9, 1e-6))
+    fracs = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=9))
+    pool = [lo + edge, hi - edge] + [lo + f * (hi - lo) for f in fracs]
+    return phi, q, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+
+
 class TestLegendreOracle:
     def test_zero_at_mean(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
-        value = legendre_oracle(DEMO_PHI, demo_q, cross_entropy(phi, demo_q))
+        [value] = legendre_oracle(DEMO_PHI, demo_q, [cross_entropy(phi, demo_q)])
         assert abs(value) <= 1e-7
 
     def test_matches_rate_function_on_grids(self):
@@ -441,7 +461,7 @@ class TestLegendreOracle:
             for frac in np.linspace(0.08, 0.92, 12):
                 t = lo + float(frac) * (hi - lo)
                 exact = rate_function(p, q, phi, [t])[0].rate
-                assert abs(exact - legendre_oracle(phi, q, t)) <= 1e-5
+                assert abs(exact - legendre_oracle(phi, q, [t])[0]) <= 1e-5
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(0.0, 0.9), st.floats(0.05, 0.95))
     @settings(max_examples=40)
@@ -451,15 +471,47 @@ class TestLegendreOracle:
         phi = solve_alpha_for_kl(q, p, [budget * max_achievable_kl(q, p)])[0].phi
         lo, hi = reward_target_range(q)
         t = lo + frac * (hi - lo)
-        assert abs(rate_function(p, q, phi, [t])[0].rate - legendre_oracle(phi, q, t)) <= 1e-5
+        assert abs(rate_function(p, q, phi, [t])[0].rate - legendre_oracle(phi, q, [t])[0]) <= 1e-5
 
     def test_symmetric_points_nonnegative(self, demo_p, demo_q):
         phi = solve_alpha_for_kl(demo_q, demo_p, [0.11])[0].phi
         mean = cross_entropy(phi, demo_q)
         for d in (0.15, -0.15):
-            assert legendre_oracle(DEMO_PHI, demo_q, mean + d) >= 0.0
+            assert legendre_oracle(DEMO_PHI, demo_q, [mean + d])[0] >= 0.0
 
     def test_out_of_range(self, demo_p, demo_q):
         lo, hi = reward_target_range(demo_q)
         with pytest.raises(TargetOutOfRange):
-            legendre_oracle(DEMO_PHI, demo_q, hi + 0.01)
+            legendre_oracle(DEMO_PHI, demo_q, [hi + 0.01])
+
+    @pytest.mark.parametrize("bad", ["below", "low_end", "high_end", "above", "nan"])
+    def test_one_out_of_range_point_fails_the_grid(self, demo_q, bad):
+        lo, hi = reward_target_range(demo_q)
+        t = {"below": lo - 0.01, "low_end": lo, "high_end": hi, "above": hi + 0.01}.get(bad, math.nan)
+        with pytest.raises(TargetOutOfRange):
+            legendre_oracle(DEMO_PHI, demo_q, [DEFAULT_GRID[0], t, DEFAULT_GRID[-1]])
+
+    def test_default_grid_matches_scalar_reference(self, demo_q):
+        got = legendre_oracle(DEMO_PHI, demo_q, list(DEFAULT_GRID))
+        want = [scalar_legendre_oracle(DEMO_PHI, demo_q, t) for t in DEFAULT_GRID]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_empty_grid(self, demo_q):
+        assert legendre_oracle(DEMO_PHI, demo_q, []) == []
+
+    @settings(max_examples=200)
+    @given(_oracle_grids())
+    def test_lockstep_matches_scalar_reference(self, instance):
+        phi, q, ts = instance
+        try:
+            want = [scalar_legendre_oracle(phi, q, t) for t in ts]
+        except TargetOutOfRange:
+            # a point with no interior maximizer fails the whole grid
+            with pytest.raises(TargetOutOfRange):
+                legendre_oracle(phi, q, ts)
+            return
+        got = legendre_oracle(phi, q, ts)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        # each point's value alone is its value in the grid
+        alone = [legendre_oracle(phi, q, [t])[0] for t in ts]
+        assert np.array(alone).tobytes() == np.array(got).tobytes()

@@ -18,6 +18,7 @@ from alignlab.experiments import (
     COMMON_FIELDS,
     EXPERIMENTS,
     ExperimentReport,
+    _format_cell,
     _radial_contour_points,
     _trace_kl_contour,
     default_n_grid,
@@ -215,6 +216,38 @@ class TestEquivalenceScan:
         run_equivalence_scan(ExperimentConfig("equivalence_scan", m_grid=(3, 5)))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "delta, m_grid",
+        [
+            # the rates read [1.3e-16, 0.0]: rounding, not decay
+            (1e-300, (5, 10)),
+            (1e-17, (5, 10)),
+            (1e-17, None),
+        ],
+    )
+    def test_decay_checks_fail_within_rounding(self, delta, m_grid):
+        config = ExperimentConfig("equivalence_scan", delta=delta, m_grid=m_grid)
+        report = run_equivalence_scan(config)
+        status = {check["name"]: check["passed"] for check in report.checks}
+        assert not report.passed
+        assert not status["kl_rate_strictly_decreasing"]
+        assert not status["final_rate_at_most_half_first"]
+
+    @pytest.mark.parametrize(
+        "delta, m_grid, halved",
+        [(1e-4, (5, 10), False), (1e-4, None, False), (0.11, None, True)],
+    )
+    def test_decay_checks_above_rounding(self, delta, m_grid, halved):
+        config = ExperimentConfig("equivalence_scan", delta=delta, m_grid=m_grid)
+        report = run_equivalence_scan(config)
+        checks = {check["name"]: check for check in report.checks}
+        rates = report.results["kl_rate_to_optimal"]
+        assert checks["kl_rate_strictly_decreasing"]["passed"]
+        assert checks["kl_rate_strictly_decreasing"]["value"] is True
+        assert checks["final_rate_at_most_half_first"]["passed"] is halved
+        assert checks["final_rate_at_most_half_first"]["value"] == rates[-1]
+        assert checks["final_rate_at_most_half_first"]["limit"] == 0.5 * rates[0]
+
 
 class TestRandomAlphabet:
     def test_small_alphabet_bound(self):
@@ -388,6 +421,28 @@ class TestLdpProbe:
         a = run_ldp_probe(config)
         b = run_ldp_probe(config)
         assert _report_minus_duration(a) == _report_minus_duration(b)
+
+
+@pytest.mark.parametrize(
+    "cell, text",
+    [
+        (0.1, "0.1"),
+        (-0.0, "-0.0"),
+        (1e-300, "1e-300"),
+        (math.inf, "inf"),
+        (math.nan, "nan"),
+        (np.float64(2.0 / 3.0), "0.6666666666666666"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (3, "3"),
+        (np.int64(-7), "-7"),
+        (True, "True"),
+        (np.bool_(False), "False"),
+        (None, ""),
+        ("kl_contour", "kl_contour"),
+    ],
+)
+def test_format_cell(cell, text):
+    assert _format_cell(cell) == text
 
 
 class TestDispatchAndReport:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -31,3 +33,34 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+# The top-level modules that importing alignlab and alignlab.cli adds after
+# numpy.  Every start of the CLI pays for them (and, without bytecode
+# caches, compiles them), so a new one must be a deliberate choice.
+IMPORT_FOOTPRINT = {
+    "__future__",
+    "_json",
+    "alignlab",
+    "argparse",
+    "copy",
+    "dataclasses",
+    "gettext",
+    "json",
+}
+
+
+def test_import_footprint():
+    probe = (
+        "import sys; import numpy; before = set(sys.modules); "
+        "import alignlab, alignlab.cli; "
+        "print(' '.join(sorted({n.split('.')[0] for n in set(sys.modules) - before})))"
+    )
+    src = str(Path(alignlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); " + probe],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert set(done.stdout.split()) <= IMPORT_FOOTPRINT
