@@ -521,9 +521,7 @@ def _kl_rate_roundoff(law: LevelLaw, alpha: float) -> float:
     sum_L pi_L (|log pi_L| + |log phi_L|), per symbol.  A rate at or below it
     is indistinguishable from 0."""
     target = _tilt_level_log_masses(law, alpha)
-    masses = np.exp(law.log_masses)
-    held = masses > 0.0  # an underflowed level adds nothing, however deep its log
-    size = np.sum(masses[held] * (np.abs(law.log_masses[held]) + np.abs(target[held])))
+    size = np.sum(np.exp(law.log_masses) * (np.abs(law.log_masses) + np.abs(target)))
     return (law.rewards.size + 2) * 2.0**-53 * float(size) / law.m
 
 
